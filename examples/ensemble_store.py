@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro import BlockTensorStore, DoublePendulum, EnsembleStudy
 from repro.runtime import session_runtime
-from repro.core import m2td_select
+from repro.core import m2td_decompose
 from repro.sampling import budget_for_fractions
 
 RESOLUTION = 8
@@ -48,7 +48,9 @@ def main() -> None:
         loaded1 = store.get("pendulum_sub1")
         loaded2 = store.get("pendulum_sub2")
         assert loaded1 == x1 and loaded2 == x2
-        result = m2td_select(loaded1, loaded2, partition, RANKS)
+        result = m2td_decompose(
+            loaded1, loaded2, partition, RANKS, variant="select"
+        )
         print(
             f"M2TD-SELECT from stored ensembles: accuracy "
             f"{result.accuracy(study.truth):.4f}"

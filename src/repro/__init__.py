@@ -39,10 +39,7 @@ from .core import (
     StudyResult,
     accuracy,
     join_tensor,
-    m2td_avg,
-    m2td_concat,
     m2td_decompose,
-    m2td_select,
     zero_join_tensor,
 )
 from .distributed import ClusterModel, distributed_m2td
@@ -108,10 +105,7 @@ __all__ = [
     "StudyResult",
     "accuracy",
     "join_tensor",
-    "m2td_avg",
-    "m2td_concat",
     "m2td_decompose",
-    "m2td_select",
     "zero_join_tensor",
     "ClusterModel",
     "distributed_m2td",

@@ -264,52 +264,17 @@ for _fn, _desc in (
     workload(f"kernel.{_fn}", "kernels", _desc)(_kernel(_fn))
 
 
-def _sketched_kernel(fn_name: str) -> Callable[[SizeSpec], PreparedWorkload]:
-    def build(size: SizeSpec) -> PreparedWorkload:
-        from ..tensor import tucker
+@workload(
+    "kernel.gram.hosvd",
+    "kernels",
+    "HOSVD of a 30%-dense sparse sample: the Gram route, no densification",
+)
+def _build_gram_hosvd(size: SizeSpec) -> PreparedWorkload:
+    from ..tensor import hosvd
 
-        fn = getattr(tucker, fn_name)
-        truth = _study(size).truth
-        ranks = _ranks(size, truth.ndim)
-        return PreparedWorkload(
-            lambda: fn(
-                truth, ranks,
-                method="sketched", keep_probability=0.5, seed=size.seed,
-            )
-        )
-
-    return build
-
-
-for _fn in ("hosvd", "st_hosvd"):
-    workload(
-        f"kernel.sketched.{_fn}",
-        "kernels",
-        f"MACH-sketched {_fn} (keep_probability=0.5) of the ground truth",
-    )(_sketched_kernel(_fn))
-
-
-def _gram_kernel(fn_name: str) -> Callable[[SizeSpec], PreparedWorkload]:
-    def build(size: SizeSpec) -> PreparedWorkload:
-        from ..tensor import gram
-
-        fn = getattr(gram, fn_name)
-        tensor = _sparse_sample(size).compile()
-        ranks = _ranks(size, tensor.ndim)
-        return PreparedWorkload(lambda: fn(tensor, ranks))
-
-    return build
-
-
-for _fn, _desc in (
-    ("gram_hosvd",
-     "Gram-matrix HOSVD of a 30%-dense sparse sample (no densification)"),
-    ("gram_st_hosvd",
-     "Gram-matrix ST-HOSVD of a 30%-dense sparse sample (no densification)"),
-):
-    workload(
-        f"kernel.gram.{_fn.replace('gram_', '')}", "kernels", _desc
-    )(_gram_kernel(_fn))
+    tensor = _sparse_sample(size).compile()
+    ranks = _ranks(size, tensor.ndim)
+    return PreparedWorkload(lambda: hosvd(tensor, ranks))
 
 
 # ----------------------------------------------------------------------

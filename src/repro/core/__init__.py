@@ -10,9 +10,6 @@ from .join_tensor import (
     materialized_core,
 )
 from .m2td import M2TDResult, m2td_decompose, map_ranks_to_join
-from .m2td_avg import m2td_avg
-from .m2td_concat import m2td_concat
-from .m2td_select import m2td_select
 from .pipeline import EnsembleStudy, StudyResult
 from .row_select import average_factors, row_select, row_select_source
 from .stitch import (
@@ -33,9 +30,6 @@ __all__ = [
     "M2TDResult",
     "m2td_decompose",
     "map_ranks_to_join",
-    "m2td_avg",
-    "m2td_concat",
-    "m2td_select",
     "EnsembleStudy",
     "StudyResult",
     "average_factors",

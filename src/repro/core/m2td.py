@@ -12,8 +12,8 @@ All three variants share one skeleton (Algorithms 2-4):
 4. build the join tensor and recover the core
    ``G = J x_1 U^(1)T ... x_N U^(N)T``.
 
-:func:`m2td_decompose` implements the skeleton; the variant modules
-(:mod:`repro.core.m2td_avg` etc.) provide the public entry points.
+:func:`m2td_decompose` implements the skeleton; its ``variant``
+argument picks the pivot combiner.
 """
 
 from __future__ import annotations
@@ -29,13 +29,8 @@ from ..exceptions import RankError, StitchError
 from ..observability import span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
-from ..tensor.svd import (
-    gram_left_singular_vectors,
-    gram_singular_pairs,
-    leading_left_singular_vectors,
-    truncated_svd,
-)
-from ..tensor.tucker import TuckerTensor, check_method, sketched_input
+from ..tensor.svd import leading_left_singular_vectors, truncated_svd
+from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
 from .join_tensor import lazy_core, materialized_core
 from .row_select import average_factors, procrustes_align, row_select
@@ -66,9 +61,6 @@ class M2TDResult:
         Stored entries of the stitched join tensor (its effective
         density numerator); 0 when the lazy path skipped
         materialisation.
-    method:
-        Kernel method that was requested: ``"exact"``, ``"sketched"``
-        or ``"gram"``.
     phase_seconds:
         Wall-clock split mirroring D-M2TD's phases:
         ``sub_decompose`` / ``stitch`` / ``core``.
@@ -80,7 +72,6 @@ class M2TDResult:
     join_kind: str
     join_nnz: int
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    method: str = "exact"
 
     @property
     def total_seconds(self) -> float:
@@ -120,29 +111,16 @@ def _clip_rank(rank: int, shape: Tuple[int, int]) -> int:
     return max(1, min(int(rank), min(int(shape[0]), int(shape[1]))))
 
 
-def _matrix_gram(matrix) -> np.ndarray:
-    """``X X^T`` of a matricization, sparse-aware (never densifies X)."""
-    if sps.issparse(matrix):
-        return np.asarray((matrix @ matrix.T).todense(), dtype=np.float64)
-    dense = np.asarray(matrix, dtype=np.float64)
-    return dense @ dense.T
-
-
-def _factor_pair(matrix, rank: int, method: str):
-    """``(U, s)`` of a matricization — SVD by default, Gram-eigh under
-    ``method="gram"`` (same subspaces to ~1e-10, no dense unfolding)."""
-    rank = _clip_rank(rank, matrix.shape)
-    if method == "gram":
-        return gram_singular_pairs(_matrix_gram(matrix), rank)
-    u, s, _vt = truncated_svd(matrix, rank)
+def _factor_pair(matrix, rank: int):
+    """``(U, s)``: leading left singular vectors and singular values."""
+    u, s, _vt = truncated_svd(matrix, _clip_rank(rank, matrix.shape))
     return u, s
 
 
-def _leading_factor(matrix, rank: int, method: str) -> np.ndarray:
-    rank = _clip_rank(rank, matrix.shape)
-    if method == "gram":
-        return gram_left_singular_vectors(_matrix_gram(matrix), rank)
-    return leading_left_singular_vectors(matrix, rank)
+def _leading_factor(matrix, rank: int) -> np.ndarray:
+    return leading_left_singular_vectors(
+        matrix, _clip_rank(rank, matrix.shape)
+    )
 
 
 def map_ranks_to_join(
@@ -175,9 +153,6 @@ def m2td_decompose(
     lazy: bool = False,
     zero_join_candidates: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     alignment: str = "sign",
-    method: str = "exact",
-    keep_probability: float = 0.5,
-    seed=None,
 ) -> M2TDResult:
     """Run M2TD on two PF-partitioned sub-ensemble tensors.
 
@@ -193,7 +168,14 @@ def m2td_decompose(
         clipped per matricization where a small mode cannot supply
         them.
     variant:
-        ``"avg"`` | ``"concat"`` | ``"select"`` (Algorithms 2, 3, 4).
+        The pivot combiner.  ``"avg"`` (Algorithm 2) averages the two
+        pivot factor matrices element-wise: cheapest, but the averaged
+        columns are no longer singular vectors.  ``"concat"``
+        (Algorithm 3) takes the leading left singular vectors of the
+        two pivot matricizations concatenated side by side.
+        ``"select"`` (Algorithms 4 and 5, the paper's best) keeps each
+        entity's row from whichever sub-system represents it with more
+        energy.
     join_kind:
         ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2).
     lazy:
@@ -207,17 +189,6 @@ def m2td_decompose(
         the default) or ``"procrustes"`` (full orthogonal rotation) —
         an implementation variant the paper leaves unspecified; see
         the row-energy ablation bench for the trade-off.
-    method:
-        Kernel method for the sub-decompositions: ``"exact"``
-        (default), ``"sketched"`` (both sub-ensembles are MACH-
-        sketched at ``keep_probability`` before *everything* — factor
-        extraction and stitching alike; 1.0 short-circuits to exact,
-        an empty sketch falls back to exact), or ``"gram"`` (factor
-        subspaces from mode Gram matrices, never densifying a sparse
-        matricization).
-    keep_probability / seed:
-        Only used by ``method="sketched"``; ``x2`` is sketched with
-        ``seed + 1`` so the two sub-ensembles draw independent masks.
 
     Returns
     -------
@@ -231,15 +202,6 @@ def m2td_decompose(
         raise StitchError("lazy core recovery requires join_kind='join'")
     if alignment not in ("sign", "procrustes"):
         raise StitchError(f"unknown alignment {alignment!r}")
-    requested_method = method = check_method(method)
-    if method == "sketched":
-        x1 = sketched_input(x1, keep_probability, seed)
-        # Integer seeds get an independent mask for the second
-        # sub-ensemble; Generator/None seeds already advance on reuse.
-        second = int(seed) + 1 if isinstance(seed, (int, np.integer)) else seed
-        x2 = sketched_input(x2, keep_probability, second)
-        # Downstream phases run the exact kernels on the sketches.
-        method = "exact"
     join_ranks = map_ranks_to_join(partition, ranks)
     k = partition.k
     f1 = len(partition.s1_free)
@@ -256,10 +218,10 @@ def m2td_decompose(
             rank = join_ranks[axis]
             if variant == "concat":
                 combined = _concat_matricizations(m1, m2)
-                factors[axis] = _leading_factor(combined, rank, method)
+                factors[axis] = _leading_factor(combined, rank)
             else:
-                u1, s1 = _factor_pair(m1, rank, method)
-                u2, s2 = _factor_pair(m2, rank, method)
+                u1, s1 = _factor_pair(m1, rank)
+                u2, s2 = _factor_pair(m2, rank)
                 width = min(u1.shape[1], u2.shape[1])
                 u1, u2 = u1[:, :width], u2[:, :width]
                 s1, s2 = s1[:width], s2[:width]
@@ -273,12 +235,12 @@ def m2td_decompose(
         for offset in range(f1):
             axis = k + offset
             factors[axis] = _leading_factor(
-                _matricize(x1, axis), join_ranks[axis], method
+                _matricize(x1, axis), join_ranks[axis]
             )
         for offset in range(len(partition.s2_free)):
             axis = k + f1 + offset
             factors[axis] = _leading_factor(
-                _matricize(x2, k + offset), join_ranks[axis], method
+                _matricize(x2, k + offset), join_ranks[axis]
             )
     sub_decompose_seconds = time.perf_counter() - started
 
@@ -332,7 +294,6 @@ def m2td_decompose(
         variant=variant,
         join_kind="lazy" if lazy else join_kind,
         join_nnz=join_nnz,
-        method=requested_method,
         phase_seconds={
             "sub_decompose": sub_decompose_seconds,
             "stitch": stitch_seconds,

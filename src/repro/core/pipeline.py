@@ -276,8 +276,6 @@ class EnsembleStudy:
         sub_sampling: str = "cross",
         partition: Optional[PFPartition] = None,
         seed: SeedLike = None,
-        method: str = "exact",
-        keep_probability: float = 0.5,
     ) -> StudyResult:
         """Full partition-stitch + M2TD workflow.
 
@@ -285,11 +283,6 @@ class EnsembleStudy:
         ``2 * P * E = 2 * pivot_fraction * free_fraction`` of the two
         sub-spaces; pass the result's ``cells`` to a conventional
         scheme for a budget-matched comparison.
-
-        ``method``/``keep_probability`` select the decomposition
-        kernel (exact, MACH-sketched, or Gram); the sampling ``seed``
-        doubles as the sketch seed so a sketched run is reproducible
-        from the same configuration.
         """
         if partition is None:
             partition = self.default_partition(pivot=pivot)
@@ -313,9 +306,6 @@ class EnsembleStudy:
             variant=variant,
             join_kind=join_kind,
             lazy=lazy,
-            method=method,
-            keep_probability=keep_probability,
-            seed=seed,
         )
         elapsed = time.perf_counter() - started
         logger.debug(

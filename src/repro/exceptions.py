@@ -25,21 +25,6 @@ class ModeError(ReproError, ValueError):
     """A mode index is out of range or otherwise invalid."""
 
 
-class SketchError(RankError):
-    """A randomized sketch is unusable (e.g. every entry was dropped).
-
-    Subclasses :class:`RankError` because an empty sketch has no
-    computable factor subspaces — callers that handled the historical
-    ``RankError`` keep working — while letting sketch-aware callers
-    (``method="sketched"`` dispatch) catch exactly this case and fall
-    back to the exact kernel.
-    """
-
-
-class KernelError(ReproError, ValueError):
-    """A tensor-kernel option is invalid (e.g. an unknown ``method``)."""
-
-
 class PartitionError(ReproError, ValueError):
     """A PF-partition specification is inconsistent with the system."""
 

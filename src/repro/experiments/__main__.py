@@ -65,21 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reuse ground-truth tensors instead of re-simulating",
     )
     parser.add_argument(
-        "--method",
-        choices=("exact", "sketched", "gram"),
-        default="exact",
-        help="decomposition kernel for the M2TD schemes: exact SVD "
-        "(default), MACH-sketched entry subsampling, or the "
-        "Gram-matrix fast path",
-    )
-    parser.add_argument(
-        "--keep-probability",
-        type=float,
-        default=0.5,
-        help="MACH keep probability for --method sketched "
-        "(1.0 short-circuits to exact; default 0.5)",
-    )
-    parser.add_argument(
         "--campaign-budget-fraction",
         type=float,
         default=0.88,
@@ -100,18 +85,11 @@ def main(argv=None) -> int:
         return 0
     apply_worker_args(args)
     config = quick_config() if args.quick else default_config()
-    if (
-        args.method != "exact"
-        or args.keep_probability != 0.5
-        or args.campaign_budget_fraction != 0.88
-    ):
+    if args.campaign_budget_fraction != 0.88:
         from dataclasses import replace
 
         config = replace(
-            config,
-            method=args.method,
-            keep_probability=args.keep_probability,
-            campaign_budget_fraction=args.campaign_budget_fraction,
+            config, campaign_budget_fraction=args.campaign_budget_fraction
         )
         config.validate()
     if args.all:

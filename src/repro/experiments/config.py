@@ -46,11 +46,6 @@ class ExperimentConfig:
         380-cell pin at resolution 6).
     seed:
         Base RNG seed for all sampling.
-    method / keep_probability:
-        Decomposition kernel for the M2TD schemes: ``"exact"``
-        (default), ``"sketched"`` (MACH subsampling at
-        ``keep_probability``), or ``"gram"``.  Threaded from the CLI's
-        ``--method`` / ``--keep-probability`` flags.
     """
 
     resolutions: Tuple[int, ...] = (8, 10, 12)
@@ -70,8 +65,6 @@ class ExperimentConfig:
     campaign_budget_fraction: float = 0.88
     pivots: Tuple[str, ...] = ("t", "phi1", "phi2", "m1", "m2")
     seed: int = 7
-    method: str = "exact"
-    keep_probability: float = 0.5
 
     def validate(self) -> None:
         if self.default_resolution < 4:
@@ -80,15 +73,6 @@ class ExperimentConfig:
             raise ExperimentError("default_rank must be >= 1")
         if not self.resolutions or not self.ranks:
             raise ExperimentError("resolutions and ranks must be non-empty")
-        if self.method not in ("exact", "sketched", "gram"):
-            raise ExperimentError(
-                f"unknown decomposition method {self.method!r}"
-            )
-        if not 0.0 < self.keep_probability <= 1.0:
-            raise ExperimentError(
-                "keep_probability must be in (0, 1], got "
-                f"{self.keep_probability}"
-            )
         if not 0.0 < self.campaign_budget_fraction <= 1.0:
             raise ExperimentError(
                 "campaign_budget_fraction must be in (0, 1], got "

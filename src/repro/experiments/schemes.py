@@ -36,16 +36,12 @@ def run_all_schemes(
     free_fraction: float = 1.0,
     join_kind: str = "join",
     sub_sampling: str = "cross",
-    method: str = "exact",
-    keep_probability: float = 0.5,
 ) -> Dict[str, StudyResult]:
     """Run every scheme on one study configuration.
 
     The conventional baselines receive exactly the cell budget the
     M2TD configuration consumes — the paper's "same number of
-    simulation instances" ground rule.  ``method`` /
-    ``keep_probability`` select the decomposition kernel for the M2TD
-    schemes (the conventional baselines always decompose exactly).
+    simulation instances" ground rule.
     """
     ranks = [rank] * study.space.n_modes
     results: Dict[str, StudyResult] = {}
@@ -60,8 +56,6 @@ def run_all_schemes(
             join_kind=join_kind,
             sub_sampling=sub_sampling,
             seed=seed,
-            method=method,
-            keep_probability=keep_probability,
         )
         results[result.scheme] = result
     budget = next(iter(results.values())).cells

@@ -43,6 +43,14 @@ from .schemes import conventional_sampler
 
 REQUIRED_KEYS = ("system", "resolution", "rank", "schemes")
 
+#: The keys each scheme kind reads.  Any other key fails the config
+#: rather than being silently ignored.
+SCHEME_KEYS = {
+    "m2td": ("kind", "variant", "pivot", "pivot_fraction", "free_fraction",
+             "join", "sub_sampling", "seed"),
+    "conventional": ("kind", "sampler", "budget", "seed"),
+}
+
 
 def load_config(path: str) -> Dict:
     try:
@@ -57,6 +65,14 @@ def load_config(path: str) -> Dict:
         )
     if not isinstance(config["schemes"], list) or not config["schemes"]:
         raise ExperimentError("config needs a non-empty 'schemes' list")
+    for index, scheme in enumerate(config["schemes"]):
+        allowed = SCHEME_KEYS.get(scheme.get("kind"), ())
+        unknown = sorted(set(scheme) - set(allowed)) if allowed else []
+        if unknown:
+            raise ExperimentError(
+                f"scheme {index} ({scheme['kind']}) has unknown key "
+                f"{unknown[0]!r}; allowed keys: {list(allowed)}"
+            )
     return config
 
 
@@ -78,8 +94,6 @@ def run_scheme(
             join_kind=scheme.get("join", "join"),
             sub_sampling=scheme.get("sub_sampling", "cross"),
             seed=scheme.get("seed", seed),
-            method=scheme.get("method", "exact"),
-            keep_probability=float(scheme.get("keep_probability", 0.5)),
         )
     if kind == "conventional":
         budget = scheme.get("budget", default_budget)
@@ -205,29 +219,10 @@ def main(argv=None) -> int:
         "studies over the same (system, resolution) reuse the "
         "ground-truth tensor instead of re-simulating",
     )
-    parser.add_argument(
-        "--method",
-        choices=("exact", "sketched", "gram"),
-        help="override the decomposition kernel of every m2td scheme "
-        "(exact SVD, MACH-sketched, or Gram-matrix fast path)",
-    )
-    parser.add_argument(
-        "--keep-probability",
-        type=float,
-        help="MACH keep probability for --method sketched "
-        "(1.0 short-circuits to exact)",
-    )
     add_observability_args(parser)
     add_fault_args(parser)
     args = parser.parse_args(argv)
     config = load_config(args.config)
-    for scheme in config["schemes"]:
-        if scheme.get("kind") != "m2td":
-            continue
-        if args.method is not None:
-            scheme["method"] = args.method
-        if args.keep_probability is not None:
-            scheme["keep_probability"] = args.keep_probability
     runtime = Runtime(workers=args.workers, cache_dir=args.cache_dir)
     try:
         with observe(

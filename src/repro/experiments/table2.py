@@ -36,11 +36,7 @@ def run(
     for resolution in config.resolutions:
         study = cache.study(config.default_system, resolution)
         for rank in config.ranks:
-            results = run_all_schemes(
-                study, rank, seed=config.seed,
-                method=config.method,
-                keep_probability=config.keep_probability,
-            )
+            results = run_all_schemes(study, rank, seed=config.seed)
             accuracy_report.add_row(
                 resolution,
                 rank,

@@ -30,9 +30,7 @@ def run(
     for system_name in config.systems:
         study = cache.study(system_name, config.default_resolution)
         results = run_all_schemes(
-            study, config.default_rank, seed=config.seed,
-            method=config.method,
-            keep_probability=config.keep_probability,
+            study, config.default_rank, seed=config.seed
         )
         accuracy_report.add_row(
             system_name, *(float(results[s].accuracy) for s in ALL_SCHEMES)

@@ -45,9 +45,7 @@ def run(
     ]
     for budget_label, stitch_label, kwargs in settings:
         results = run_all_schemes(
-            study, config.default_rank, seed=config.seed,
-            method=config.method,
-            keep_probability=config.keep_probability, **kwargs
+            study, config.default_rank, seed=config.seed, **kwargs
         )
         join_nnz = results["M2TD-SELECT"].join_nnz
         report.add_row(

@@ -30,8 +30,6 @@ def run(
             config.default_rank,
             seed=config.seed,
             pivot_fraction=pivot_fraction,
-            method=config.method,
-            keep_probability=config.keep_probability,
         )
         report.add_row(
             f"{pivot_fraction:.0%}",

@@ -30,8 +30,6 @@ def run(
             config.default_rank,
             seed=config.seed,
             free_fraction=free_fraction,
-            method=config.method,
-            keep_probability=config.keep_probability,
         )
         report.add_row(
             f"{free_fraction:.0%}",

@@ -66,8 +66,6 @@ def run(
             seed=config.seed,
             pivot=pivot,
             partition=partition,
-            method=config.method,
-            keep_probability=config.keep_probability,
         )
         accuracy_report.add_row(
             pivot, *(float(results[s].accuracy) for s in ALL_SCHEMES)

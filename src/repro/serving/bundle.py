@@ -49,7 +49,6 @@ class FactorBundle:
     study: str
     tucker: TuckerTensor
     fingerprint: str
-    method: str = "hosvd"
 
     @property
     def nbytes(self) -> int:
@@ -60,7 +59,7 @@ class FactorBundle:
         )
 
 
-def bundle_fingerprint(study: str, entry, ranks, method: str) -> str:
+def bundle_fingerprint(study: str, entry, ranks) -> str:
     """Content address of a study's bundle.
 
     Keyed on the stored tensor's identity (shape, nnz, block layout)
@@ -78,7 +77,6 @@ def bundle_fingerprint(study: str, entry, ranks, method: str) -> str:
             "n_blocks": int(entry.n_blocks),
             "block_shape": list(entry.block_shape),
             "ranks": [int(r) for r in ranks],
-            "method": method,
         },
     )
 
@@ -99,36 +97,23 @@ def _decode_bundle(payload) -> TuckerTensor:
         raise ServingError(f"undecodable factor bundle: {exc}") from exc
 
 
-def compute_bundle(
-    study: str, store, entry, ranks, method: str = "hosvd"
-) -> FactorBundle:
+def compute_bundle(study: str, store, entry, ranks) -> FactorBundle:
     """Decompose a study's stored ensemble into a fresh bundle.
 
     Ranks are clipped per mode (scenario-zoo studies register uniform
-    ranks that small modes may not support).  ``method="gram"`` uses
-    the Gram-matrix ST-HOSVD, which never densifies the stored sparse
-    ensemble (``tensor.dense_unfolds`` stays 0 through the whole
-    serving path — pinned by the serving guard tests).
+    ranks that small modes may not support).  The stored ensemble is
+    sparse, so :func:`~repro.tensor.tucker.hosvd` takes its Gram route
+    and never densifies it (``tensor.dense_unfolds`` stays 0 through
+    the whole serving path — pinned by the serving guard tests).
     """
-    if method not in ("hosvd", "gram"):
-        raise ServingError(
-            f"unknown bundle method {method!r} (use 'hosvd' or 'gram')"
-        )
     with _span("serving-bundle-compute", "serving", study=study):
         tensor = store.get(entry.name)
-        clipped = clip_ranks(tensor.shape, ranks)
-        if method == "gram":
-            from ..tensor.gram import gram_st_hosvd
-
-            tucker = gram_st_hosvd(tensor, clipped)
-        else:
-            tucker = hosvd(tensor, clipped)
+        tucker = hosvd(tensor, clip_ranks(tensor.shape, ranks))
         get_metrics().counter("serving.bundles_computed").inc()
         return FactorBundle(
             study=study,
             tucker=tucker,
-            fingerprint=bundle_fingerprint(study, entry, ranks, method),
-            method=method,
+            fingerprint=bundle_fingerprint(study, entry, ranks),
         )
 
 
@@ -138,7 +123,6 @@ def load_bundle(
     entry,
     ranks,
     result_cache: Optional[ResultCache] = None,
-    method: str = "hosvd",
 ) -> FactorBundle:
     """Load a bundle through the content-addressed disk tier.
 
@@ -148,8 +132,8 @@ def load_bundle(
     the recovery path is a real recompute, never a special case.
     """
     if result_cache is None:
-        return compute_bundle(study, store, entry, ranks, method)
-    key = bundle_fingerprint(study, entry, ranks, method)
+        return compute_bundle(study, store, entry, ranks)
+    key = bundle_fingerprint(study, entry, ranks)
     injector = get_injector()
     if injector.enabled:
         # corrupt faults need the backing file; raise/delay fire even
@@ -165,14 +149,12 @@ def load_bundle(
         try:
             tucker = _decode_bundle(payload)
             get_metrics().counter("serving.bundle_disk_hits").inc()
-            return FactorBundle(
-                study=study, tucker=tucker, fingerprint=key, method=method
-            )
+            return FactorBundle(study=study, tucker=tucker, fingerprint=key)
         except ServingError:
             # Structurally valid cache entry that is not a bundle —
             # treat exactly like a miss and heal by recompute.
             get_metrics().counter("serving.bundle_decode_errors").inc()
-    bundle = compute_bundle(study, store, entry, ranks, method)
+    bundle = compute_bundle(study, store, entry, ranks)
     result_cache.put(key, _encode_bundle(bundle.tucker))
     if injector.enabled:
         injector.note_recovery("serving.factor-load", study)

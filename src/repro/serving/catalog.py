@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..exceptions import ServingError, StudyNotFoundError
 from ..observability import get_metrics, span as _span
 from ..runtime import ResultCache
@@ -51,7 +53,6 @@ class StudyEntry:
     shape: Tuple[int, ...]
     nnz: int
     ranks: Tuple[int, ...]
-    method: str = "hosvd"
 
     def to_json(self) -> Dict:
         return {
@@ -60,18 +61,17 @@ class StudyEntry:
             "shape": list(self.shape),
             "nnz": int(self.nnz),
             "ranks": list(self.ranks),
-            "method": self.method,
         }
 
     @classmethod
     def from_json(cls, record: Dict) -> "StudyEntry":
+        # Older catalogs also carry a "method" field; it is ignored.
         return cls(
             key=str(record["key"]),
             tensor_name=str(record["tensor_name"]),
             shape=tuple(int(s) for s in record["shape"]),
             nnz=int(record["nnz"]),
             ranks=tuple(int(r) for r in record["ranks"]),
-            method=str(record.get("method", "hosvd")),
         )
 
 
@@ -172,13 +172,21 @@ class StudyCatalog:
         key: str,
         tensor: SparseTensor,
         ranks,
-        method: str = "hosvd",
         block_shape: Optional[Tuple[int, ...]] = None,
         overwrite: bool = False,
     ) -> StudyEntry:
         """Register (or replace) a study: persist its ensemble into
-        its shard and record the decomposition request."""
+        its shard and record the decomposition request.
+
+        A non-finite stored value is rejected here, before anything is
+        written: it would otherwise only surface at the first query,
+        as a failed SVD inside the kernel.
+        """
         self._check_key(key)
+        if not np.isfinite(tensor.values).all():
+            raise ServingError(
+                f"study {key!r}: ensemble has non-finite values"
+            )
         if key in self._entries and not overwrite:
             raise ServingError(
                 f"study {key!r} already registered (pass overwrite=True)"
@@ -205,7 +213,7 @@ class StudyCatalog:
                 self.hot_factors.invalidate(
                     bundle_fingerprint(
                         key, store.catalog.get(old.tensor_name),
-                        old.ranks, old.method,
+                        old.ranks,
                     )
                 )
             store.put(
@@ -218,7 +226,6 @@ class StudyCatalog:
                 shape=tensor.shape,
                 nnz=tensor.nnz,
                 ranks=ranks,
-                method=method,
             )
             self._entries[key] = entry
             self._save()
@@ -261,14 +268,12 @@ class StudyCatalog:
         entry = self.entry(key)
         store = self.store_for(key)
         tensor_entry = store.catalog.get(entry.tensor_name)
-        address = bundle_fingerprint(
-            key, tensor_entry, entry.ranks, entry.method
-        )
+        address = bundle_fingerprint(key, tensor_entry, entry.ranks)
         return self.hot_factors.get(
             address,
             lambda: load_bundle(
                 key, store, tensor_entry, entry.ranks,
-                result_cache=self.result_cache, method=entry.method,
+                result_cache=self.result_cache,
             ),
         )
 

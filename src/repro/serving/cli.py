@@ -120,8 +120,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         entry = catalog.entry(key)
         print(
             f"{key:<24} shape={'x'.join(map(str, entry.shape)):<16} "
-            f"nnz={entry.nnz:<8} ranks={list(entry.ranks)} "
-            f"method={entry.method}"
+            f"nnz={entry.nnz:<8} ranks={list(entry.ranks)}"
         )
     return 0
 

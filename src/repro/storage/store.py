@@ -83,13 +83,16 @@ class BlockTensorStore:
         """Store a tensor under ``name``.
 
         ``block_shape`` defaults to splitting each mode in (at most)
-        four tiles.  Refuses to overwrite unless asked.
+        four tiles.  Refuses to overwrite unless asked, and refuses
+        non-finite values before writing anything.
         """
         self._check_name(name)
         if name in self.catalog and not overwrite:
             raise StorageError(
                 f"tensor {name!r} already stored (pass overwrite=True)"
             )
+        if not np.isfinite(tensor.values).all():
+            raise StorageError(f"tensor {name!r} has non-finite values")
         if block_shape is None:
             block_shape = tuple(max(1, -(-s // 4)) for s in tensor.shape)
         layout = BlockedLayout(tensor.shape, block_shape)

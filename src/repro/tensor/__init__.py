@@ -7,21 +7,7 @@ foundation the M2TD algorithms in :mod:`repro.core` build on.
 
 from .completion import CompletionResult, completion_accuracy, em_tucker
 from .cp import CPTensor, cp_als
-from .gram import (
-    gram_hosvd,
-    gram_st_hosvd,
-    mode_gram,
-    sparse_project,
-    sparse_ttm,
-)
-from .mach import (
-    KEEP_PROBABILITY_SCHEDULE,
-    mach_error_vs_exact,
-    mach_tucker,
-    sketch_curve,
-    sparsify,
-    suggested_keep_probability,
-)
+from .gram import gram_hosvd, mode_gram, sparse_project, sparse_ttm
 from .dense import as_tensor, mask_like, mode_means, normalize, pad_to_shape
 from .ops import frobenius_norm, inner, khatri_rao, kron, outer, relative_error
 from .rank_selection import (
@@ -46,9 +32,7 @@ from .svd import (
 )
 from .ttm import multi_ttm, ttm, ttv
 from .tucker import (
-    METHODS,
     TuckerTensor,
-    check_method,
     clip_ranks,
     hooi,
     hosvd,
@@ -61,14 +45,7 @@ __all__ = [
     "CompletionResult",
     "completion_accuracy",
     "em_tucker",
-    "KEEP_PROBABILITY_SCHEDULE",
-    "mach_error_vs_exact",
-    "mach_tucker",
-    "sketch_curve",
-    "sparsify",
-    "suggested_keep_probability",
     "gram_hosvd",
-    "gram_st_hosvd",
     "mode_gram",
     "sparse_project",
     "sparse_ttm",
@@ -102,9 +79,7 @@ __all__ = [
     "multi_ttm",
     "ttm",
     "ttv",
-    "METHODS",
     "TuckerTensor",
-    "check_method",
     "clip_ranks",
     "hooi",
     "hosvd",

@@ -11,22 +11,24 @@ right-singular-vector work of a full SVD.
 The contract these kernels are tested against: on a
 :class:`~repro.tensor.sparse.SparseTensor` input the
 ``tensor.dense_unfolds`` counter stays at **zero** — no dense unfolding
-of the input is ever materialized.  Intermediate *projected* tensors
-(already truncated to rank ``r`` on at least one mode) are dense, as in
-any ST-HOSVD; the guard is about the full-size input, which is the part
+of the input is ever materialized.  The projected tensor the core
+recovery passes through (already truncated to rank ``r_0`` on mode 0)
+is dense; the guard is about the full-size input, which is the part
 that does not fit at scale.
+
+:func:`repro.tensor.tucker.hosvd` routes every sparse input here.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ..observability import span as _span
 from .sparse import SparseTensor
 from .svd import gram_left_singular_vectors
-from .ttm import multi_ttm, ttm
+from .ttm import multi_ttm
 from .tucker import TuckerTensor, validate_ranks
 from .unfold import check_mode, fold, unfold
 
@@ -83,9 +85,10 @@ def sparse_project(
 def gram_hosvd(tensor: TensorLike, ranks: Sequence[int]) -> TuckerTensor:
     """HOSVD with every factor taken from a mode Gram matrix.
 
-    Identical subspaces to :func:`repro.tensor.tucker.hosvd` up to the
-    usual ``eps * kappa^2`` eigenvector perturbation; the property
-    suite pins agreement at 1e-8 against the dense route.
+    Identical subspaces to the dense route of
+    :func:`repro.tensor.tucker.hosvd` up to the usual
+    ``eps * kappa^2`` eigenvector perturbation; the tests pin the
+    reconstructions of the two routes together.
     """
     shape = tensor.shape
     ranks = validate_ranks(shape, ranks)
@@ -105,40 +108,3 @@ def gram_hosvd(tensor: TensorLike, ranks: Sequence[int]) -> TuckerTensor:
                 np.asarray(tensor, dtype=np.float64), factors, transpose=True
             )
         return TuckerTensor(core, factors)
-
-
-def gram_st_hosvd(tensor: TensorLike, ranks: Sequence[int]) -> TuckerTensor:
-    """Sequentially truncated HOSVD via Gram matrices.
-
-    Mode 0 of a sparse input is handled entirely in sparse arithmetic
-    (Gram accumulation + sparse TTM); the projected tensor — already
-    truncated to ``r_0`` on its first mode — continues through the
-    standard sequential loop with Gram-based factor extraction.  A
-    sparse input is never densified (``tensor.dense_unfolds`` stays 0).
-    """
-    shape = tensor.shape
-    ranks = validate_ranks(shape, ranks)
-    is_sparse = isinstance(tensor, SparseTensor)
-    with _span("gram-st-hosvd", "decompose", shape=shape, ranks=ranks,
-               sparse=is_sparse):
-        factors: List[np.ndarray] = []
-        if is_sparse:
-            tensor.compile()
-            n_cols = tensor.size // shape[0]
-            effective = min(ranks[0], shape[0], n_cols)
-            factor = gram_left_singular_vectors(mode_gram(tensor, 0), effective)
-            factors.append(factor)
-            current = sparse_ttm(tensor, factor.T, 0)
-            start = 1
-        else:
-            current = np.asarray(tensor, dtype=np.float64)
-            start = 0
-        for mode in range(start, current.ndim):
-            matricized = unfold(current, mode)
-            effective = min(ranks[mode], min(matricized.shape))
-            factor = gram_left_singular_vectors(
-                matricized @ matricized.T, effective
-            )
-            factors.append(factor)
-            current = ttm(current, factor.T, mode)
-        return TuckerTensor(current, factors)

@@ -134,25 +134,6 @@ def gram_left_singular_vectors(gram: np.ndarray, rank: int) -> np.ndarray:
     return deterministic_signs(vectors[:, : -rank - 1 : -1])
 
 
-def gram_singular_pairs(
-    gram: np.ndarray, rank: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(U, s)`` — leading left singular vectors *and* singular values
-    recovered from a Gram matrix ``X X^T``.
-
-    The singular values are the square roots of the eigenvalues
-    (clipped at zero against roundoff), which the M2TD pivot combiners
-    (AVG's width trimming, SELECT's row-energy comparison) need
-    alongside the vectors.
-    """
-    gram = np.asarray(gram, dtype=np.float64)
-    rank = _validate_rank(gram.shape, rank)
-    w, vectors = np.linalg.eigh(gram)
-    take = slice(-1, -rank - 1, -1)
-    s = np.sqrt(np.clip(w[take], 0.0, None))
-    return deterministic_signs(vectors[:, take]), s
-
-
 def leading_left_singular_vectors(matrix: MatrixLike, rank: int) -> np.ndarray:
     """The ``rank`` leading left singular vectors, deterministic signs.
 

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import KernelError, RankError, ShapeError, SketchError
+from ..exceptions import RankError, ShapeError
 from ..observability import get_metrics, span as _span
 from .ops import frobenius_norm, relative_error
 from .sparse import SparseTensor
@@ -123,73 +123,21 @@ def clip_ranks(shape: Sequence[int], ranks: Sequence[int]) -> Tuple[int, ...]:
     )
 
 
-#: Kernel methods accepted by :func:`hosvd` / :func:`st_hosvd` /
-#: :func:`hooi` and threaded through the M2TD variants and CLIs:
-#: ``exact`` is the proven LAPACK/svds path, ``sketched`` is MACH
-#: entry subsampling (opt-in approximation), ``gram`` extracts factor
-#: subspaces from mode Gram matrices (same subspaces to ~1e-10, never
-#: densifies a sparse input).
-METHODS = ("exact", "sketched", "gram")
-
-
-def check_method(method: str) -> str:
-    """Validate a kernel ``method`` name, returning it unchanged."""
-    method = str(method)
-    if method not in METHODS:
-        raise KernelError(
-            f"unknown kernel method {method!r}; expected one of {METHODS}"
-        )
-    return method
-
-
-def sketched_input(
-    tensor: TensorLike, keep_probability: float, seed
-) -> TensorLike:
-    """The MACH sketch of ``tensor`` for ``method="sketched"``.
-
-    ``keep_probability >= 1.0`` returns the input untouched — that is
-    the byte-identity contract the property suite pins: no sketch
-    round-trip happens, so the result matches the exact kernel bit for
-    bit.  A sketch that drops every entry (:class:`SketchError`) falls
-    back to the exact input, metered as ``tensor.sketch_fallbacks``.
-    """
-    if keep_probability >= 1.0:
-        return tensor
-    from .mach import sparsify  # local import: mach imports this module
-
-    try:
-        return sparsify(tensor, keep_probability, seed=seed)
-    except SketchError:
-        get_metrics().counter("tensor.sketch_fallbacks").inc()
-        return tensor
-
-
-def _mode_matricization(tensor: TensorLike, mode: int):
-    if isinstance(tensor, SparseTensor):
-        return tensor.unfold_csr(mode)
-    return unfold(np.asarray(tensor), mode)
-
-
 def _as_dense(tensor: TensorLike) -> np.ndarray:
     if isinstance(tensor, SparseTensor):
         return tensor.to_dense()
     return np.asarray(tensor, dtype=np.float64)
 
 
-def hosvd(
-    tensor: TensorLike,
-    ranks: Sequence[int],
-    *,
-    method: str = "exact",
-    keep_probability: float = 0.5,
-    seed=None,
-) -> TuckerTensor:
+def hosvd(tensor: TensorLike, ranks: Sequence[int]) -> TuckerTensor:
     """Higher-Order SVD (paper Algorithm 1).
 
-    Works on dense arrays and :class:`SparseTensor` inputs alike; the
-    sparse path matricizes into CSR and uses sparse SVD, which is what
-    makes decomposing the very sparse conventional-sampling baselines
-    feasible at paper scale.
+    The route follows the input: a :class:`SparseTensor` takes the
+    Gram route (:func:`repro.tensor.gram.gram_hosvd`), which builds
+    each factor from the mode Gram matrix and recovers the core from
+    sparse coordinates, so the sparse input is never densified; a
+    dense array takes the LAPACK path.  The ``hosvd`` span records the
+    choice as its ``route`` attribute (``"gram"`` or ``"dense"``).
 
     Parameters
     ----------
@@ -197,48 +145,32 @@ def hosvd(
         The input tensor (dense ndarray or SparseTensor).
     ranks:
         Target rank per mode, ``(r_1, ..., r_N)``.
-    method:
-        ``"exact"`` (default), ``"sketched"`` (MACH entry subsampling
-        at ``keep_probability``; 1.0 short-circuits to exact), or
-        ``"gram"`` (factor subspaces from mode Gram matrices; never
-        densifies a sparse input).
-    keep_probability / seed:
-        Only used by ``method="sketched"``.
     """
     shape = tensor.shape
     ranks = validate_ranks(shape, ranks)
-    method = check_method(method)
-    if method == "gram":
-        from .gram import gram_hosvd
-
-        return gram_hosvd(tensor, ranks)
-    if method == "sketched":
-        tensor = sketched_input(tensor, keep_probability, seed)
+    sparse = isinstance(tensor, SparseTensor)
     with _span(
         "hosvd",
         "decompose",
         shape=shape,
         ranks=ranks,
-        sparse=isinstance(tensor, SparseTensor),
+        sparse=sparse,
+        route="gram" if sparse else "dense",
     ):
+        if sparse:
+            from .gram import gram_hosvd  # local import: gram imports us
+
+            return gram_hosvd(tensor, ranks)
+        dense = _as_dense(tensor)
         factors = [
-            leading_left_singular_vectors(
-                _mode_matricization(tensor, mode), rank
-            )
+            leading_left_singular_vectors(unfold(dense, mode), rank)
             for mode, rank in enumerate(ranks)
         ]
-        core = multi_ttm(_as_dense(tensor), factors, transpose=True)
+        core = multi_ttm(dense, factors, transpose=True)
         return TuckerTensor(core, factors)
 
 
-def st_hosvd(
-    tensor: TensorLike,
-    ranks: Sequence[int],
-    *,
-    method: str = "exact",
-    keep_probability: float = 0.5,
-    seed=None,
-) -> TuckerTensor:
+def st_hosvd(tensor: TensorLike, ranks: Sequence[int]) -> TuckerTensor:
     """Sequentially truncated HOSVD (Vannieuwenhoven et al.).
 
     Instead of matricizing the *full* tensor for every mode, each
@@ -247,25 +179,9 @@ def st_hosvd(
     already-compressed core.  Same approximation-error class as HOSVD
     (within a sqrt(N) factor of optimal) at a fraction of the flops;
     benchmarked against plain HOSVD in the substrate bench.
-
-    ``method="gram"`` routes to :func:`repro.tensor.gram.gram_st_hosvd`
-    (sparse inputs never densified); ``method="sketched"`` decomposes a
-    MACH sketch — sparse sketches take the Gram route, since that is
-    the kernel that actually exploits the sketch's sparsity.
     """
     shape = tensor.shape
     ranks = validate_ranks(shape, ranks)
-    method = check_method(method)
-    if method == "gram":
-        from .gram import gram_st_hosvd
-
-        return gram_st_hosvd(tensor, ranks)
-    if method == "sketched":
-        sketch = sketched_input(tensor, keep_probability, seed)
-        if sketch is not tensor:
-            from .gram import gram_st_hosvd
-
-            return gram_st_hosvd(sketch, ranks)
     with _span("st-hosvd", "decompose", shape=shape, ranks=ranks):
         current = _as_dense(tensor)
         factors: List[np.ndarray] = []
@@ -285,38 +201,20 @@ def hooi(
     n_iter: int = 10,
     tol: float = 1e-7,
     initial: Optional[TuckerTensor] = None,
-    *,
-    method: str = "exact",
-    keep_probability: float = 0.5,
-    seed=None,
 ) -> TuckerTensor:
     """Higher-Order Orthogonal Iteration refinement of HOSVD.
 
     Alternately re-fits each factor matrix against the tensor projected
     onto all *other* factor subspaces, until the fit improves by less
     than ``tol`` or ``n_iter`` sweeps elapse.  Used as an ablation of
-    the plain-HOSVD sub-decompositions inside M2TD.
-
-    ``method`` selects the *initialization*: ``"gram"`` seeds the
-    iteration from :func:`repro.tensor.gram.gram_hosvd`; ``"sketched"``
-    runs the whole iteration on a MACH sketch of the input (1.0
-    short-circuits to exact).  The refinement sweeps themselves are
-    always the dense exact iteration.
+    the plain-HOSVD sub-decompositions inside M2TD.  Without an
+    ``initial`` decomposition the iteration starts from :func:`hosvd`
+    (whose route follows the input); the sweeps are always dense.
     """
     shape = tensor.shape
     ranks = validate_ranks(shape, ranks)
-    method = check_method(method)
-    if method == "sketched":
-        tensor = sketched_input(tensor, keep_probability, seed)
     dense = _as_dense(tensor)
-    if initial is not None:
-        current = initial
-    elif method == "gram":
-        from .gram import gram_hosvd
-
-        current = gram_hosvd(tensor, ranks)
-    else:
-        current = hosvd(tensor, ranks)
+    current = initial if initial is not None else hosvd(tensor, ranks)
     factors = [f.copy() for f in current.factors]
     norm = frobenius_norm(dense)
     previous_fit = -np.inf

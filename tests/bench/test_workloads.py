@@ -43,8 +43,7 @@ class TestRegistry:
             "m2td.avg", "m2td.concat", "m2td.select",
             "stitch.join", "stitch.zero_join",
             "kernel.hosvd", "kernel.st_hosvd", "kernel.hooi",
-            "kernel.sketched.hosvd", "kernel.sketched.st_hosvd",
-            "kernel.gram.hosvd", "kernel.gram.st_hosvd",
+            "kernel.gram.hosvd",
             "dm2td.workers1", "dm2td.workers2", "dm2td.workers4",
             "store.put", "store.get", "store.slice_query",
             "serving.point_c1", "serving.point_c100",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import m2td_avg, m2td_concat, m2td_decompose, m2td_select
+from repro.core import m2td_decompose
 from repro.core.m2td import map_ranks_to_join
 from repro.exceptions import RankError, StitchError
 from repro.sampling import PFPartition
@@ -145,19 +145,26 @@ class TestAlignment:
         assert np.linalg.norm(u1 - rotated) <= np.linalg.norm(u1 - u2) + 1e-12
 
 
-class TestWrappers:
-    def test_wrappers_match_engine(self, subs):
+class TestVariants:
+    def test_free_factors_shared_across_variants(self, subs):
+        """The variants differ only in the pivot combiner: one run per
+        variant yields identical free-mode factors, and the pivot
+        factors of AVG and SELECT differ."""
         part, x1, x2 = subs
-        for wrapper, variant in (
-            (m2td_avg, "avg"),
-            (m2td_concat, "concat"),
-            (m2td_select, "select"),
-        ):
-            via_wrapper = wrapper(x1, x2, part, RANKS)
-            via_engine = m2td_decompose(x1, x2, part, RANKS, variant=variant)
-            assert np.allclose(
-                via_wrapper.tucker.core, via_engine.tucker.core
-            )
+        results = {
+            variant: m2td_decompose(x1, x2, part, RANKS, variant=variant)
+            for variant in ("avg", "concat", "select")
+        }
+        reference = results["select"].tucker.factors
+        for variant, result in results.items():
+            assert result.variant == variant
+            for mode in range(part.k, part.n_modes):
+                assert np.array_equal(
+                    result.tucker.factors[mode], reference[mode]
+                )
+        assert not np.array_equal(
+            results["avg"].tucker.factors[0], reference[0]
+        )
 
     def test_exact_recovery_at_full_rank(self, rng):
         """With full per-mode ranks the stitched decomposition must
@@ -170,7 +177,7 @@ class TestWrappers:
         b = rng.standard_normal((4, 4))
         x1 = np.einsum("t,ij->tij", p, a)
         x2 = np.einsum("t,ij->tij", p, b)
-        result = m2td_select(x1, x2, part, [4] * 5)
+        result = m2td_decompose(x1, x2, part, [4] * 5, variant="select")
         from repro.core.join_tensor import dense_join_from_subs
 
         joined = dense_join_from_subs(x1, x2, part)

@@ -48,6 +48,18 @@ class TestLoadConfig:
         with pytest.raises(ExperimentError):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "key,value", [("method", "gram"), ("keep_probability", 0.5)]
+    )
+    def test_removed_kernel_option_named(self, tmp_path, key, value):
+        """A config written for the removed kernel options fails and
+        names the offending key instead of running something else."""
+        m2td = {"kind": "m2td", "variant": "select", key: value}
+        config = dict(BASE_CONFIG, schemes=[m2td])
+        path = write_config(tmp_path, config)
+        with pytest.raises(ExperimentError, match=repr(key)):
+            load_config(path)
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

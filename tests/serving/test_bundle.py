@@ -30,16 +30,15 @@ def stored(tmp_path):
 class TestFingerprint:
     def test_stable(self, stored):
         store, entry = stored
-        a = bundle_fingerprint("s", entry, (3, 3, 3), "hosvd")
-        b = bundle_fingerprint("s", entry, (3, 3, 3), "hosvd")
+        a = bundle_fingerprint("s", entry, (3, 3, 3))
+        b = bundle_fingerprint("s", entry, (3, 3, 3))
         assert a == b
 
     def test_varies_with_request(self, stored):
         _store, entry = stored
-        base = bundle_fingerprint("s", entry, (3, 3, 3), "hosvd")
-        assert bundle_fingerprint("s2", entry, (3, 3, 3), "hosvd") != base
-        assert bundle_fingerprint("s", entry, (2, 2, 2), "hosvd") != base
-        assert bundle_fingerprint("s", entry, (3, 3, 3), "other") != base
+        base = bundle_fingerprint("s", entry, (3, 3, 3))
+        assert bundle_fingerprint("s2", entry, (3, 3, 3)) != base
+        assert bundle_fingerprint("s", entry, (2, 2, 2)) != base
 
 
 class TestComputeAndLoad:
@@ -49,11 +48,6 @@ class TestComputeAndLoad:
         assert bundle.tucker.shape == entry.shape
         assert bundle.tucker.rank == entry.shape  # clipped to extents
         assert bundle.nbytes > 0
-
-    def test_unknown_method(self, stored):
-        store, entry = stored
-        with pytest.raises(ServingError, match="method"):
-            compute_bundle("s", store, entry, (3, 3, 3), method="cp")
 
     def test_load_without_cache_recomputes(self, stored):
         store, entry = stored
@@ -82,7 +76,7 @@ class TestComputeAndLoad:
         treated as a miss, not served."""
         store, entry = stored
         cache = ResultCache(max_entries=1, directory=tmp_path / "cache")
-        key = bundle_fingerprint("s", entry, (3, 3, 3), "hosvd")
+        key = bundle_fingerprint("s", entry, (3, 3, 3))
         cache.put(key, {"core": np.ones((2, 2)), "factors": [np.ones(3)]})
         registry = MetricsRegistry()
         with use_metrics(registry):

@@ -1,10 +1,13 @@
 """StudyCatalog: registration, sharding, persistence, invalidation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ServingError, StudyNotFoundError
 from repro.serving import StudyCatalog
+from repro.tensor import SparseTensor
 
 from .conftest import make_sparse
 
@@ -16,7 +19,18 @@ class TestRegistration:
         entry = catalog.entry("alpha")
         assert entry.shape == (6, 5, 4)
         assert entry.ranks == (3, 3, 3)
-        assert entry.method == "hosvd"
+
+    def test_non_finite_value_rejected(self, catalog):
+        """One NaN cell fails at registration, typed, before anything
+        is written — not at the first query inside the kernel."""
+        tensor = SparseTensor((3, 3, 3), [[0, 0, 0], [1, 1, 1], [2, 2, 2]],
+                              [1.0, np.nan, 2.0])
+        studies = catalog.path.read_text()
+        with pytest.raises(ServingError, match="non-finite"):
+            catalog.register("gamma", tensor, ranks=[2, 2, 2])
+        assert "gamma" not in catalog
+        assert not catalog.shard_dir("gamma").exists()
+        assert catalog.path.read_text() == studies
 
     @pytest.mark.parametrize("bad", ["", "a/b", "a b", "a:b", "../x"])
     def test_invalid_key(self, catalog, bad):
@@ -70,6 +84,19 @@ class TestPersistence:
         # and the reloaded catalog actually serves
         engine = reloaded.engine("alpha")
         assert engine.shape == (6, 5, 4)
+
+    def test_catalog_with_method_field_still_serves(self, catalog):
+        """A ``studies.json`` written when entries still named a
+        decomposition method loads, and its studies serve."""
+        raw = json.loads(catalog.path.read_text())
+        raw["studies"]["alpha"]["method"] = "hosvd"
+        raw["studies"]["beta"]["method"] = "gram"
+        catalog.path.write_text(json.dumps(raw))
+        reloaded = StudyCatalog(catalog.root)
+        assert reloaded.entry("alpha") == catalog.entry("alpha")
+        for key in ("alpha", "beta"):
+            engine = reloaded.engine(key)
+            assert np.isfinite(engine.point((0,) * len(engine.shape)))
 
     def test_corrupt_studies_file(self, catalog):
         catalog.path.write_text("{nope")

@@ -1,31 +1,21 @@
-"""Gram-method serving: the no-densification guarantee end to end.
+"""Default serving path: the no-densification guarantee end to end.
 
-Registering a study with ``method="gram"`` routes bundle computation
-through the Gram ST-HOSVD, so the stored sparse ensemble is never
+A registered study's ensemble is stored sparse, so bundle computation
+goes through ``hosvd``'s Gram route and the stored ensemble is never
 materialized densely — ``tensor.dense_unfolds`` stays at exactly zero
-from registration through query answering.
+from registration through point, slice and top-k answering.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.exceptions import ServingError
+from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.serving import StudyCatalog
+from repro.tensor import hosvd
 
 from .conftest import make_sparse
-
-
-@pytest.fixture()
-def gram_catalog(tmp_path) -> StudyCatalog:
-    cat = StudyCatalog(tmp_path / "serving")
-    cat.register(
-        "gamma", make_sparse((6, 5, 4), seed=3), ranks=[3, 3, 3],
-        method="gram",
-    )
-    return cat
 
 
 class TestGramServingPath:
@@ -36,47 +26,33 @@ class TestGramServingPath:
         with use_metrics(registry):
             cat = StudyCatalog(tmp_path / "serving")
             cat.register(
-                "gamma", make_sparse((6, 5, 4), seed=3), ranks=[3, 3, 3],
-                method="gram",
+                "gamma", make_sparse((6, 5, 4), seed=3), ranks=[3, 3, 3]
             )
             engine = cat.engine("gamma")
             engine.point((0, 0, 0))
             engine.point_batch(np.array([[1, 1, 1], [5, 4, 3]]))
             engine.slice(0, 2)
+            top = engine.topk_anomalies(cat.store_for("gamma"), "ensemble", 3)
+            assert len(top) == 3
             assert registry.counter("tensor.dense_unfolds").value == 0
 
-    def test_method_recorded_on_bundle(self, gram_catalog):
-        bundle = gram_catalog.bundle("gamma")
-        assert bundle.method == "gram"
-        assert gram_catalog.entry("gamma").method == "gram"
-
-    def test_gram_answers_match_st_hosvd(self, tmp_path):
-        """The gram bundle is a Gram-route ST-HOSVD: its factor-space
-        answers agree with a directly computed ST-HOSVD to numerical
-        precision (only the subspace-extraction route differs)."""
-        from repro.tensor import st_hosvd
-
-        tensor = make_sparse((6, 5, 4), seed=4)
-        reference = st_hosvd(tensor, (3, 3, 3)).reconstruct()
+    def test_bundle_span_records_gram_route(self, tmp_path):
         cat = StudyCatalog(tmp_path / "serving")
-        cat.register("g", tensor, ranks=[3, 3, 3], method="gram")
+        cat.register("gamma", make_sparse((6, 5, 4), seed=3), ranks=[3, 3, 3])
+        with use_tracer(Tracer()) as tracer:
+            cat.engine("gamma")
+        routes = [s.attrs["route"] for s in tracer.iter_spans()
+                  if s.name == "hosvd"]
+        assert routes == ["gram"]
+
+    def test_answers_match_dense_hosvd(self, tmp_path):
+        """Served answers agree with the dense-route HOSVD of the same
+        data to numerical precision (only the factor route differs)."""
+        tensor = make_sparse((6, 5, 4), seed=4)
+        reference = hosvd(tensor.to_dense(), (3, 3, 3)).reconstruct()
+        cat = StudyCatalog(tmp_path / "serving")
+        cat.register("g", tensor, ranks=[3, 3, 3])
         engine = cat.engine("g")
         coords = np.array([[0, 0, 0], [5, 4, 3], [2, 2, 2], [3, 1, 0]])
-        gram_answers = engine.point_batch(coords)
         expected = reference[tuple(coords.T)]
-        assert np.allclose(gram_answers, expected, atol=1e-8)
-
-    def test_methods_get_distinct_fingerprints(self, tmp_path):
-        tensor = make_sparse((5, 4, 3), seed=5)
-        cat = StudyCatalog(tmp_path / "serving")
-        cat.register("h", tensor, ranks=[2, 2, 2], method="hosvd")
-        cat.register("g", tensor, ranks=[2, 2, 2], method="gram")
-        assert (
-            cat.bundle("h").fingerprint != cat.bundle("g").fingerprint
-        )
-
-    def test_unknown_method_rejected(self, tmp_path):
-        from repro.serving.bundle import compute_bundle
-
-        with pytest.raises(ServingError, match="method"):
-            compute_bundle("x", None, None, [2, 2, 2], method="turbo")
+        assert np.allclose(engine.point_batch(coords), expected, atol=1e-8)

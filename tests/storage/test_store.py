@@ -41,6 +41,13 @@ class TestPutGet:
         store.put("t", small, block_shape=(8, 8), overwrite=True)
         assert store.get("t") == small
 
+    def test_non_finite_value_rejected(self, store, tensor):
+        tensor.values[0] = np.nan
+        with pytest.raises(StorageError, match="non-finite"):
+            store.put("ens", tensor)
+        assert "ens" not in store.catalog
+        assert not (store.directory / "ens").exists()
+
     def test_invalid_name(self, store, tensor):
         with pytest.raises(StorageError):
             store.put("../escape", tensor)

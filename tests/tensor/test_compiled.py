@@ -96,6 +96,6 @@ class TestUnfoldCache:
         tensor = SparseTensor.from_dense(dense).compile()
         registry = MetricsRegistry()
         with use_metrics(registry):
-            hooi(tensor, (3, 3, 3), n_iter=2, method="gram")
-            hooi(tensor, (3, 3, 3), n_iter=2, method="gram")
+            hooi(tensor, (3, 3, 3), n_iter=2)
+            hooi(tensor, (3, 3, 3), n_iter=2)
             assert registry.counter("tensor.unfold_cache_hits").value > 0

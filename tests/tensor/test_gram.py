@@ -1,10 +1,10 @@
-"""Gram-matrix kernels: factor agreement with the dense SVD route and
-the no-densification guard.
+"""Gram-matrix kernels: factor agreement with the dense SVD route, the
+input-driven ``hosvd`` route, and the no-densification guard.
 
-The property wall for tentpole (b): across 3-5-mode tensors the Gram
-ST-HOSVD must match the dense ST-HOSVD factors to 1e-8 (up to sign),
-and on sparse inputs the ``tensor.dense_unfolds`` counter must stay at
-exactly zero — the proof that no dense unfolding was materialized.
+Across 3-5-mode tensors the Gram HOSVD must match the dense HOSVD
+factors to 1e-8 (up to sign), and on sparse inputs the
+``tensor.dense_unfolds`` counter must stay at exactly zero — the proof
+that no dense unfolding was materialized.
 """
 
 from __future__ import annotations
@@ -15,20 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import RankError
+from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.sampling import GridSampler, RandomSampler, SliceSampler
 from repro.tensor import (
     SparseTensor,
+    clip_ranks,
     gram_hosvd,
-    gram_st_hosvd,
     hosvd,
     mode_gram,
     sparse_project,
     sparse_ttm,
-    st_hosvd,
     ttm,
     unfold,
 )
-from repro.tensor.svd import gram_left_singular_vectors, gram_singular_pairs
+from repro.tensor.svd import gram_left_singular_vectors
 
 
 def _random_tensor(ndim: int, seed: int) -> np.ndarray:
@@ -83,33 +84,23 @@ class TestGramSingularVectors:
         u_gram = gram_left_singular_vectors(matrix @ matrix.T, 3)
         assert _columns_match(u_svd, u_gram, 1e-8)
 
-    def test_pairs_return_singular_values(self):
-        rng = np.random.default_rng(3)
-        matrix = rng.standard_normal((5, 40))
-        from repro.tensor import truncated_svd
-
-        _u, s_svd, _vt = truncated_svd(matrix, 4)
-        u, s = gram_singular_pairs(matrix @ matrix.T, 4)
-        assert u.shape == (5, 4)
-        assert np.allclose(s, s_svd, atol=1e-8)
-
     def test_rank_validation(self):
         with pytest.raises(RankError):
             gram_left_singular_vectors(np.eye(3), 4)
         with pytest.raises(RankError):
-            gram_singular_pairs(np.eye(3), 0)
+            gram_left_singular_vectors(np.eye(3), 0)
 
 
-class TestGramStHosvd:
+class TestGramHosvd:
     @given(ndim=st.integers(3, 5), seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_factors_match_dense_st_hosvd(self, ndim, seed):
-        """The satellite pin: Gram ST-HOSVD == dense ST-HOSVD factors
-        to 1e-8 (up to sign) across 3-5-mode tensors."""
+    def test_factors_match_dense_hosvd(self, ndim, seed):
+        """Gram HOSVD == dense-route HOSVD factors to 1e-8 (up to
+        sign) across 3-5-mode tensors."""
         dense = _random_tensor(ndim, seed)
         ranks = tuple(min(2, s) for s in dense.shape)
-        exact = st_hosvd(dense, ranks)
-        gram = gram_st_hosvd(dense, ranks)
+        exact = hosvd(dense, ranks)
+        gram = gram_hosvd(dense, ranks)
         for u_exact, u_gram in zip(exact.factors, gram.factors):
             assert _columns_match(u_exact, u_gram, 1e-8)
         assert np.allclose(
@@ -119,26 +110,28 @@ class TestGramStHosvd:
     @given(ndim=st.integers(3, 5), seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_sparse_matches_dense_input(self, ndim, seed):
+        """``hosvd`` routes a sparse input to Gram and a dense one to
+        LAPACK; both routes reconstruct the same tensor."""
         dense = _random_tensor(ndim, seed)
         dense[np.abs(dense) < 0.4] = 0.0
         sparse = SparseTensor.from_dense(dense)
         ranks = tuple(min(2, s) for s in dense.shape)
-        from_sparse = gram_st_hosvd(sparse, ranks)
-        from_dense = gram_st_hosvd(dense, ranks)
         assert np.allclose(
-            from_sparse.reconstruct(), from_dense.reconstruct(), atol=1e-8
+            hosvd(sparse, ranks).reconstruct(),
+            hosvd(dense, ranks).reconstruct(),
+            atol=1e-8,
         )
 
     def test_sparse_never_densifies(self):
         """Acceptance guard: ``tensor.dense_unfolds`` pinned at 0
-        through a full sparse Gram ST-HOSVD."""
+        through ``hosvd`` of a sparse input."""
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((6, 7, 8))
         dense[np.abs(dense) < 0.8] = 0.0
         sparse = SparseTensor.from_dense(dense)
         registry = MetricsRegistry()
         with use_metrics(registry):
-            gram_st_hosvd(sparse, (3, 3, 3))
+            hosvd(sparse, (3, 3, 3))
             assert registry.counter("tensor.dense_unfolds").value == 0
 
     def test_gram_hosvd_sparse_never_densifies(self):
@@ -151,14 +144,43 @@ class TestGramStHosvd:
             gram_hosvd(sparse, (3, 3, 3))
             assert registry.counter("tensor.dense_unfolds").value == 0
 
-    def test_method_dispatch_routes_here(self):
+    def test_route_follows_input(self):
+        """Sparse input takes the Gram route bit for bit, dense input
+        the dense route; the ``hosvd`` span records which."""
         rng = np.random.default_rng(9)
         dense = rng.standard_normal((5, 6, 7))
-        via_method = st_hosvd(dense, (2, 2, 2), method="gram")
-        direct = gram_st_hosvd(dense, (2, 2, 2))
-        assert np.array_equal(via_method.core, direct.core)
-        via_hosvd = hosvd(dense, (2, 2, 2), method="gram")
-        assert np.array_equal(via_hosvd.core, gram_hosvd(dense, (2, 2, 2)).core)
+        dense[np.abs(dense) < 0.5] = 0.0
+        sparse = SparseTensor.from_dense(dense)
+        with use_tracer(Tracer()) as tracer:
+            via_sparse = hosvd(sparse, (2, 2, 2))
+            hosvd(dense, (2, 2, 2))
+        assert np.array_equal(
+            via_sparse.core, gram_hosvd(sparse, (2, 2, 2)).core
+        )
+        routes = [span.attrs["route"] for span in tracer.iter_spans()
+                  if span.name == "hosvd"]
+        assert routes == ["gram", "dense"]
+
+
+class TestRouteOnGoldenSamples:
+    @pytest.mark.parametrize(
+        "sampler",
+        [RandomSampler(7), GridSampler(), SliceSampler(7)],
+        ids=lambda sampler: sampler.name,
+    )
+    def test_sparse_route_matches_dense(self, pendulum_study, sampler):
+        """On the conventional baselines' samples the Gram route
+        reconstructs what the dense route does, to 1e-10 relative."""
+        truth = pendulum_study.truth
+        sample = sampler.sample(truth.shape, pendulum_study.matched_budget())
+        ensemble = SparseTensor(
+            truth.shape, sample.coords, truth[tuple(sample.coords.T)]
+        )
+        ranks = clip_ranks(truth.shape, [3] * truth.ndim)
+        reference = hosvd(ensemble.to_dense(), ranks).reconstruct()
+        routed = hosvd(ensemble, ranks).reconstruct()
+        error = np.linalg.norm(routed - reference) / np.linalg.norm(reference)
+        assert error < 1e-10
 
 
 class TestSparseTtm:
