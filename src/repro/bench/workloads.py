@@ -469,7 +469,7 @@ for _name, _kind, _clients, _queries, _batching, _desc in (
     ("serving.slice_c100", "slice", 100, 3, True,
      "hyperplane queries under 100 concurrent clients"),
     ("serving.topk_c20", "topk", 20, 1, True,
-     "top-k anomaly queries (residual scan) under 20 clients"),
+     "top-k anomaly queries (bundle ranking) under 20 clients"),
 ):
     workload(_name, "serving", _desc)(
         _serving_load(_kind, _clients, _queries, batching=_batching)

@@ -11,9 +11,11 @@ The stack, bottom-up:
 - :class:`~repro.serving.engine.FactorEngine` — factor-space query
   evaluation: a point is the core contracted with one factor row per
   mode (batched across a whole queue drain), a slice is a single-row
-  core contraction followed by the remaining TTMs, and top-k anomaly
-  scoring streams stored blocks against batched predictions.
-- :mod:`repro.serving.bundle` — :class:`FactorBundle` loading through
+  core contraction followed by the remaining TTMs, and a top-k anomaly
+  query takes the head of a :class:`ResidualRanking` of the stored
+  cells.
+- :mod:`repro.serving.bundle` — :class:`FactorBundle` (factors plus
+  that ranking, computed once per bundle) loading through
   two cache tiers: an admission-controlled in-memory
   :class:`HotFactorCache` over the runtime's content-addressed,
   checksummed :class:`~repro.runtime.ResultCache` on disk.
@@ -40,7 +42,7 @@ from .bundle import (
     load_bundle,
 )
 from .catalog import StudyCatalog, StudyEntry
-from .engine import FactorEngine
+from .engine import FactorEngine, ResidualRanking
 from .loadgen import run_load
 from .server import ServingClient, ServingServer
 
@@ -49,6 +51,7 @@ __all__ = [
     "FactorEngine",
     "HotFactorCache",
     "HotFactorStats",
+    "ResidualRanking",
     "ServingClient",
     "ServingServer",
     "StudyCatalog",

@@ -1,9 +1,10 @@
 """Factor bundles: the cached, integrity-checked unit of serving state.
 
-A :class:`FactorBundle` is one study's Tucker factors plus provenance.
-Bundles are expensive (a sparse HOSVD of the stored ensemble) and tiny
-relative to the tensors they summarise, so the loading chain is two
-cache tiers deep:
+A :class:`FactorBundle` is one study's Tucker factors, the residual
+ranking of its stored cells (what top-k anomaly queries answer from),
+and provenance.  Bundles are expensive (one verified read of every
+stored block plus a sparse HOSVD) and cheap to keep, so the loading
+chain is two cache tiers deep:
 
 1. :class:`HotFactorCache` — decoded bundles in memory, LRU with
    *admission control*: a bundle must be requested ``admit_after``
@@ -27,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,10 +37,11 @@ from ..faults.injector import get_injector
 from ..observability import get_metrics, span as _span
 from ..runtime import ResultCache, fingerprint
 from ..tensor.tucker import TuckerTensor, clip_ranks, hosvd
+from .engine import FactorEngine, ResidualRanking
 
 #: Bump when the bundle payload layout changes — old cache entries
 #: then simply miss instead of decoding wrongly.
-BUNDLE_CODEC_VERSION = 1
+BUNDLE_CODEC_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -48,24 +50,28 @@ class FactorBundle:
 
     study: str
     tucker: TuckerTensor
+    ranking: ResidualRanking
     fingerprint: str
 
     @property
     def nbytes(self) -> int:
-        """Decoded in-memory footprint (core + factors)."""
+        """Decoded in-memory footprint (core + factors + ranking)."""
         return int(
             self.tucker.core.nbytes
             + sum(f.nbytes for f in self.tucker.factors)
+            + self.ranking.nbytes
         )
 
 
 def bundle_fingerprint(study: str, entry, ranks) -> str:
     """Content address of a study's bundle.
 
-    Keyed on the stored tensor's identity (shape, nnz, block layout)
-    plus the decomposition request — re-registering a study with new
-    data or new ranks yields a new address, so stale bundles can never
-    shadow fresh ones.
+    Keyed on the stored tensor's identity (shape, nnz, block layout
+    and the content digest of its stored values) plus the
+    decomposition request — re-registering a study with new data or
+    new ranks yields a new address, so stale bundles can never shadow
+    fresh ones.  A tensor stored before content digests were recorded
+    has ``digest=None`` and is addressed by its layout alone.
     """
     return fingerprint(
         "serving.bundle",
@@ -76,23 +82,33 @@ def bundle_fingerprint(study: str, entry, ranks) -> str:
             "nnz": int(entry.nnz),
             "n_blocks": int(entry.n_blocks),
             "block_shape": list(entry.block_shape),
+            "digest": entry.digest,
             "ranks": [int(r) for r in ranks],
         },
     )
 
 
-def _encode_bundle(tucker: TuckerTensor) -> Dict:
+def _encode_bundle(bundle: FactorBundle) -> Dict:
     return {
-        "core": tucker.core,
-        "factors": [np.asarray(f) for f in tucker.factors],
+        "core": bundle.tucker.core,
+        "factors": [np.asarray(f) for f in bundle.tucker.factors],
+        "ranking": vars(bundle.ranking),
     }
 
 
-def _decode_bundle(payload) -> TuckerTensor:
+def _decode_bundle(payload) -> Tuple[TuckerTensor, ResidualRanking]:
     try:
-        # TuckerTensor.__post_init__ validates shape consistency, so a
-        # structurally-decoded-but-wrong payload still fails loudly.
-        return TuckerTensor(payload["core"], list(payload["factors"]))
+        # TuckerTensor.__post_init__ validates shape consistency and the
+        # ranking is checked here, so a structurally-decoded-but-wrong
+        # payload still fails loudly.
+        tucker = TuckerTensor(payload["core"], list(payload["factors"]))
+        ranking = ResidualRanking(**payload["ranking"])
+        n = ranking.residual.shape[0]
+        if ranking.coords.shape != (n, tucker.ndim) or any(
+            a.shape != (n,) for a in (ranking.stored, ranking.predicted)
+        ):
+            raise ServingError("ranking arrays are not row-aligned")
+        return tucker, ranking
     except Exception as exc:
         raise ServingError(f"undecodable factor bundle: {exc}") from exc
 
@@ -104,15 +120,21 @@ def compute_bundle(study: str, store, entry, ranks) -> FactorBundle:
     ranks that small modes may not support).  The stored ensemble is
     sparse, so :func:`~repro.tensor.tucker.hosvd` takes its Gram route
     and never densifies it (``tensor.dense_unfolds`` stays 0 through
-    the whole serving path — pinned by the serving guard tests).
+    the whole serving path — pinned by the serving guard tests).  The
+    same tensor's cells are then ranked by residual in one batch, so
+    a corrupt block surfaces here, and top-k queries never re-read it.
     """
     with _span("serving-bundle-compute", "serving", study=study):
         tensor = store.get(entry.name)
         tucker = hosvd(tensor, clip_ranks(tensor.shape, ranks))
+        ranking = FactorEngine(tucker, study=study).rank_residuals(
+            tensor.coords, tensor.values
+        )
         get_metrics().counter("serving.bundles_computed").inc()
         return FactorBundle(
             study=study,
             tucker=tucker,
+            ranking=ranking,
             fingerprint=bundle_fingerprint(study, entry, ranks),
         )
 
@@ -147,15 +169,17 @@ def load_bundle(
     hit, payload = result_cache.get(key)
     if hit:
         try:
-            tucker = _decode_bundle(payload)
+            tucker, ranking = _decode_bundle(payload)
             get_metrics().counter("serving.bundle_disk_hits").inc()
-            return FactorBundle(study=study, tucker=tucker, fingerprint=key)
+            return FactorBundle(
+                study=study, tucker=tucker, ranking=ranking, fingerprint=key
+            )
         except ServingError:
             # Structurally valid cache entry that is not a bundle —
             # treat exactly like a miss and heal by recompute.
             get_metrics().counter("serving.bundle_decode_errors").inc()
     bundle = compute_bundle(study, store, entry, ranks)
-    result_cache.put(key, _encode_bundle(bundle.tucker))
+    result_cache.put(key, _encode_bundle(bundle))
     if injector.enabled:
         injector.note_recovery("serving.factor-load", study)
     return bundle

@@ -11,8 +11,8 @@ same way the storage catalog is.
 
 The catalog hands out :class:`~repro.serving.engine.FactorEngine`\\ s
 via the two-tier bundle chain in :mod:`repro.serving.bundle`; a
-re-registration bumps the stored tensor and thereby the bundle's
-content address, so stale factors can never serve fresh data.
+re-registration changes the stored tensor's content digest and thereby
+the bundle's address, so stale factors can never serve fresh data.
 """
 
 from __future__ import annotations
@@ -208,14 +208,9 @@ class StudyCatalog:
                 )
             tensor_name = "ensemble"
             old = self._entries.get(key)
-            if old is not None and old.tensor_name in store.catalog:
+            if old is not None:
                 # new data ⇒ new bundle address; drop the old hot entry
-                self.hot_factors.invalidate(
-                    bundle_fingerprint(
-                        key, store.catalog.get(old.tensor_name),
-                        old.ranks,
-                    )
-                )
+                self._drop_hot_bundle(key, store, old)
             store.put(
                 tensor_name, tensor, block_shape=block_shape,
                 overwrite=True,
@@ -232,9 +227,21 @@ class StudyCatalog:
             get_metrics().counter("serving.studies_registered").inc()
         return entry
 
+    def _drop_hot_bundle(
+        self, key: str, store: BlockTensorStore, entry: StudyEntry
+    ) -> None:
+        """Evict the study's current bundle from the hot tier."""
+        if entry.tensor_name in store.catalog:
+            self.hot_factors.invalidate(
+                bundle_fingerprint(
+                    key, store.catalog.get(entry.tensor_name), entry.ranks
+                )
+            )
+
     def unregister(self, key: str) -> StudyEntry:
         entry = self.entry(key)
         store = self.store_for(key)
+        self._drop_hot_bundle(key, store, entry)
         if entry.tensor_name in store.catalog:
             store.delete(entry.tensor_name)
         del self._entries[key]
@@ -278,5 +285,7 @@ class StudyCatalog:
         )
 
     def engine(self, key: str) -> FactorEngine:
-        """A query engine over the study's (cached) factors."""
-        return FactorEngine(self.bundle(key).tucker, study=key)
+        """A query engine over the study's (cached) factors and
+        residual ranking."""
+        bundle = self.bundle(key)
+        return FactorEngine(bundle.tucker, study=key, ranking=bundle.ranking)

@@ -21,15 +21,20 @@ Three query shapes:
     factors — cost ``O(prod(ranks) + slice size × rank)`` instead of
     ``O(prod(shape))``.
 ``top-k anomalies``
-    Residual scoring against the block store: every *simulated* cell's
-    stored value minus its factor prediction, streamed block by block
-    (batched point evaluation per block), keeping only the k largest
-    residuals.  Large residuals mark cells the decomposition's
-    dominant patterns cannot explain — the ensemble's anomalies.
+    Residual ranking of every *simulated* cell: its stored value minus
+    its factor prediction, scored in one batched point evaluation and
+    stable-sorted, largest residual first.  A catalog engine gets the
+    ranking its bundle computed from the tensor the HOSVD already read
+    (:func:`~repro.serving.bundle.compute_bundle`), so a query takes
+    the first k rows (of one hyperplane, if asked) and reads no block;
+    resident memory is the bundle's cells.  Large residuals mark cells
+    the decomposition's dominant patterns cannot explain — the
+    ensemble's anomalies.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,6 +62,50 @@ def _check_coords(shape: Tuple[int, ...], coords: np.ndarray) -> np.ndarray:
     return coords
 
 
+Anomaly = Tuple[Tuple[int, ...], float, float, float]
+
+
+@dataclass(frozen=True)
+class ResidualRanking:
+    """Stored cells sorted by ``|stored - predicted|``, largest first.
+
+    ``coords`` is ``(n, N)``; the other three arrays are ``(n,)`` and
+    row-aligned with it.  Exactly tied residuals keep the order the
+    cells were scored in.
+    """
+
+    coords: np.ndarray
+    stored: np.ndarray
+    predicted: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return int(
+            self.coords.nbytes + self.stored.nbytes
+            + self.predicted.nbytes + self.residual.nbytes
+        )
+
+    def take(
+        self, k: int, mode: Optional[int] = None, index: Optional[int] = None
+    ) -> List[Anomaly]:
+        """The first k rows — of the hyperplane ``mode = index`` when
+        both are given — as ``(index, stored, predicted, residual)``."""
+        if mode is not None and index is not None:
+            rows = np.flatnonzero(self.coords[:, mode] == index)[:k]
+        else:
+            rows = np.arange(min(k, self.residual.shape[0]))
+        return [
+            (
+                tuple(int(i) for i in self.coords[r]),
+                float(self.stored[r]),
+                float(self.predicted[r]),
+                float(self.residual[r]),
+            )
+            for r in rows
+        ]
+
+
 class FactorEngine:
     """Evaluate point/slice/anomaly queries from one Tucker decomposition.
 
@@ -67,11 +116,21 @@ class FactorEngine:
         state this engine touches.
     study:
         Label stamped onto spans/metrics (the catalog key).
+    ranking:
+        The residual ranking of the stored cells these factors were
+        fitted to, when the caller already has it (the catalog passes
+        its bundle's); top-k queries then read no block.
     """
 
-    def __init__(self, tucker: TuckerTensor, study: str = ""):
+    def __init__(
+        self,
+        tucker: TuckerTensor,
+        study: str = "",
+        ranking: Optional[ResidualRanking] = None,
+    ):
         self.tucker = tucker
         self.study = study
+        self.ranking = ranking
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -114,6 +173,20 @@ class FactorEngine:
     # ------------------------------------------------------------------
     # slice queries
     # ------------------------------------------------------------------
+    def _check_slice(self, mode: int, index: int) -> Tuple[int, int]:
+        shape = self.shape
+        if not 0 <= int(mode) < len(shape):
+            raise QueryError(
+                f"mode {mode} out of range for {len(shape)} modes"
+            )
+        mode = int(mode)
+        if not 0 <= int(index) < shape[mode]:
+            raise QueryError(
+                f"index {index} out of range for mode {mode} "
+                f"(size {shape[mode]})"
+            )
+        return mode, int(index)
+
     def slice(self, mode: int, index: int) -> np.ndarray:
         """The dense hyperplane ``mode = index`` (that mode dropped).
 
@@ -122,17 +195,7 @@ class FactorEngine:
         the reduced core to the slice's full extent.
         """
         t = self.tucker
-        if not 0 <= int(mode) < t.ndim:
-            raise QueryError(
-                f"mode {mode} out of range for {t.ndim} modes"
-            )
-        mode = int(mode)
-        if not 0 <= int(index) < self.shape[mode]:
-            raise QueryError(
-                f"index {index} out of range for mode {mode} "
-                f"(size {self.shape[mode]})"
-            )
-        index = int(index)
+        mode, index = self._check_slice(mode, index)
         with _span(
             "serving-slice", "serving", study=self.study, mode=mode,
             index=index,
@@ -149,6 +212,19 @@ class FactorEngine:
     # ------------------------------------------------------------------
     # anomaly queries
     # ------------------------------------------------------------------
+    def rank_residuals(self, coords, stored) -> ResidualRanking:
+        """Score cells ``|stored - predicted|`` in one batched point
+        evaluation and stable-sort them, largest residual first."""
+        coords = _check_coords(self.shape, coords)
+        stored = np.asarray(stored, dtype=np.float64)
+        predicted = self.point_batch(coords)
+        residual = np.abs(stored - predicted)
+        order = np.argsort(-residual, kind="stable")
+        get_metrics().counter("serving.cells_scored").inc(coords.shape[0])
+        return ResidualRanking(
+            coords[order], stored[order], predicted[order], residual[order]
+        )
+
     def topk_anomalies(
         self,
         store,
@@ -156,64 +232,33 @@ class FactorEngine:
         k: int,
         mode: Optional[int] = None,
         index: Optional[int] = None,
-    ) -> List[Tuple[Tuple[int, ...], float, float, float]]:
+    ) -> List[Anomaly]:
         """The k simulated cells the factors explain worst.
 
-        Streams the study's stored cells out of ``store`` (a
+        Answers from the engine's ranking when it has one (``store``
+        and ``name`` are then not read).  Otherwise ranks the cells of
+        ``name`` in ``store`` (a
         :class:`~repro.storage.BlockTensorStore`) — the whole tensor
         when ``mode``/``index`` are omitted, one ``slice_query``
-        hyperplane otherwise — scoring ``|stored - predicted|`` with
-        batched point evaluation and keeping a running top-k, so peak
-        memory is one block plus k candidates.
+        hyperplane otherwise.
 
         Returns ``[(index, stored, predicted, residual), ...]`` sorted
         by residual, largest first.
         """
         if k < 1:
             raise QueryError(f"top-k needs k >= 1, got {k}")
+        restricted = mode is not None and index is not None
+        if restricted:
+            mode, index = self._check_slice(mode, index)
         with _span(
             "serving-topk", "serving", study=self.study, k=k,
-        ) as sp:
-            if mode is not None and index is not None:
-                sparse = store.slice_query(name, mode=mode, index=index)
-                chunks = [(sparse.coords, sparse.values)] if sparse.nnz else []
-            else:
-                layout = store.layout(name)
-                chunks = (
-                    (block.coords + layout.block_origin(bid), block.values)
-                    for bid, block in store.iter_blocks(name)
-                    if block.nnz
+            source="store" if self.ranking is None else "bundle",
+        ):
+            ranking = self.ranking
+            if ranking is None:
+                sparse = (
+                    store.slice_query(name, mode=mode, index=index)
+                    if restricted else store.get(name)
                 )
-            best_coords = np.empty((0, len(self.shape)), dtype=np.int64)
-            best_stored = np.empty((0,), dtype=np.float64)
-            best_predicted = np.empty((0,), dtype=np.float64)
-            best_residual = np.empty((0,), dtype=np.float64)
-            scored = 0
-            for coords, stored in chunks:
-                predicted = self.point_batch(coords)
-                residual = np.abs(stored - predicted)
-                scored += coords.shape[0]
-                cand_coords = np.vstack([best_coords, coords])
-                cand_stored = np.concatenate([best_stored, stored])
-                cand_predicted = np.concatenate([best_predicted, predicted])
-                cand_residual = np.concatenate([best_residual, residual])
-                if cand_residual.shape[0] > k:
-                    keep = np.argpartition(cand_residual, -k)[-k:]
-                else:
-                    keep = np.arange(cand_residual.shape[0])
-                best_coords = cand_coords[keep]
-                best_stored = cand_stored[keep]
-                best_predicted = cand_predicted[keep]
-                best_residual = cand_residual[keep]
-            sp.set(cells_scored=scored)
-            get_metrics().counter("serving.cells_scored").inc(scored)
-            order = np.argsort(-best_residual, kind="stable")
-            return [
-                (
-                    tuple(int(i) for i in best_coords[pos]),
-                    float(best_stored[pos]),
-                    float(best_predicted[pos]),
-                    float(best_residual[pos]),
-                )
-                for pos in order
-            ]
+                ranking = self.rank_residuals(sparse.coords, sparse.values)
+            return ranking.take(k, mode, index)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import StorageError
 from ..observability import get_metrics
@@ -15,7 +15,12 @@ CATALOG_FILE = "catalog.json"
 
 @dataclass
 class TensorEntry:
-    """Catalog record for one stored tensor."""
+    """Catalog record for one stored tensor.
+
+    ``digest`` is a SHA-256 over the per-block checksums, so it changes
+    whenever any stored value does.  Catalogs written before it was
+    recorded load with ``None``.
+    """
 
     name: str
     shape: Tuple[int, ...]
@@ -23,6 +28,7 @@ class TensorEntry:
     nnz: int
     n_blocks: int
     block_ids: List[Tuple[int, ...]]
+    digest: Optional[str] = None
 
     def to_json(self) -> Dict:
         record = asdict(self)
@@ -40,6 +46,7 @@ class TensorEntry:
             nnz=int(record["nnz"]),
             n_blocks=int(record["n_blocks"]),
             block_ids=[tuple(int(i) for i in b) for b in record["block_ids"]],
+            digest=record.get("digest"),
         )
 
 

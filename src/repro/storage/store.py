@@ -108,16 +108,17 @@ class BlockTensorStore:
             tensor_dir.mkdir(parents=True, exist_ok=True)
             metrics = get_metrics()
             bytes_written = 0
-            for block_id, block in blocks.items():
+            content = hashlib.sha256()
+            for block_id, block in sorted(blocks.items()):
                 path = self._block_path(name, block_id)
+                checksum = _block_digest(block.coords, block.values, block.shape)
+                content.update(f"{block_id}:{checksum};".encode())
                 np.savez_compressed(
                     path,
                     coords=block.coords,
                     values=block.values,
                     shape=np.asarray(block.shape, dtype=np.int64),
-                    checksum=np.asarray(
-                        _block_digest(block.coords, block.values, block.shape)
-                    ),
+                    checksum=np.asarray(checksum),
                 )
                 block_bytes = path.stat().st_size
                 bytes_written += block_bytes
@@ -129,6 +130,7 @@ class BlockTensorStore:
                 nnz=tensor.nnz,
                 n_blocks=len(blocks),
                 block_ids=sorted(blocks),
+                digest=content.hexdigest(),
             )
             self.catalog.put(entry)
             sp.set(n_blocks=len(blocks), bytes_written=bytes_written)
@@ -155,10 +157,18 @@ class BlockTensorStore:
         """
         entry = self.catalog.get(name)
         layout = BlockedLayout(entry.shape, entry.block_shape)
-        return self._read_block(entry, layout, block_id)
+        block_id = tuple(int(i) for i in block_id)
+        return self._read_block(
+            entry, layout, block_id,
+            catalogued=block_id in entry.block_ids,
+        )
 
     def _read_block(
-        self, entry: TensorEntry, layout: BlockedLayout, block_id: BlockId
+        self,
+        entry: TensorEntry,
+        layout: BlockedLayout,
+        block_id: BlockId,
+        catalogued: bool = True,
     ) -> SparseTensor:
         """The block-read body behind :meth:`get_block`.
 
@@ -166,10 +176,12 @@ class BlockTensorStore:
         multi-block request paths (``get`` / ``iter_blocks`` /
         ``slice_query``) resolve them *once per request* instead of
         once per block — the hot-path contract the
-        ``storage.catalog_lookups`` micro-benchmark guard pins.
+        ``storage.catalog_lookups`` micro-benchmark guard pins.  Those
+        paths only read catalogued blocks; ``catalogued=False`` (a
+        :meth:`get_block` outside the catalog) makes a missing file an
+        empty block instead of corruption.
         """
         name = entry.name
-        block_id = tuple(int(i) for i in block_id)
         grid = layout.grid_shape
         if len(block_id) != len(grid) or any(
             not 0 <= b < g for b, g in zip(block_id, grid)
@@ -180,7 +192,6 @@ class BlockTensorStore:
         path = self._block_path(name, block_id)
         metrics = get_metrics()
         metrics.counter("storage.block_reads").inc()
-        catalogued = block_id in set(map(tuple, entry.block_ids))
         injector = get_injector()
         if injector.enabled:
             # raise/crash/delay fire here; a "corrupt" decision flips

@@ -8,6 +8,7 @@ from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.runtime import ResultCache
 from repro.serving import (
     FactorBundle,
+    FactorEngine,
     HotFactorCache,
     bundle_fingerprint,
     compute_bundle,
@@ -40,6 +41,20 @@ class TestFingerprint:
         assert bundle_fingerprint("s2", entry, (3, 3, 3)) != base
         assert bundle_fingerprint("s", entry, (2, 2, 2)) != base
 
+    def test_varies_with_stored_values(self, stored):
+        store, entry = stored
+        tensor = store.get("t")
+        tensor.values[0] += 1.0
+        store.put("t", tensor, overwrite=True)
+        changed = store.catalog.get("t")
+        assert (changed.shape, changed.nnz, changed.block_ids) == (
+            entry.shape, entry.nnz, entry.block_ids
+        )
+        assert changed.digest != entry.digest
+        assert bundle_fingerprint("s", changed, (3, 3, 3)) != (
+            bundle_fingerprint("s", entry, (3, 3, 3))
+        )
+
 
 class TestComputeAndLoad:
     def test_compute_clips_ranks(self, stored):
@@ -48,6 +63,29 @@ class TestComputeAndLoad:
         assert bundle.tucker.shape == entry.shape
         assert bundle.tucker.rank == entry.shape  # clipped to extents
         assert bundle.nbytes > 0
+
+    def test_nbytes_counts_ranking(self, stored):
+        store, entry = stored
+        bundle = compute_bundle("s", store, entry, (3, 3, 3))
+        ranking = bundle.ranking
+        assert ranking.coords.shape == (entry.nnz, 3)
+        assert ranking.nbytes == sum(
+            a.nbytes for a in (ranking.coords, ranking.stored,
+                               ranking.predicted, ranking.residual)
+        )
+        assert bundle.nbytes == (
+            bundle.tucker.core.nbytes
+            + sum(f.nbytes for f in bundle.tucker.factors)
+            + ranking.nbytes
+        )
+
+    def test_ranking_is_sorted_residuals(self, stored):
+        store, entry = stored
+        ranking = compute_bundle("s", store, entry, (2, 2, 2)).ranking
+        assert np.all(np.diff(ranking.residual) <= 0)
+        assert np.allclose(
+            ranking.residual, np.abs(ranking.stored - ranking.predicted)
+        )
 
     def test_load_without_cache_recomputes(self, stored):
         store, entry = stored
@@ -70,6 +108,30 @@ class TestComputeAndLoad:
         assert np.allclose(first.tucker.core, second.tucker.core)
         for f1, f2 in zip(first.tucker.factors, second.tucker.factors):
             assert np.allclose(f1, f2)
+        for name in ("coords", "stored", "predicted", "residual"):
+            assert np.array_equal(
+                getattr(first.ranking, name), getattr(second.ranking, name)
+            )
+
+    def test_misaligned_ranking_heals_by_recompute(self, stored, tmp_path):
+        store, entry = stored
+        cache = ResultCache(max_entries=1, directory=tmp_path / "cache")
+        good = compute_bundle("s", store, entry, (3, 3, 3))
+        cache.put(bundle_fingerprint("s", entry, (3, 3, 3)), {
+            "core": good.tucker.core,
+            "factors": list(good.tucker.factors),
+            "ranking": {
+                "coords": good.ranking.coords,
+                "stored": good.ranking.stored[:-1],
+                "predicted": good.ranking.predicted,
+                "residual": good.ranking.residual,
+            },
+        })
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            load_bundle("s", store, entry, (3, 3, 3), result_cache=cache)
+        assert registry.counter("serving.bundle_decode_errors").value == 1
+        assert registry.counter("serving.bundles_computed").value == 1
 
     def test_undecodable_entry_heals_by_recompute(self, stored, tmp_path):
         """A structurally valid cache entry that is not a bundle is
@@ -90,11 +152,14 @@ class TestComputeAndLoad:
 
 def _bundle(study: str, nbytes_target: int = 0) -> FactorBundle:
     side = max(2, int(np.sqrt(max(nbytes_target, 64) / 8 / 2)))
-    tucker = hosvd(
-        np.random.default_rng(len(study)).standard_normal((side, side)),
-        [2, 2],
+    dense = np.random.default_rng(len(study)).standard_normal((side, side))
+    tucker = hosvd(dense, [2, 2])
+    ranking = FactorEngine(tucker).rank_residuals(
+        np.array(list(np.ndindex(dense.shape))), dense.ravel()
     )
-    return FactorBundle(study=study, tucker=tucker, fingerprint=study)
+    return FactorBundle(
+        study=study, tucker=tucker, ranking=ranking, fingerprint=study
+    )
 
 
 class TestHotFactorCache:

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.exceptions import ServingError, StudyNotFoundError
-from repro.serving import StudyCatalog
-from repro.tensor import SparseTensor
+from repro.exceptions import QueryError, ServingError, StudyNotFoundError
+from repro.observability import Tracer, use_tracer
+from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.serving import FactorEngine, StudyCatalog
+from repro.tensor import SparseTensor, hosvd
 
 from .conftest import make_sparse
 
@@ -98,10 +100,36 @@ class TestPersistence:
             engine = reloaded.engine(key)
             assert np.isfinite(engine.point((0,) * len(engine.shape)))
 
+    def test_store_catalog_without_digest_still_serves(self, catalog):
+        """A shard ``catalog.json`` written before tensors recorded a
+        content digest loads, and its study serves point and top-k."""
+        path = catalog.store_for("alpha").catalog.path
+        raw = json.loads(path.read_text())
+        for record in raw["tensors"].values():
+            del record["digest"]
+        path.write_text(json.dumps(raw))
+        reloaded = StudyCatalog(catalog.root)
+        store = reloaded.store_for("alpha")
+        assert store.catalog.get("ensemble").digest is None
+        engine = reloaded.engine("alpha")
+        assert np.isfinite(engine.point((0, 0, 0)))
+        residuals = [
+            r for *_rest, r in engine.topk_anomalies(store, "ensemble", 3)
+        ]
+        assert len(residuals) == 3
+        assert residuals == sorted(residuals, reverse=True)
+
     def test_corrupt_studies_file(self, catalog):
         catalog.path.write_text("{nope")
         with pytest.raises(ServingError, match="cannot read"):
             StudyCatalog(catalog.root)
+
+    def test_unregister_evicts_hot_bundle(self, catalog):
+        catalog.engine("alpha")
+        assert len(catalog.hot_factors) == 1
+        catalog.unregister("alpha")
+        assert len(catalog.hot_factors) == 0
+        assert catalog.hot_factors.nbytes == 0
 
     def test_unregister(self, catalog):
         entry = catalog.unregister("alpha")
@@ -135,3 +163,95 @@ class TestBundleLifecycle:
         dense = np.zeros(tensor.shape)
         dense[tuple(tensor.coords.T)] = tensor.values
         assert abs(new_value) > 1.0  # reflects the +100 shift
+
+
+class TestReregisterSameSparsity:
+    """Re-registering new values on the same coordinates (same shape,
+    nnz and block layout) must serve the new values: the bundle
+    address covers the stored values' content digest."""
+
+    @staticmethod
+    def _new_values(catalog):
+        old = catalog.store_for("alpha").get("ensemble")
+        values = old.values.copy()
+        values[0] = 9.99
+        return SparseTensor(old.shape, old.coords, values)
+
+    def _check_serves(self, catalog, tensor):
+        expected = hosvd(tensor, [3, 3, 3])
+        engine = catalog.engine("alpha")
+        index = tuple(int(i) for i in tensor.coords[0])
+        assert engine.point(index) == pytest.approx(
+            float(expected.reconstruct()[index]), abs=1e-8
+        )
+        top = engine.topk_anomalies(
+            catalog.store_for("alpha"), "ensemble", tensor.nnz
+        )
+        served = {idx: stored for idx, stored, _p, _r in top}
+        assert served[index] == 9.99
+
+    def test_same_catalog_serves_new_values(self, catalog):
+        catalog.engine("alpha")  # bundle in both cache tiers
+        tensor = self._new_values(catalog)
+        catalog.register("alpha", tensor, ranks=[3, 3, 3], overwrite=True)
+        self._check_serves(catalog, tensor)
+
+    def test_fresh_catalog_serves_new_values(self, catalog):
+        catalog.engine("alpha")  # bundle persisted in the disk tier
+        tensor = self._new_values(catalog)
+        catalog.register("alpha", tensor, ranks=[3, 3, 3], overwrite=True)
+        self._check_serves(StudyCatalog(catalog.root), tensor)
+
+
+class TestRankedTopK:
+    """Top-k on a catalog engine answers from the bundle's ranking."""
+
+    def test_topk_reads_no_block(self, catalog):
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            engine = catalog.engine("alpha")
+            store = catalog.store_for("alpha")
+            reads = registry.counter("storage.block_reads").value
+            assert reads > 0  # the bundle read every block once
+            full = engine.topk_anomalies(store, "ensemble", 5)
+            on_slice = engine.topk_anomalies(
+                store, "ensemble", 3, mode=0, index=2
+            )
+            assert registry.counter("storage.block_reads").value == reads
+        assert len(full) == 5
+        assert on_slice and all(idx[0] == 2 for idx, *_rest in on_slice)
+
+    def test_fresh_catalog_reuses_persisted_ranking(self, catalog):
+        store = catalog.store_for("alpha")
+        first = catalog.engine("alpha").topk_anomalies(store, "ensemble", 5)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            fresh = StudyCatalog(catalog.root)
+            second = fresh.engine("alpha").topk_anomalies(
+                fresh.store_for("alpha"), "ensemble", 5
+            )
+            assert registry.counter("serving.bundle_disk_hits").value == 1
+            assert registry.counter("serving.bundles_computed").value == 0
+            assert registry.counter("storage.block_reads").value == 0
+        assert second == first
+
+    @pytest.mark.parametrize("mode, index", [(3, 0), (0, 6), (-1, 0)])
+    def test_bad_slice_is_typed(self, catalog, mode, index):
+        engine = catalog.engine("alpha")
+        store = catalog.store_for("alpha")
+        for source in (engine, FactorEngine(engine.tucker)):
+            with pytest.raises(QueryError, match="out of range"):
+                source.topk_anomalies(
+                    store, "ensemble", 2, mode=mode, index=index
+                )
+
+    def test_span_records_source(self, catalog):
+        engine = catalog.engine("alpha")
+        store = catalog.store_for("alpha")
+        bare = FactorEngine(engine.tucker, study="alpha")
+        with use_tracer(Tracer()) as tracer:
+            engine.topk_anomalies(store, "ensemble", 2)
+            bare.topk_anomalies(store, "ensemble", 2)
+        sources = [s.attrs["source"] for s in tracer.iter_spans()
+                   if s.name == "serving-topk"]
+        assert sources == ["bundle", "store"]
