@@ -202,6 +202,13 @@ def m2td_decompose(
         raise StitchError("lazy core recovery requires join_kind='join'")
     if alignment not in ("sign", "procrustes"):
         raise StitchError(f"unknown alignment {alignment!r}")
+    for label, sub in (("x1", x1), ("x2", x2)):
+        values = sub.values if isinstance(sub, SparseTensor) else sub
+        if not np.isfinite(values).all():
+            # fail typed here, not as an untyped SVD non-convergence
+            raise StitchError(
+                f"sub-ensemble {label} has non-finite values"
+            )
     join_ranks = map_ranks_to_join(partition, ranks)
     k = partition.k
     f1 = len(partition.s1_free)

@@ -6,6 +6,13 @@ is one ``.npz`` file, and a JSON catalog tracks geometry.  Queries
 that need a slice or a single block read only the files they touch —
 the property that made in-database tensor decomposition practical in
 the systems the paper cites.
+
+Blocks are sized by stored cells: the default tiling splits a mode
+only while every tile would still average :data:`MIN_BLOCK_CELLS`
+stored cells, so a sparse sampled study of a few thousand cells is one
+block file rather than a hundred near-empty ones.  Per-file overhead
+(zip open, header parse, checksum) dominates a tiny block's cost, the
+reason TuckerMPI-style block I/O moves a few large chunks.
 """
 
 from __future__ import annotations
@@ -25,6 +32,32 @@ from .blocks import BlockedLayout, BlockId, assemble_from_blocks, split_into_blo
 from .catalog import Catalog, TensorEntry
 
 _NAME_PATTERN = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+#: The fewest stored cells a default tile averages; below it a mode is
+#: not split further.
+MIN_BLOCK_CELLS = 4096
+
+
+def _default_block_shape(shape: Tuple[int, ...], nnz: int) -> Tuple[int, ...]:
+    """Tile extents sized by the stored cell count.
+
+    Starts from one tile and, leading modes first, doubles a mode's
+    tile count (at most four per mode) only while every tile would
+    still average :data:`MIN_BLOCK_CELLS` stored cells.
+    """
+
+    def extents(counts):
+        return tuple(max(1, -(-s // t)) for s, t in zip(shape, counts))
+
+    tiles = [1] * len(shape)
+    for _ in range(2):  # two doublings: at most four tiles per mode
+        for mode in range(len(shape)):
+            trial = list(tiles)
+            trial[mode] *= 2
+            grid = BlockedLayout(shape, extents(trial)).n_blocks
+            if nnz >= grid * MIN_BLOCK_CELLS:
+                tiles = trial
+    return extents(tiles)
 
 
 def _block_digest(coords, values, shape) -> str:
@@ -82,9 +115,11 @@ class BlockTensorStore:
     ) -> TensorEntry:
         """Store a tensor under ``name``.
 
-        ``block_shape`` defaults to splitting each mode in (at most)
-        four tiles.  Refuses to overwrite unless asked, and refuses
-        non-finite values before writing anything.
+        ``block_shape`` defaults to blocks sized by stored cells: each
+        mode is split in (at most) four tiles, and only while every
+        tile still averages :data:`MIN_BLOCK_CELLS` stored cells.
+        Refuses to overwrite unless asked, and refuses non-finite
+        values before writing anything.
         """
         self._check_name(name)
         if name in self.catalog and not overwrite:
@@ -94,7 +129,7 @@ class BlockTensorStore:
         if not np.isfinite(tensor.values).all():
             raise StorageError(f"tensor {name!r} has non-finite values")
         if block_shape is None:
-            block_shape = tuple(max(1, -(-s // 4)) for s in tensor.shape)
+            block_shape = _default_block_shape(tensor.shape, tensor.nnz)
         layout = BlockedLayout(tensor.shape, block_shape)
         with _span(
             "store-put", "storage", tensor=name, nnz=tensor.nnz,

@@ -63,6 +63,22 @@ class TestEngine:
         with pytest.raises(StitchError):
             m2td_decompose(x1, x2, part, RANKS, join_kind="zero", lazy=True)
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("which", ["x1", "x2"])
+    def test_rejects_non_finite_sub_ensemble(self, subs, which, sparse):
+        """One NaN cell fails typed at the boundary, naming the
+        sub-ensemble — not as ``nan`` accuracy or a ``LinAlgError``."""
+        part, x1, x2 = subs
+        inputs = {"x1": x1.copy(), "x2": x2.copy()}
+        inputs[which][(0,) * inputs[which].ndim] = np.nan
+        if sparse:
+            inputs = {
+                k: SparseTensor.from_dense(v, keep_zeros=True)
+                for k, v in inputs.items()
+            }
+        with pytest.raises(StitchError, match=f"sub-ensemble {which}"):
+            m2td_decompose(inputs["x1"], inputs["x2"], part, RANKS)
+
     def test_lazy_matches_materialized(self, subs):
         part, x1, x2 = subs
         eager = m2td_decompose(x1, x2, part, RANKS, variant="select")

@@ -255,3 +255,44 @@ class TestRankedTopK:
         sources = [s.attrs["source"] for s in tracer.iter_spans()
                    if s.name == "serving-topk"]
         assert sources == ["bundle", "store"]
+
+
+class TestLayoutIndependence:
+    """Serving answers do not depend on how the store tiles a study;
+    the bundle address does, so a bundle cached under another tiling
+    is never served for this one."""
+
+    def test_fine_and_default_tiling_serve_the_same(self, tmp_path):
+        tensor = make_sparse((8,) * 5, density=0.03, seed=5)
+        served = {}
+        for label, block_shape in (("fine", (2,) * 5), ("default", None)):
+            catalog = StudyCatalog(tmp_path / label)
+            catalog.register(
+                "study", tensor, ranks=[2] * 5, block_shape=block_shape
+            )
+            store = catalog.store_for("study")
+            engine = catalog.engine("study")
+            served[label] = {
+                "blocks": store.catalog.get("ensemble").n_blocks,
+                "fingerprint": catalog.bundle("study").fingerprint,
+                "points": engine.point_batch(tensor.coords[:50]),
+                "slice": engine.slice(1, 3),
+                "topk": engine.topk_anomalies(store, "ensemble", 10),
+            }
+        fine, default = served["fine"], served["default"]
+        assert fine["blocks"] > 1 and default["blocks"] == 1
+        assert fine["fingerprint"] != default["fingerprint"]
+        np.testing.assert_allclose(
+            default["points"], fine["points"], rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            default["slice"], fine["slice"], rtol=0, atol=1e-12
+        )
+        assert [a[0] for a in default["topk"]] == [
+            a[0] for a in fine["topk"]
+        ]
+        np.testing.assert_allclose(
+            [a[1:] for a in default["topk"]],
+            [a[1:] for a in fine["topk"]],
+            rtol=0, atol=1e-12,
+        )

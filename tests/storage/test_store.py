@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.storage import BlockTensorStore
+from repro.storage.store import MIN_BLOCK_CELLS
 from repro.tensor import SparseTensor, random_sparse
 
 
@@ -60,6 +61,44 @@ class TestPutGet:
         store.put("b", tensor)
         store.put("a", tensor)
         assert store.names() == ["a", "b"]
+
+
+class TestDefaultTiling:
+    """Default blocks are sized by stored cells, not by shape."""
+
+    def test_sampled_study_is_one_block(self, store):
+        sampled = random_sparse((8,) * 5, 0.03, seed=0)
+        assert 900 <= sampled.nnz <= 1100
+        entry = store.put("ens", sampled)
+        assert entry.n_blocks == 1
+        assert entry.block_shape == (8,) * 5
+        assert store.get("ens") == sampled
+
+    def test_dense_study_blocks_average_min_cells(self, store):
+        dense = random_sparse((8,) * 5, 0.3, seed=0)
+        assert dense.nnz == 9830
+        entry = store.put("ens", dense)
+        assert 1 < entry.n_blocks <= 4
+        assert dense.nnz / store.layout("ens").n_blocks >= MIN_BLOCK_CELLS
+        assert store.get("ens") == dense
+
+    def test_large_tensor_caps_at_four_tiles_per_mode(self, store):
+        # 90000 cells would afford 21 tiles of MIN_BLOCK_CELLS each
+        full = SparseTensor.from_dense(np.ones((300, 300)))
+        assert full.nnz >= 20 * MIN_BLOCK_CELLS
+        entry = store.put("ens", full)
+        assert store.layout("ens").grid_shape == (4, 4)
+        assert entry.n_blocks == 16
+        assert store.get("ens") == full
+
+    @pytest.mark.parametrize("block_shape", [(2,) * 5, (4, 8, 8, 8, 8)])
+    def test_explicit_block_shape_keeps_its_tiling(self, store, block_shape):
+        sampled = random_sparse((8,) * 5, 0.03, seed=0)
+        entry = store.put("ens", sampled, block_shape=block_shape)
+        tiles = sampled.coords // np.asarray(block_shape)
+        assert entry.block_shape == block_shape
+        assert entry.n_blocks == len(np.unique(tiles, axis=0))
+        assert store.get("ens") == sampled
 
 
 class TestBlockAccess:
