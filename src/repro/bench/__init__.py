@@ -1,8 +1,9 @@
 """repro.bench — the performance-trajectory harness.
 
 Registered, named workloads (:mod:`~repro.bench.workloads`) covering
-the M2TD variants, JE-stitching, the Tucker kernels, D-M2TD at several
-worker counts, and the block store are measured by a
+the per-kernel layers the whole-study ``perfbench/`` does not time —
+the Tucker kernels, D-M2TD at several worker counts and venues, the
+block store, and the serving concurrency ladder — are measured by a
 :class:`BenchmarkRunner` (warmup + repeated timed iterations, median +
 IQR wall/CPU time, tracemalloc peak memory, metrics-registry deltas)
 into schema-versioned ``BENCH_<suite>.json`` artifacts

@@ -18,7 +18,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..distributed.cli import add_worker_args, apply_worker_args
 from ..exceptions import BenchError
 from .compare import (
     NOISE_CAP,
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the tracemalloc pass (peak_memory_bytes reported 0)",
     )
-    add_worker_args(run)
 
     compare = sub.add_parser(
         "compare", help="verdicts between a baseline and a candidate"
@@ -119,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     import os
 
-    apply_worker_args(args)
     size = size_for("quick" if args.quick else "full")
     workloads = get_workloads(args.suites)
     selected_suites = sorted({w.suite for w in workloads})

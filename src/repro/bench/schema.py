@@ -5,15 +5,15 @@ layout without silently breaking ``compare``.  Layout (version 1)::
 
     {
       "schema": "repro.bench/1",
-      "suite": "m2td",
+      "suite": "kernels",
       "mode": "full" | "quick",
       "created_unix": 1754000000.0,
       "environment": {python, numpy, scipy, platform, machine,
                       cpu_count, git_sha},
       "workloads": [
         {
-          "name": "m2td.select",
-          "suite": "m2td",
+          "name": "kernel.hosvd",
+          "suite": "kernels",
           "mode": "full",
           "description": "...",
           "iterations": 5,

@@ -1,27 +1,27 @@
-"""Named benchmark workloads shared by the harness and the pytest
-benches.
+"""Named benchmark workloads for ``python -m repro.bench``.
 
 Each workload is one registered, buildable unit of work: ``build``
 receives a :class:`SizeSpec` and returns a :class:`PreparedWorkload`
 whose ``run()`` is the timed body (setup cost — ground-truth
 simulation, sub-ensemble materialisation, store population — happens
-in ``build`` and is excluded from timing).  The registry spans every
-layer the paper's cost tables exercise: the three M2TD variants, the
-two JE-stitches, the Tucker kernels, D-M2TD at 1/2/4 workers, and the
-block store.
+in ``build`` and is excluded from timing).  The registry holds the
+per-kernel layers that ``perfbench/`` (the whole-study benchmark)
+does not time: the Tucker kernels, D-M2TD at 1/2/4 in-process workers
+and on supervised worker processes, block-store reads and writes, and
+the serving concurrency ladder.  The M2TD variants, JE-stitching and
+campaigns are timed per layer by perfbench and are not repeated here.
 
 ``BENCH_RESOLUTION`` / ``BENCH_RANK`` / ``BENCH_SEED`` are the single
-source of truth for benchmark scale; ``benchmarks/_bench_utils.py``
-re-exports them so the pytest-benchmark suites and this harness cannot
-drift apart.
+source of truth for benchmark scale.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..exceptions import BenchError
 
@@ -142,19 +142,19 @@ def get_workloads(
 # ----------------------------------------------------------------------
 # shared inputs (cached per size so a suite run builds each study once)
 # ----------------------------------------------------------------------
-_STUDY_CACHE: Dict[Tuple[str, int], object] = {}
+_STUDY_CACHE: Dict[int, object] = {}
 
 
 def _study(size: SizeSpec):
+    """The double-pendulum benchmark study at ``size.resolution``."""
     from ..core import EnsembleStudy
     from ..simulation import make_system
 
-    key = ("double_pendulum", size.resolution)
-    if key not in _STUDY_CACHE:
-        _STUDY_CACHE[key] = EnsembleStudy.create(
+    if size.resolution not in _STUDY_CACHE:
+        _STUDY_CACHE[size.resolution] = EnsembleStudy.create(
             make_system("double_pendulum"), size.resolution
         )
-    return _STUDY_CACHE[key]
+    return _STUDY_CACHE[size.resolution]
 
 
 def clear_input_cache() -> None:
@@ -166,14 +166,15 @@ def _ranks(size: SizeSpec, n_modes: int) -> List[int]:
     return [size.rank] * n_modes
 
 
-def _sub_ensembles(size: SizeSpec, sub_sampling: str, free_fraction: float):
+def _sub_ensembles(size: SizeSpec):
+    """Full-density cross-sampled sub-ensembles of the benchmark study."""
     from ..sampling.budget import budget_for_fractions
 
     study = _study(size)
     partition = study.default_partition()
-    budget = budget_for_fractions(partition, free_fraction=free_fraction)
+    budget = budget_for_fractions(partition)
     x1, x2, _cells, _runs = study.sample_sub_ensembles(
-        partition, budget, sub_sampling=sub_sampling, seed=size.seed
+        partition, budget, seed=size.seed
     )
     return study, partition, x1, x2
 
@@ -188,54 +189,6 @@ def _sparse_sample(size: SizeSpec, density: float = 0.3):
     sample = RandomSampler(seed=size.seed).sample(shape, budget)
     values = study.truth[tuple(sample.coords.T)]
     return SparseTensor(shape, sample.coords, values)
-
-
-# ----------------------------------------------------------------------
-# suite: m2td — the paper's decomposition variants + JE-stitching
-# ----------------------------------------------------------------------
-def _m2td_variant(variant: str) -> Callable[[SizeSpec], PreparedWorkload]:
-    def build(size: SizeSpec) -> PreparedWorkload:
-        study = _study(size)
-        ranks = _ranks(size, study.space.n_modes)
-        return PreparedWorkload(
-            lambda: study.run_m2td(ranks, variant=variant, seed=size.seed)
-        )
-
-    return build
-
-
-for _variant in ("avg", "concat", "select"):
-    workload(
-        f"m2td.{_variant}",
-        "m2td",
-        f"end-to-end M2TD-{_variant.upper()}: PF-partition, sub-ensemble "
-        "sampling, JE-stitch, decomposition",
-    )(_m2td_variant(_variant))
-
-
-@workload(
-    "stitch.join",
-    "m2td",
-    "join-based JE-stitching of two cross-sampled sub-ensembles",
-)
-def _build_stitch_join(size: SizeSpec) -> PreparedWorkload:
-    from ..core.stitch import join_tensor
-
-    _study_, partition, x1, x2 = _sub_ensembles(size, "cross", 1.0)
-    return PreparedWorkload(lambda: join_tensor(x1, x2, partition))
-
-
-@workload(
-    "stitch.zero_join",
-    "m2td",
-    "zero-join JE-stitching of randomly sampled (partially matched) "
-    "sub-ensembles",
-)
-def _build_stitch_zero(size: SizeSpec) -> PreparedWorkload:
-    from ..core.stitch import zero_join_tensor
-
-    _study_, partition, x1, x2 = _sub_ensembles(size, "random", 0.6)
-    return PreparedWorkload(lambda: zero_join_tensor(x1, x2, partition))
 
 
 # ----------------------------------------------------------------------
@@ -280,16 +233,37 @@ def _build_gram_hosvd(size: SizeSpec) -> PreparedWorkload:
 # ----------------------------------------------------------------------
 # suite: distributed — D-M2TD through MapReduce at 1/2/4 workers
 # ----------------------------------------------------------------------
-def _dm2td(workers: int) -> Callable[[SizeSpec], PreparedWorkload]:
+def _engine(workers: int, external: bool):
+    """The MapReduce engine for one ``dm2td.*`` row.
+
+    The venue is pinned by the row name: ``M2TD_TRANSPORT`` is hidden
+    while the in-process engine is built, so an exported
+    ``M2TD_TRANSPORT=process`` cannot move ``dm2td.workers*`` onto
+    worker processes under their thread-venue names.
+    """
+    from ..distributed.mapreduce import LocalMapReduceEngine
+
+    if external:
+        return LocalMapReduceEngine(n_workers=workers, transport="process")
+    exported = os.environ.pop("M2TD_TRANSPORT", None)
+    try:
+        return LocalMapReduceEngine(n_workers=workers)
+    finally:
+        if exported is not None:
+            os.environ["M2TD_TRANSPORT"] = exported
+
+
+def _dm2td(
+    workers: int, external: bool = False
+) -> Callable[[SizeSpec], PreparedWorkload]:
     def build(size: SizeSpec) -> PreparedWorkload:
         from ..distributed.dm2td import distributed_m2td
-        from ..distributed.mapreduce import LocalMapReduceEngine
         from ..runtime import Runtime
 
-        study, partition, x1, x2 = _sub_ensembles(size, "cross", 1.0)
+        study, partition, x1, x2 = _sub_ensembles(size)
         ranks = _ranks(size, study.space.n_modes)
         runtime = Runtime(workers=workers)
-        engine = LocalMapReduceEngine(n_workers=workers)
+        engine = _engine(workers, external)
 
         def run():
             return distributed_m2td(
@@ -310,49 +284,19 @@ for _workers in (1, 2, 4):
     workload(
         f"dm2td.workers{_workers}",
         "distributed",
-        f"3-phase D-M2TD (MapReduce + task graph) at {_workers} worker(s)",
+        f"3-phase D-M2TD (MapReduce + task graph) at {_workers} "
+        "in-process worker(s)",
     )(_dm2td(_workers))
 
-
-def _dm2td_external(workers: int) -> Callable[[SizeSpec], PreparedWorkload]:
-    """D-M2TD dispatched through the supervised worker pool: real
-    child processes, heartbeats, leases — measures the cross-process
-    serialization + supervision overhead against the in-process rows."""
-
-    def build(size: SizeSpec) -> PreparedWorkload:
-        from ..distributed.dm2td import distributed_m2td
-        from ..distributed.mapreduce import LocalMapReduceEngine
-        from ..runtime import Runtime
-
-        study, partition, x1, x2 = _sub_ensembles(size, "cross", 1.0)
-        ranks = _ranks(size, study.space.n_modes)
-        runtime = Runtime(workers=workers)
-        engine = LocalMapReduceEngine(
-            n_workers=workers, transport="process"
-        )
-
-        def run():
-            return distributed_m2td(
-                x1, x2, partition, ranks,
-                variant="select", engine=engine, runtime=runtime,
-            )
-
-        def close():
-            engine.close()
-            runtime.shutdown()
-
-        return PreparedWorkload(run, close)
-
-    return build
-
-
+# the cross-process serialization + supervision overhead against the
+# in-process rows above
 for _workers in (2, 4):
     workload(
         f"dm2td.external.workers{_workers}",
         "distributed",
         f"3-phase D-M2TD on {_workers} supervised external worker "
         "processes (heartbeats + leases)",
-    )(_dm2td_external(_workers))
+    )(_dm2td(_workers, external=True))
 
 
 # ----------------------------------------------------------------------
@@ -474,54 +418,6 @@ for _name, _kind, _clients, _queries, _batching, _desc in (
     workload(_name, "serving", _desc)(
         _serving_load(_kind, _clients, _queries, batching=_batching)
     )
-
-
-# ----------------------------------------------------------------------
-# suite: campaigns — the adaptive sample→decompose→resample loop
-# ----------------------------------------------------------------------
-def _epidemic_study(size: SizeSpec):
-    from ..core import EnsembleStudy
-    from ..simulation import make_system
-
-    key = ("epidemic_seir", size.resolution)
-    if key not in _STUDY_CACHE:
-        _STUDY_CACHE[key] = EnsembleStudy.create(
-            make_system("epidemic_seir"), size.resolution
-        )
-    return _STUDY_CACHE[key]
-
-
-@workload(
-    "campaign.epidemic",
-    "campaigns",
-    "ephemeral adaptive campaign on the epidemic study: explore sweep "
-    "+ three error-guided confirm rounds (journal in memory, study "
-    "pre-built)",
-)
-def _build_campaign_epidemic(size: SizeSpec) -> PreparedWorkload:
-    from ..campaigns import CampaignOrchestrator, CampaignSpec
-
-    study = _epidemic_study(size)
-    pivot_size = size.resolution
-    free_size = size.resolution ** 2
-    batch = 4 * pivot_size
-    explore_cost = 2 * max(1, round(0.25 * free_size)) * 2
-    spec = CampaignSpec(
-        scenario="epidemic_seir",
-        budget=explore_cost + 4 * batch,
-        batch=batch,
-        success_delta=1e-9,
-        resolution=size.resolution,
-        rank=size.rank,
-        seed=size.seed,
-        max_rounds=3,
-    )
-
-    def run():
-        with CampaignOrchestrator(spec, study=study) as orchestrator:
-            return orchestrator.run()
-
-    return PreparedWorkload(run)
 
 
 def size_for(mode: str) -> SizeSpec:

@@ -53,8 +53,8 @@ def procrustes_align(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     differently (close singular values): rotation makes the bases
     maximally comparable row-by-row while preserving the spanned
     subspace.  Exposed through ``m2td_decompose(alignment=...)``; the
-    default stays the lighter sign alignment (see
-    ``benchmarks/bench_ablation_row_energy.py`` for the trade-off).
+    default stays the lighter sign alignment (``EXPERIMENTS.md``,
+    "Known deviations", records the trade-off).
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import BenchmarkRunner
 from repro.bench.workloads import (
     BENCH_RANK,
     BENCH_RESOLUTION,
@@ -40,23 +41,20 @@ class TestRegistry:
     def test_expected_coverage(self):
         names = set(WORKLOADS)
         for expected in (
-            "m2td.avg", "m2td.concat", "m2td.select",
-            "stitch.join", "stitch.zero_join",
             "kernel.hosvd", "kernel.st_hosvd", "kernel.hooi",
             "kernel.gram.hosvd",
             "dm2td.workers1", "dm2td.workers2", "dm2td.workers4",
+            "dm2td.external.workers2", "dm2td.external.workers4",
             "store.put", "store.get", "store.slice_query",
             "serving.point_c1", "serving.point_c100",
             "serving.point_c100_unbatched", "serving.point_c10k",
             "serving.slice_c100", "serving.topk_c20",
-            "campaign.epidemic",
         ):
             assert expected in names, expected
 
     def test_suites_cover_all_layers(self):
         assert set(suites()) == {
-            "m2td", "kernels", "distributed", "storage", "serving",
-            "campaigns",
+            "kernels", "distributed", "storage", "serving",
         }
 
     def test_get_workloads_filters_and_sorts(self):
@@ -71,7 +69,7 @@ class TestRegistry:
 
     def test_double_registration_raises(self):
         with pytest.raises(BenchError, match="twice"):
-            workload("m2td.select", "m2td", "dup")(lambda size: None)
+            workload("kernel.hosvd", "kernels", "dup")(lambda size: None)
 
     def test_descriptions_nonempty(self):
         assert all(w.description for w in WORKLOADS.values())
@@ -111,3 +109,19 @@ class TestQuickSmoke:
         finally:
             prepared.close()
         assert result is not None
+
+
+class TestVenuePinnedByName:
+    def test_exported_process_transport_keeps_workers1_in_process(
+        self, monkeypatch
+    ):
+        """``dm2td.workers*`` time the in-process venue their names
+        claim even with ``M2TD_TRANSPORT=process`` exported; only the
+        ``dm2td.external.*`` rows dispatch to worker processes."""
+        monkeypatch.setenv("M2TD_TRANSPORT", "process")
+        runner = BenchmarkRunner(
+            QUICK, iterations=1, warmup=0, measure_memory=False
+        )
+        result = runner.run_workload(WORKLOADS["dm2td.workers1"])
+        assert result.metrics
+        assert not [m for m in result.metrics if m.startswith("worker.")]

@@ -22,6 +22,19 @@ def pendulum_study() -> EnsembleStudy:
 
 
 @pytest.fixture(scope="session")
+def pendulum_subs(pendulum_study):
+    """Full-density cross-sampled sub-ensembles of ``pendulum_study``
+    as dense arrays: ``(partition, x1, x2)``, seed 7."""
+    from repro.sampling import budget_for_fractions
+
+    partition = pendulum_study.default_partition()
+    x1, x2, _cells, _runs = pendulum_study.sample_sub_ensembles(
+        partition, budget_for_fractions(partition), seed=7
+    )
+    return partition, x1.to_dense(), x2.to_dense()
+
+
+@pytest.fixture(scope="session")
 def lorenz_study() -> EnsembleStudy:
     return EnsembleStudy.create(Lorenz(), resolution=5)
 

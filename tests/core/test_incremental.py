@@ -118,6 +118,23 @@ class TestStreaming:
         batch_fit = join_fit(batch, full1, full2)
         assert streamed_fit > batch_fit - 0.02
 
+    def test_truncated_streaming_close_to_batch_on_pendulum(
+        self, pendulum_subs
+    ):
+        """Real ensemble data: stream every time step after the first
+        four one slab at a time; the streamed fit stays within 0.05 of
+        the batch refit."""
+        _partition, x1, x2 = pendulum_subs
+        ranks = [3] * 5
+        state = IncrementalM2TD(x1[:4], x2[:4], ranks)
+        for step in range(4, x1.shape[0]):
+            state.append(x1[step : step + 1], x2[step : step + 1])
+        assert len(state.factors()) == 5
+        batch = batch_reference(x1, x2, ranks)
+        assert batch.ndim == 5
+        streamed_fit = join_fit(state.decompose().tucker, x1, x2)
+        assert streamed_fit > join_fit(batch, x1, x2) - 0.05
+
     def test_snapshot_metadata(self, rng):
         x1, x2 = make_subs(rng, 4)
         state = IncrementalM2TD(x1, x2, [2] * 5)

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import average_factors, row_select, row_select_source
+from repro.core.join_tensor import dense_join_from_subs
 from repro.core.row_select import align_columns
 from repro.exceptions import ShapeError
+from repro.tensor import (
+    leading_left_singular_vectors,
+    multi_ttm,
+    truncated_svd,
+    unfold,
+)
 
 
 class TestAlignColumns:
@@ -63,6 +70,32 @@ class TestRowSelect:
         u = rng.standard_normal((4, 2))
         with pytest.raises(ShapeError):
             row_select(u, u, np.ones(3), np.ones(2))
+
+    def test_spectral_energy_fits_join_at_least_as_well(self, pendulum_subs):
+        """Algorithm 5's row "energy" read on ``U @ diag(s)`` fits the
+        stitched join tensor at least as well as plain ``U`` row norms
+        (the reading under which SELECT fell below AVG)."""
+        partition, x1, x2 = pendulum_subs
+        joined = dense_join_from_subs(x1, x2, partition)
+        rank = 3
+        free_factors = [
+            leading_left_singular_vectors(unfold(x, axis), rank)
+            for x in (x1, x2)
+            for axis in (1, 2)
+        ]
+        u1, s1, _ = truncated_svd(unfold(x1, 0), rank)
+        u2, s2, _ = truncated_svd(unfold(x2, 0), rank)
+
+        def fit(pivot_factor):
+            factors = [pivot_factor] + free_factors
+            core = multi_ttm(joined, factors, transpose=True)
+            residual = multi_ttm(core, factors) - joined
+            return 1 - np.linalg.norm(residual) / np.linalg.norm(joined)
+
+        spectral = fit(row_select(u1, u2, s1, s2))
+        plain = fit(row_select(u1, u2))
+        assert min(spectral, plain) > 0
+        assert spectral >= plain - 1e-9
 
     def test_output_rows_come_from_inputs(self, rng):
         u1 = rng.standard_normal((6, 3))

@@ -85,3 +85,21 @@ class TestPhaseAccounting:
         t1 = dist.total_time(ClusterModel(n_servers=1))
         t18 = dist.total_time(ClusterModel(n_servers=18))
         assert t1 > t18 > 0
+
+    def test_join_side_compute_outweighs_half_of_phase1(self, pendulum_subs):
+        """Raw per-phase compute on a real study: the join-side work
+        (stitch + core recovery) is at least half the sub-tensor
+        decompositions.  Each phase is ~1 ms and jittery, hence the
+        slack."""
+        partition, x1, x2 = pendulum_subs
+        dist = distributed_m2td(
+            SparseTensor.from_dense(x1, keep_zeros=True),
+            SparseTensor.from_dense(x2, keep_zeros=True),
+            partition, [3] * 5, variant="select",
+        )
+        compute = {
+            phase: stats.total_compute_seconds
+            for phase, stats in dist.job_stats.items()
+        }
+        join_side = compute["phase2"] + compute["phase3"]
+        assert join_side >= 0.5 * compute["phase1"]

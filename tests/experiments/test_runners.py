@@ -12,19 +12,19 @@ from repro.experiments import (
     default_config,
     run_experiment,
 )
+from repro.sampling import budget_for_fractions
 
 
 @pytest.fixture(scope="module")
 def tiny_config():
+    # servers, P and E fractions stay at the paper's full sweeps: the
+    # table shapes below are claimed over every one of them
     return replace(
         default_config(),
         resolutions=(5,),
         ranks=(2,),
         default_resolution=5,
         default_rank=2,
-        servers=(1, 4),
-        pivot_fractions=(1.0, 0.5),
-        free_fractions=(1.0, 0.5),
     )
 
 
@@ -76,6 +76,8 @@ class TestTable2(object):
         )
         conventional_ceiling = max(row["Random"], row["Grid"], row["Slice"])
         assert m2td_floor > 3 * conventional_ceiling
+        assert m2td_floor > 0.1
+        assert conventional_ceiling < 0.1
 
     def test_time_table_present(self, tiny_config, cache):
         report = run_experiment("table2", tiny_config, cache)
@@ -86,9 +88,10 @@ class TestTable3:
     def test_scaling_shape(self, tiny_config, cache):
         report = run_experiment("table3", tiny_config, cache)
         rows = report.as_dicts()
-        assert rows[0]["Servers"] == 1
-        # more servers -> no slower
-        assert rows[-1]["Total"] <= rows[0]["Total"] + 1e-9
+        assert [row["Servers"] for row in rows] == [1, 2, 4, 9, 18]
+        # more servers -> no slower, at every step of the sweep
+        totals = [row["Total"] for row in rows]
+        assert all(a >= b - 1e-9 for a, b in zip(totals, totals[1:]))
         # phase 3 is the costliest phase on one server
         assert rows[0]["Phase3"] >= rows[0]["Phase1"]
 
@@ -103,7 +106,7 @@ class TestTable4:
         report = run_experiment("table4", tiny_config, cache)
         for row in report.as_dicts():
             assert row["M2TD-SELECT"] > 3 * max(
-                row["Random"], row["Grid"], row["Slice"]
+                row["Random"], row["Grid"], row["Slice"], 1e-9
             )
 
 
@@ -115,6 +118,20 @@ class TestTable5:
         # zero-join stitches a denser tensor than plain join at the
         # same low budget
         assert rows[2]["join nnz"] > rows[1]["join nnz"]
+        # full budget > low-budget zero-join > low-budget plain join
+        full, low_join, low_zero = (row["M2TD-SELECT"] for row in rows)
+        assert full > low_zero > low_join
+        # the low-budget rows really do spend less than full budget
+        study = cache.study(
+            tiny_config.default_system, tiny_config.default_resolution
+        )
+        low = study.run_m2td(
+            [tiny_config.default_rank] * study.space.n_modes,
+            free_fraction=tiny_config.budget_fraction_low,
+            sub_sampling="random",
+            seed=tiny_config.seed,
+        )
+        assert low.cells < study.matched_budget()
 
 
 class TestTables67:
@@ -124,6 +141,14 @@ class TestTables67:
         drop_p = table6[0]["M2TD-SELECT"] - table6[-1]["M2TD-SELECT"]
         drop_e = table7[0]["M2TD-SELECT"] - table7[-1]["M2TD-SELECT"]
         assert drop_e > drop_p - 1e-9
+        # at 25% the E-reduction lands no higher than the P-reduction
+        assert (
+            table7[-1]["M2TD-SELECT"] <= table6[-1]["M2TD-SELECT"] + 1e-9
+        )
+        assert all(row["M2TD-SELECT"] > 0 for row in table6 + table7)
+        # Table VI's budget shrinks strictly with P
+        cells = [row["cells"] for row in table6]
+        assert all(a > b for a, b in zip(cells, cells[1:]))
 
 
 class TestTable8:
@@ -131,7 +156,7 @@ class TestTable8:
         report = run_experiment("table8", tiny_config, cache)
         for row in report.as_dicts():
             assert row["M2TD-SELECT"] > 2 * max(
-                row["Random"], row["Grid"], row["Slice"]
+                row["Random"], row["Grid"], row["Slice"], 1e-9
             )
 
     def test_all_pivots_present(self, tiny_config, cache):
@@ -145,7 +170,9 @@ class TestExtensions:
         report = run_experiment("ext-completion", tiny_config, cache)
         rows = report.as_dicts()
         baseline, completion, m2td = (row["accuracy"] for row in rows)
+        assert min(completion, m2td) > 0
         assert completion > baseline
+        assert m2td > baseline
         assert m2td > 0.5 * completion  # M2TD competitive or better
 
     def test_multiway_depth_tradeoff(self, tiny_config, cache):
@@ -234,14 +261,26 @@ class TestFigures:
 
     def test_fig6_gain_matches_analytic(self, tiny_config, cache):
         report = run_experiment("fig6", tiny_config, cache)
-        for row in report.as_dicts():
+        partition = cache.study(
+            tiny_config.default_system, tiny_config.default_resolution
+        ).default_partition()
+        rows = report.as_dicts()
+        assert len(rows) == len(tiny_config.free_fractions)
+        for fraction, row in zip(tiny_config.free_fractions, rows):
             assert row["gain (measured)"] == pytest.approx(
                 row["gain (analytic)"], rel=0.01
             )
+            # cross sampling stitches exactly P * E^2 join entries
+            budget = budget_for_fractions(partition, 1.0, fraction)
+            assert row["join entries"] == budget.join_entries
 
     def test_cost_amortisation_speedup(self, tiny_config, cache):
         report = run_experiment("fig-cost", tiny_config, cache)
         rows = report.as_dicts()
         partitioned, full = rows[0], rows[1]
         assert partitioned["runs"] < full["runs"]
+        # two sub-ensembles of E = R^2 runs each, at most a quarter of
+        # the R^4 full-space runs
+        assert partitioned["runs"] == 2 * tiny_config.default_resolution**2
+        assert partitioned["runs"] * 4 <= full["runs"]
         assert partitioned["integrator seconds"] < full["integrator seconds"]

@@ -105,9 +105,9 @@ class TestUnfoldCsr:
         dense = rng.standard_normal((3, 4, 5))
         dense[np.abs(dense) < 0.8] = 0.0
         tensor = SparseTensor.from_dense(dense)
-        assert np.allclose(
-            tensor.unfold_csr(mode).toarray(), unfold(dense, mode)
-        )
+        matrix = tensor.unfold_csr(mode)
+        assert matrix.shape == unfold(dense, mode).shape
+        assert np.allclose(matrix.toarray(), unfold(dense, mode))
 
     def test_frobenius_norm(self):
         tensor = small_tensor()

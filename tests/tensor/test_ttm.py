@@ -67,10 +67,9 @@ class TestMultiTtm:
     def test_transpose_flag(self, rng):
         tensor = rng.standard_normal((3, 4))
         m = rng.standard_normal((3, 2))
-        assert np.allclose(
-            multi_ttm(tensor, [m, None], transpose=True),
-            ttm(tensor, m.T, 0),
-        )
+        projected = multi_ttm(tensor, [m, None], transpose=True)
+        assert projected.shape == (2, 4)
+        assert np.allclose(projected, ttm(tensor, m.T, 0))
 
     def test_skip_modes(self, rng):
         tensor = rng.standard_normal((3, 4))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.join_tensor import dense_join_from_subs
 from repro.exceptions import RankError, ShapeError
 from repro.tensor import (
     SparseTensor,
@@ -71,6 +72,7 @@ class TestHosvd:
     def test_exact_recovery_of_low_rank(self):
         tensor = random_low_rank((6, 7, 8), (2, 3, 2), seed=0)
         tucker = hosvd(tensor, (2, 3, 2))
+        assert tucker.rank == (2, 3, 2)
         assert tucker.relative_error(tensor) < 1e-10
 
     def test_orthonormal_factors(self):
@@ -86,6 +88,7 @@ class TestHosvd:
         sparse = SparseTensor.from_dense(tensor, keep_zeros=True)
         dense_result = hosvd(tensor, (2, 3, 2))
         sparse_result = hosvd(sparse, (2, 3, 2))
+        assert sparse_result.rank == (2, 3, 2)
         assert np.allclose(
             dense_result.reconstruct(), sparse_result.reconstruct()
         )
@@ -108,6 +111,18 @@ class TestHooi:
         ranks = (3, 3, 3)
         base = hosvd(tensor, ranks).relative_error(tensor)
         refined = hooi(tensor, ranks).relative_error(tensor)
+        assert refined <= base + 1e-10
+
+    def test_refines_or_matches_hosvd_on_join_tensor(self, pendulum_subs):
+        """The same on a stitched pendulum join tensor, where both
+        methods must also capture some of it."""
+        partition, x1, x2 = pendulum_subs
+        joined = dense_join_from_subs(x1, x2, partition)
+        ranks = (3,) * 5
+        base = hosvd(joined, ranks).relative_error(joined)
+        assert base < 1.0
+        assert hooi(joined, ranks, n_iter=3).relative_error(joined) < 1.0
+        refined = hooi(joined, ranks, n_iter=5).relative_error(joined)
         assert refined <= base + 1e-10
 
     def test_exact_on_low_rank(self):
