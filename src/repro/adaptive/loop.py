@@ -127,8 +127,8 @@ class AdaptiveEnsembleBuilder:
     Parameters
     ----------
     study:
-        The ensemble study (its ground truth plays the role of the
-        simulator: reading a cell *charges* the budget).
+        The ensemble study (its oracle is the simulator: reading a
+        cell *charges* the budget).
     partition:
         PF-partition of the study's space.
     ranks:
@@ -206,9 +206,9 @@ class AdaptiveEnsembleBuilder:
         )
 
     def _read_cells(self, which: int, sub_coords: np.ndarray) -> np.ndarray:
-        """'Run' the simulations for these sub-space cells."""
+        """Run the simulations for these sub-space cells."""
         full = self.partition.embed_coords(which, sub_coords)
-        return self.study.truth[tuple(full.T)]
+        return self.study.oracle.cells(full)
 
     def _sub_tensor(self, which: int, selected_flat: np.ndarray) -> SparseTensor:
         coords = self._fiber_sub_coords(which, selected_flat)

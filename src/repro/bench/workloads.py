@@ -185,9 +185,9 @@ def _sparse_sample(size: SizeSpec, density: float = 0.3):
 
     study = _study(size)
     shape = study.space.shape
-    budget = max(1, int(density * study.truth.size))
+    budget = max(1, int(density * study.space.n_cells_full))
     sample = RandomSampler(seed=size.seed).sample(shape, budget)
-    values = study.truth[tuple(sample.coords.T)]
+    values = study.oracle.cells(sample.coords)
     return SparseTensor(shape, sample.coords, values)
 
 

@@ -111,12 +111,17 @@ class CampaignOrchestrator:
         builds a single-worker runtime whose cache tier lives under
         ``<workdir>/cache``.
     study:
-        Pre-built study (tests and benches share one); by default the
-        scenario study is built through the runtime, so its ground
-        truth is itself a cached task.
+        Pre-built study (tests and benches share one, and runs it has
+        already simulated cost the campaign nothing); by default the
+        scenario study is built on the runtime, so its simulation
+        batches are cached tasks.
     truth_metrics:
         Record an evaluation-only ``truth_rmse`` per round (golden
-        convergence pins); never consulted by any decision.
+        convergence pins); never consulted by any decision.  Only
+        this builds the study's full ground truth.
+    meter:
+        Charged the runs the campaign's cells make the study's oracle
+        integrate (evaluation-only truth builds are not charged).
     """
 
     def __init__(
@@ -144,10 +149,7 @@ class CampaignOrchestrator:
         self.runtime = runtime
         if study is None:
             study = EnsembleStudy.create(
-                make_system(spec.scenario),
-                spec.resolution,
-                runtime=runtime,
-                meter=self.meter,
+                make_system(spec.scenario), spec.resolution, runtime=runtime
             )
         self.study = study
         self.partition = study.default_partition(pivot=spec.pivot)
@@ -240,12 +242,12 @@ class CampaignOrchestrator:
     def _simulate_cells(
         self, which: int, cells: List[Tuple[int, int]]
     ) -> np.ndarray:
-        """'Run' the simulations: read the cells off the ground truth."""
+        """Simulate one side's cells through the study's oracle, which
+        integrates (and charges the meter for) only the runs it has
+        not simulated yet."""
         coords = self._sub_coords(which, cells)
         full = self.partition.embed_coords(which, coords)
-        values = self.study.truth[tuple(full.T)]
-        self.meter.charge(runs=0, cells=len(cells), wall_seconds=0.0)
-        return np.asarray(values, dtype=float)
+        return self.study.oracle.cells(full, meter=self.meter)
 
     def _merge(
         self, which: int, cells: List[Tuple[int, int]], values: np.ndarray
@@ -638,13 +640,23 @@ class CampaignOrchestrator:
                     (int(f), int(p))
                     for f, p in record.new_cells[str(which)]
                 ]
-                # Values re-read from the (cached) ground truth — the
-                # journal stores coordinates only.
-                coords = self._sub_coords(which, cells)
-                full = self.partition.embed_coords(which, coords)
-                self._merge(
-                    which, cells, self.study.truth[tuple(full.T)]
-                )
+                # The journal stores coordinates only, so values are
+                # re-read from the oracle, in the requests the round
+                # made: a confirm round's probes (all at its probe
+                # pivot, where confirm cells never fall) then its
+                # confirm cells.  Each request then hits the oracle's
+                # cached batch instead of simulating again.
+                groups = [cells]
+                if record.phase == "confirm":
+                    groups = [
+                        [c for c in cells if c[1] == record.probe_pivot],
+                        [c for c in cells if c[1] != record.probe_pivot],
+                    ]
+                for group in groups:
+                    if group:
+                        self._merge(
+                            which, group, self._simulate_cells(which, group)
+                        )
             self._records.append(record)
         if self._records:
             self._model = self._fit()

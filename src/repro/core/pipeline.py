@@ -1,7 +1,8 @@
 """End-to-end ensemble studies: the library's primary high-level API.
 
-An :class:`EnsembleStudy` owns one (system, resolution) ground truth
-and exposes the two competing workflows of the paper:
+An :class:`EnsembleStudy` owns one (system, resolution) simulation
+space, simulates only the runs its samples touch, and exposes the two
+competing workflows of the paper:
 
 * :meth:`EnsembleStudy.run_conventional` — sample the full space with
   a conventional scheme (Random/Grid/Slice) and HOSVD the sparse
@@ -30,7 +31,7 @@ from ..sampling.base import Sampler
 from ..sampling.budget import PartitionBudget, budget_for_fractions
 from ..sampling.partition import PFPartition
 from ..sampling.sub_ensemble import select_sub_ensembles
-from ..simulation.ensemble import SimulationMeter, full_space_tensor
+from ..simulation.ensemble import SimulationMeter, SimulationOracle
 from ..simulation.observation import Observation, make_observation
 from ..simulation.parameter_space import ParameterSpace
 from ..simulation.systems import DynamicalSystem
@@ -81,11 +82,16 @@ def _count_runs(coords: np.ndarray, time_mode: int) -> int:
 
 @dataclass
 class EnsembleStudy:
-    """Ground truth plus helpers for running competing schemes on it."""
+    """A simulation space, its observation and the oracle that
+    simulates it, plus helpers for running competing schemes on it.
+
+    Samples read their cells through :attr:`oracle`, which integrates
+    only the runs they touch; :attr:`truth` is for evaluation and is
+    built on first use."""
 
     space: ParameterSpace
     observation: Observation
-    truth: np.ndarray
+    oracle: SimulationOracle
 
     @classmethod
     def create(
@@ -94,62 +100,46 @@ class EnsembleStudy:
         resolution: int,
         time_resolution: Optional[int] = None,
         true_params: Optional[Dict[str, float]] = None,
-        chunk_size: int = 4096,
         runtime: Optional[Runtime] = None,
         meter: Optional[SimulationMeter] = None,
     ) -> "EnsembleStudy":
-        """Build the study: discretize, observe, simulate the full space.
+        """Set up the study: discretize the space and observe the true
+        parameters.  No ensemble run is simulated here.
 
-        This is the expensive step (``resolution ** n_params``
-        batched simulation runs) and is shared by every scheme
-        evaluated on the study.  With a ``runtime``, construction runs
-        as a content-addressed graph task: a repeated study over the
-        same (system, resolution, time_resolution, true_params) reuses
-        the cached tensor — and with the runtime's ``cache_dir`` set,
-        reuse survives across processes — so the ``meter`` is charged
-        zero runs on the second build.
+        The study's oracle integrates runs as schemes sample them and
+        charges ``meter`` for exactly those.  With a ``runtime`` its
+        batches and the evaluation-only ground truth are
+        content-addressed cache tasks keyed by (system, resolution,
+        time_resolution, true_params): the same study built again
+        reuses them -- across processes, with the runtime's
+        ``cache_dir`` -- and the ``meter`` is charged zero runs.
         """
         space = ParameterSpace(
             system, resolution, time_resolution=time_resolution
         )
         observation = make_observation(space, true_params=true_params)
-        logger.info(
-            "building ground truth for %s: %d simulation runs over %s",
-            system.name,
-            space.n_simulations_full,
-            space.shape,
+        oracle = SimulationOracle(
+            space, observation, meter=meter, runtime=runtime,
+            cache_key=cls._truth_cache_key(space, true_params),
         )
+        return cls(space=space, observation=observation, oracle=oracle)
 
-        def build() -> np.ndarray:
-            # Only reached on a cache miss (or without a runtime), so
-            # the meter sees exactly the integrator work performed.
-            return full_space_tensor(
-                space, observation, chunk_size=chunk_size, meter=meter
-            )
-
-        if runtime is None:
-            truth = build()
-        else:
-            truth = runtime.call(
-                f"ground-truth:{system.name}:r{resolution}",
-                build,
-                cache_scope="ground-truth",
-                cache_key=cls._truth_cache_key(space, true_params),
-                # closure over space/observation: thread or inline only
-                affinity="thread" if runtime.workers > 1 else "inline",
-            )
-        return cls(space=space, observation=observation, truth=truth)
+    @property
+    def truth(self) -> np.ndarray:
+        """The full-space ground-truth tensor ``Y`` (evaluation only;
+        every run the samples did not touch is simulated on first
+        use)."""
+        return self.oracle.truth()
 
     @staticmethod
     def _truth_cache_key(
         space: ParameterSpace, true_params: Optional[Dict[str, float]]
     ) -> Tuple:
-        """Content key for the ground-truth tensor.
+        """Content key for the ground-truth tensor (and, with a digest
+        of the runs, for each oracle batch).
 
-        ``chunk_size`` is deliberately excluded: chunking changes the
-        batching, not the tensor.  Parameter ranges are included so
-        two systems sharing a name but differing in grids never
-        collide.
+        Parameter ranges are included so two systems sharing a name
+        but differing in grids never collide.
         """
         system = space.system
         param_defs = tuple(
@@ -202,9 +192,9 @@ class EnsembleStudy:
     def sub_tensor_from_coords(
         self, partition: PFPartition, which: int, sub_coords: np.ndarray
     ) -> SparseTensor:
-        """Sub-ensemble tensor with values read from the ground truth."""
+        """Sub-ensemble tensor with values simulated by the oracle."""
         full_coords = partition.embed_coords(which, sub_coords)
-        values = self.truth[tuple(full_coords.T)]
+        values = self.oracle.cells(full_coords)
         return SparseTensor(partition.sub_shape(which), sub_coords, values)
 
     def sample_sub_ensembles(
@@ -220,6 +210,8 @@ class EnsembleStudy:
         V-B (shared pivot configs x free configs); ``"random"`` draws
         the same number of cells uniformly within each sub-space — the
         low-budget regime of Table V where zero-join earns its keep.
+
+        Both sub-ensembles' runs are simulated in one oracle request.
 
         Returns ``(x1, x2, cells, runs)``.
         """
@@ -239,15 +231,17 @@ class EnsembleStudy:
             raise SamplingError(
                 f"sub_sampling must be 'cross' or 'random', got {sub_sampling!r}"
             )
-        x1 = self.sub_tensor_from_coords(partition, 1, coords1)
-        x2 = self.sub_tensor_from_coords(partition, 2, coords2)
         full = np.vstack(
             [
                 partition.embed_coords(1, coords1),
                 partition.embed_coords(2, coords2),
             ]
         )
-        cells = coords1.shape[0] + coords2.shape[0]
+        values = self.oracle.cells(full)
+        n1 = coords1.shape[0]
+        x1 = SparseTensor(partition.sub_shape(1), coords1, values[:n1])
+        x2 = SparseTensor(partition.sub_shape(2), coords2, values[n1:])
+        cells = full.shape[0]
         runs = _count_runs(full, self.space.time_mode)
         return x1, x2, cells, runs
 
@@ -321,7 +315,7 @@ class EnsembleStudy:
             decompose_seconds=elapsed,
             cells=cells,
             runs=runs,
-            density=cells / self.truth.size,
+            density=cells / self.space.n_cells_full,
             phase_seconds=dict(result.phase_seconds),
             join_nnz=result.join_nnz,
             m2td=result,

@@ -177,6 +177,10 @@ def run_config(
                 default_budget = result.cells
             results.append(result)
         return results
+    # Every scheme is scored against the ground truth: build it (one
+    # cached task) before concurrent schemes share the oracle, so a
+    # rerun on the same cache reads it back whatever the interleaving.
+    study.truth
     graph = scheme_graph(study, config, ranks, seed)
     outcome = runtime.run(graph)
     return [outcome.results[name] for name in graph.names]

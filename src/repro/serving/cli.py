@@ -101,9 +101,9 @@ def register_demo_studies(
             continue
         study = EnsembleStudy.create(make_system(name), resolution)
         shape = study.space.shape
-        budget = max(1, int(density * study.truth.size))
+        budget = max(1, int(density * study.space.n_cells_full))
         sample = RandomSampler(seed=seed).sample(shape, budget)
-        values = study.truth[tuple(sample.coords.T)]
+        values = study.oracle.cells(sample.coords)
         tensor = SparseTensor(shape, sample.coords, values)
         catalog.register(
             key, tensor, ranks=[2] * len(shape), overwrite=True

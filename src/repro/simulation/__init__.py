@@ -3,7 +3,7 @@
 Provides the paper's three test systems (double pendulum, triple
 pendulum with friction, Lorenz), the ODE integrators that run them,
 discretized parameter spaces, the observed reference configuration,
-and the batched ensemble-tensor construction.
+and the memoized simulation oracle that builds ensemble tensors.
 """
 
 from .double_pendulum import DoublePendulum
@@ -11,7 +11,7 @@ from .double_pendulum_g import DoublePendulumG
 from .epidemic import EpidemicSEIR
 from .ensemble import (
     SimulationMeter,
-    ensemble_from_truth,
+    SimulationOracle,
     full_space_tensor,
     simulate_fibers,
 )
@@ -54,7 +54,7 @@ __all__ = [
     "Observation",
     "make_observation",
     "SimulationMeter",
-    "ensemble_from_truth",
+    "SimulationOracle",
     "full_space_tensor",
     "simulate_fibers",
     "euler",

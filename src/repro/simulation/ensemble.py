@@ -10,27 +10,33 @@ conflated:
   is one ``(parameters, timestamp)`` entry of the tensor — the
   simulation budget ``B`` counts cells.
 
-:class:`SimulationMeter` tracks both.  The ground-truth tensor ``Y``
-for accuracy evaluation is built once per (system, resolution) via
-:func:`full_space_tensor` using the batched integrator, and samplers
-then read their cells out of it — equivalent to running each selected
-simulation individually, at a fraction of the wall clock.
+:class:`SimulationMeter` tracks both.  A study pays only for the runs
+its samples touch: :class:`SimulationOracle` integrates a run the first
+time any of its cells is asked for (all of a request's missing runs in
+one batched integrator call) and serves every later read from memory.
+The full ground-truth tensor ``Y`` is for evaluation only; the oracle
+builds it on first use from the same memo, so sampled cells and ``Y``
+always agree bit for bit.  :func:`full_space_tensor` is the plain
+chunked construction of ``Y``, kept as the oracle's reference.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from ..exceptions import SimulationError
 from ..observability import get_metrics, span as _span
-from ..tensor.sparse import SparseTensor
 from .integrators import rk4_sampled
 from .observation import Observation
 from .parameter_space import ParameterSpace
+
+if TYPE_CHECKING:
+    from ..runtime import Runtime
 
 
 @dataclass
@@ -155,32 +161,166 @@ def full_space_tensor(
         return tensor
 
 
-def ensemble_from_truth(
-    truth: np.ndarray,
-    space: ParameterSpace,
-    coords: np.ndarray,
-    meter: Optional[SimulationMeter] = None,
-) -> SparseTensor:
-    """Sparse ensemble tensor for selected cells, read from ``Y``.
+class SimulationOracle:
+    """Memoized simulator of one study's parameter space.
 
-    ``coords`` is an ``(nnz, n_modes)`` cell coordinate array (full
-    tensor coordinates, time mode included).  The meter — when given —
-    is charged the number of *distinct parameter combinations* as runs
-    and ``nnz`` as cells, mirroring what executing exactly these
-    simulations would have cost.
+    Keyed by parameter-index row: the fiber of each run is integrated
+    at most once into a dense ``(n_runs, T)`` buffer, and every later
+    read comes from there.  A request integrates all of its missing
+    runs in one :func:`simulate_fibers` call, because the integrator's
+    per-step cost is mostly fixed (one pendulum run costs ~80% of 127).
+    Every fiber is checked finite on its way into the buffer, which is
+    the one place simulated values enter a study.
+
+    Parameters
+    ----------
+    space, observation:
+        What to simulate and what distances are measured against.
+    meter:
+        Charged for every run this oracle integrates, and for nothing
+        else: reads of memoized or cached runs are free.
+    runtime:
+        With a runtime, each request is a content-addressed task keyed
+        by ``cache_key`` plus a digest of the requested runs, so the
+        same request on the same runtime (the same study built again,
+        a resumed campaign re-reading its cells) integrates nothing.
+        The full tensor is the ``ground-truth`` task keyed by
+        ``cache_key`` alone; without a ``cache_key`` nothing is cached.
+        Tasks run inline on the calling thread.
+
+    Requests hold a lock, since campaign round graphs share one oracle
+    across runtime threads.
     """
-    coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim != 2 or coords.shape[1] != space.n_modes:
-        raise SimulationError(
-            f"coords must have shape (nnz, {space.n_modes}), got {coords.shape}"
+
+    def __init__(
+        self,
+        space: ParameterSpace,
+        observation: Observation,
+        meter: Optional[SimulationMeter] = None,
+        runtime: Optional["Runtime"] = None,
+        cache_key: Any = None,
+    ):
+        self.space = space
+        self.observation = observation
+        self.meter = meter
+        self.runtime = runtime
+        self.cache_key = cache_key
+        self._grid = (space.resolution,) * space.n_param_modes
+        n_runs = space.n_simulations_full
+        self._fibers = np.empty((n_runs, space.time_resolution))
+        self._simulated = np.zeros(n_runs, dtype=bool)
+        self._lock = threading.Lock()
+
+    @property
+    def n_simulated(self) -> int:
+        """Runs held in the buffer so far."""
+        return int(np.count_nonzero(self._simulated))
+
+    def fibers(self, param_indices: np.ndarray) -> np.ndarray:
+        """Distance fibers ``(B, T)`` for ``(B, n_params)`` index rows."""
+        runs = self._runs(param_indices)
+        with self._lock:
+            self._request(runs, None)
+            return self._fibers[runs]
+
+    def cells(
+        self, coords: np.ndarray, meter: Optional[SimulationMeter] = None
+    ) -> np.ndarray:
+        """Values at full-tensor cell coordinates ``(nnz, n_modes)``
+        (time mode last).  ``meter`` is charged the runs this call
+        integrated, on top of the oracle's own meter."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.ndim != 2 or coords.shape[1] != self.space.n_modes:
+            raise SimulationError(
+                f"coords must have shape (nnz, {self.space.n_modes}), "
+                f"got {coords.shape}"
+            )
+        runs = self._runs(coords[:, : self.space.n_param_modes])
+        with self._lock:
+            self._request(runs, meter)
+            return self._fibers[runs, coords[:, self.space.time_mode]]
+
+    def truth(self) -> np.ndarray:
+        """The full-space tensor ``Y``: every run not yet simulated is
+        integrated in one call (served by the ``ground-truth`` cache
+        task when a runtime holds it)."""
+        with self._lock:
+            if not self._simulated.all():
+                system = self.space.system
+                self._fill(
+                    np.arange(self._simulated.size), None,
+                    f"ground-truth:{system.name}:r{self.space.resolution}",
+                    "ground-truth", self.cache_key,
+                )
+            return self._fibers.reshape(self.space.shape)
+
+    # ------------------------------------------------------------------
+    def _runs(self, param_indices: np.ndarray) -> np.ndarray:
+        """Flat run index of each parameter-index row."""
+        param_indices = np.asarray(param_indices, dtype=np.int64)
+        if (
+            param_indices.ndim != 2
+            or param_indices.shape[1] != self.space.n_param_modes
+        ):
+            raise SimulationError(
+                f"param_indices must have shape (B, "
+                f"{self.space.n_param_modes}), got {param_indices.shape}"
+            )
+        return np.ravel_multi_index(tuple(param_indices.T), self._grid)
+
+    def _request(
+        self, runs: np.ndarray, meter: Optional[SimulationMeter]
+    ) -> None:
+        if self._simulated[runs].all():
+            return
+        runs = np.unique(runs)
+        # the cache fingerprints the run array itself (its digest)
+        self._fill(
+            runs, meter, f"simulate:{self.space.system.name}", "simulation",
+            None if self.cache_key is None else (self.cache_key, runs),
         )
-    if truth.shape != space.shape:
-        raise SimulationError(
-            f"truth shape {truth.shape} != space shape {space.shape}"
+
+    def _fill(
+        self, runs: np.ndarray, meter: Optional[SimulationMeter],
+        name: str, cache_scope: str, cache_key: Any,
+    ) -> None:
+        """Bring ``runs`` into the buffer, through the runtime's cache
+        when there is one.  The caller holds the lock."""
+        if self.runtime is None:
+            fibers = self._simulate(runs, meter)
+        else:
+            fibers = self.runtime.call(
+                name, self._simulate, runs, meter,
+                cache_scope=cache_scope, cache_key=cache_key,
+                affinity="inline",
+            )
+        fibers = np.reshape(fibers, (runs.size, self.space.time_resolution))
+        bad = ~np.isfinite(fibers).all(axis=1)
+        if bad.any():
+            run = int(runs[np.argmax(bad)])
+            row = tuple(int(i) for i in np.unravel_index(run, self._grid))
+            raise SimulationError(
+                f"{self.space.system.name}: non-finite fiber for parameter "
+                f"row {row} ({self.space.params_from_indices(row)})"
+            )
+        self._fibers[runs] = fibers
+        self._simulated[runs] = True
+
+    def _simulate(
+        self, runs: np.ndarray, meter: Optional[SimulationMeter]
+    ) -> np.ndarray:
+        """Fibers of ``runs``: buffered ones copied, the rest integrated
+        in one batch.  Leaves the buffer untouched (a cached result is
+        checked and stored by :meth:`_fill`)."""
+        fibers = self._fibers[runs]
+        missing = ~self._simulated[runs]
+        sink = SimulationMeter()
+        rows = np.stack(np.unravel_index(runs[missing], self._grid), axis=1)
+        fibers[missing] = simulate_fibers(
+            self.space, self.observation, rows, meter=sink
         )
-    values = truth[tuple(coords.T)]
-    if meter is not None:
-        param_part = coords[:, : space.n_param_modes]
-        distinct_runs = np.unique(param_part, axis=0).shape[0] if coords.size else 0
-        meter.charge(runs=distinct_runs, cells=coords.shape[0], wall_seconds=0.0)
-    return SparseTensor(space.shape, coords, values)
+        if self.meter is not None:
+            self.meter.merge(sink)
+        if meter is not None and meter is not self.meter:
+            meter.merge(sink)
+        return fibers

@@ -10,9 +10,12 @@ from repro.campaigns import (
     read_journal,
 )
 from repro.campaigns.cli import main as campaigns_main
+from repro.core import EnsembleStudy
 from repro.exceptions import CampaignSpecError, CampaignStateError
 from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.sampling import budget_for_fractions
+from repro.simulation import SimulationMeter, make_system
 
 from .conftest import spec_with
 
@@ -210,6 +213,39 @@ class TestTruthMetrics:
     def test_truth_rmse_off_by_default(self, epidemic_study):
         outcome = run_campaign(spec_with(), epidemic_study)
         assert all(r.truth_rmse is None for r in outcome.rounds)
+
+
+class TestSimulationMetering:
+    """The meter is charged the runs the campaign's cells made the
+    study's oracle integrate, and no others."""
+
+    def test_runs_the_study_already_sampled_are_free(self):
+        study = EnsembleStudy.create(make_system("double_pendulum"), 6)
+        partition = study.default_partition()
+        study.sample_sub_ensembles(
+            partition, budget_for_fractions(partition), seed=0
+        )
+        meter = SimulationMeter()
+        outcome = run_campaign(
+            spec_with(scenario="double_pendulum"), study, meter=meter
+        )
+        assert outcome.cells_simulated > 0
+        assert meter.runs == 0
+
+    @pytest.mark.parametrize("truth_metrics", [False, True])
+    def test_own_study_never_simulates_the_full_space(self, truth_metrics):
+        meter = SimulationMeter()
+        with CampaignOrchestrator(
+            spec_with(), meter=meter, truth_metrics=truth_metrics
+        ) as orchestrator:
+            outcome = orchestrator.run()
+        space = orchestrator.study.space
+        full = space.n_simulations_full
+        assert outcome.cells_simulated > 0
+        assert 0 < meter.runs < full
+        assert meter.cells == meter.runs * space.time_resolution
+        simulated = orchestrator.study.oracle.n_simulated
+        assert simulated == (full if truth_metrics else meter.runs)
 
 
 class TestCli:

@@ -31,6 +31,7 @@ class TestGroundTruthCache:
                 runtime=first,
                 meter=meter_first,
             )
+            study.truth  # create simulates nothing; the truth is lazy
         finally:
             first.shutdown()
         assert meter_first.runs > 0
@@ -46,6 +47,7 @@ class TestGroundTruthCache:
                 runtime=second,
                 meter=meter_second,
             )
+            rebuilt.truth
         finally:
             second.shutdown()
         assert meter_second.runs == 0
@@ -59,11 +61,11 @@ class TestGroundTruthCache:
         try:
             EnsembleStudy.create(
                 DoublePendulum(), RESOLUTION, runtime=runtime, meter=meter
-            )
+            ).truth
             runs_after_first = meter.runs
             EnsembleStudy.create(
                 DoublePendulum(), RESOLUTION, runtime=runtime, meter=meter
-            )
+            ).truth
         finally:
             runtime.shutdown()
         assert runs_after_first > 0
@@ -76,14 +78,14 @@ class TestGroundTruthCache:
         try:
             EnsembleStudy.create(
                 DoublePendulum(), RESOLUTION, runtime=runtime, meter=meter
-            )
+            ).truth
             first = meter.runs
             EnsembleStudy.create(
                 DoublePendulum(),
                 RESOLUTION + 1,
                 runtime=runtime,
                 meter=meter,
-            )
+            ).truth
         finally:
             runtime.shutdown()
         assert meter.runs > first

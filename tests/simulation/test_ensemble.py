@@ -8,7 +8,7 @@ from repro.simulation import (
     DoublePendulum,
     ParameterSpace,
     SimulationMeter,
-    ensemble_from_truth,
+    SimulationOracle,
     full_space_tensor,
     make_observation,
     simulate_fibers,
@@ -71,35 +71,31 @@ class TestFullSpaceTensor:
             full_space_tensor(space, obs, chunk_size=0)
 
 
-class TestEnsembleFromTruth:
+class TestOracleCells:
     def test_values_read_from_truth(self, setup):
-        space, _obs, truth = setup
+        space, obs, truth = setup
         coords = np.array([[0, 0, 0, 0, 0], [1, 2, 3, 0, 2]])
-        tensor = ensemble_from_truth(truth, space, coords)
-        assert tensor.get((0, 0, 0, 0, 0)) == pytest.approx(truth[0, 0, 0, 0, 0])
-        assert tensor.get((1, 2, 3, 0, 2)) == pytest.approx(truth[1, 2, 3, 0, 2])
+        values = SimulationOracle(space, obs).cells(coords)
+        assert values[0] == truth[0, 0, 0, 0, 0]
+        assert values[1] == truth[1, 2, 3, 0, 2]
 
     def test_meter_counts_distinct_runs(self, setup):
-        space, _obs, truth = setup
+        space, obs, _truth = setup
         coords = np.array(
             [[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
         )
         meter = SimulationMeter()
-        ensemble_from_truth(truth, space, coords, meter=meter)
+        oracle = SimulationOracle(space, obs, meter=meter)
+        oracle.cells(coords)
         assert meter.runs == 2  # two distinct parameter combos
-        assert meter.cells == 3
+        assert meter.cells == 2 * space.time_resolution
+        oracle.cells(coords)
+        assert meter.runs == 2  # memoized: nothing integrated again
 
     def test_rejects_bad_coords(self, setup):
-        space, _obs, truth = setup
+        space, obs, _truth = setup
         with pytest.raises(SimulationError):
-            ensemble_from_truth(truth, space, np.zeros((2, 3), dtype=int))
-
-    def test_rejects_truth_mismatch(self, setup):
-        space, _obs, truth = setup
-        with pytest.raises(SimulationError):
-            ensemble_from_truth(
-                truth[..., :-1], space, np.zeros((1, 5), dtype=int)
-            )
+            SimulationOracle(space, obs).cells(np.zeros((2, 3), dtype=int))
 
 
 class TestSimulationMeter:
