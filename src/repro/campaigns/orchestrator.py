@@ -10,8 +10,7 @@ focused **confirm** round:
    one pivot index (only uncovered cells are charged), and the current
    stitched model's prediction is compared against each probe;
 2. *score* — the absolute mismatch per candidate is the per-cell
-   stitched-reconstruction-error signal (``repro.adaptive.loop``'s
-   oracle);
+   stitched-reconstruction-error signal;
 3. *allocate* — the round batch is apportioned across candidates by
    :func:`repro.campaigns.allocator.allocate` (or evenly, for the
    ``"uniform"`` control), capped per candidate at its uncovered
@@ -43,7 +42,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..adaptive.loop import predict_cells
 from ..core.m2td import M2TDResult, m2td_decompose
 from ..core.pipeline import EnsembleStudy
 from ..exceptions import CampaignSpecError, CampaignStateError
@@ -112,9 +110,11 @@ class CampaignOrchestrator:
         ``<workdir>/cache``.
     study:
         Pre-built study (tests and benches share one, and runs it has
-        already simulated cost the campaign nothing); by default the
-        scenario study is built on the runtime, so its simulation
-        batches are cached tasks.
+        already simulated cost the campaign nothing); it must be of the
+        spec's scenario and resolution, since the spec fingerprint keys
+        the cache and the journal.  By default the scenario study is
+        built on the runtime, so its simulation batches are cached
+        tasks.
     truth_metrics:
         Record an evaluation-only ``truth_rmse`` per round (golden
         convergence pins); never consulted by any decision.  Only
@@ -151,6 +151,18 @@ class CampaignOrchestrator:
             study = EnsembleStudy.create(
                 make_system(spec.scenario), spec.resolution, runtime=runtime
             )
+        elif study.space.system.name != spec.scenario:
+            raise CampaignSpecError(
+                "scenario",
+                f"study simulates {study.space.system.name!r}, not the "
+                f"spec's {spec.scenario!r}",
+            )
+        elif study.space.resolution != spec.resolution:
+            raise CampaignSpecError(
+                "resolution",
+                f"study has resolution {study.space.resolution}, not the "
+                f"spec's {spec.resolution}",
+            )
         self.study = study
         self.partition = study.default_partition(pivot=spec.pivot)
         self._fingerprint = spec.fingerprint()
@@ -165,6 +177,17 @@ class CampaignOrchestrator:
         self._free_shape = {
             1: tuple(self.partition.free_shape(1)),
             2: tuple(self.partition.free_shape(2)),
+        }
+        # Flat free index of each side's fixing constants: where the
+        # *other* side's cells sit in the stitched join space.
+        self._fixing_flat = {
+            which: int(np.ravel_multi_index(
+                tuple(self.partition.fixed_indices[m] for m in modes),
+                self._free_shape[which],
+            ))
+            for which, modes in (
+                (1, self.partition.s1_free), (2, self.partition.s2_free)
+            )
         }
         # Coverage: which (free config, pivot cell) pairs have been
         # simulated, and their values.  Merging is idempotent, so task
@@ -379,10 +402,11 @@ class CampaignOrchestrator:
         cost = len(plan[1]) + len(plan[2])
         # In-sample residual of the first model (reported; the stop
         # rule only compares confirm-round probe metrics).
+        reconstruction = self._model.tucker.reconstruct()
         residuals = np.concatenate([
             np.abs(
                 self._values[which][self._mask[which]]
-                - self._model_values(which)
+                - self._model_values(reconstruction, which)
             )
             for which in (1, 2)
         ])
@@ -405,20 +429,39 @@ class CampaignOrchestrator:
         )
         self._record(record)
 
-    def _model_values(self, which: int) -> np.ndarray:
+    def _predict_cells(
+        self,
+        reconstruction: np.ndarray,
+        which: int,
+        free_flat: np.ndarray,
+        pivot_flat: int,
+    ) -> np.ndarray:
+        """Stitched-model predictions for one side's cells at one pivot
+        configuration — the per-cell reconstruction oracle that probe
+        residuals are measured against.  ``reconstruction`` is the
+        model's dense join-space tensor, built once per scoring pass."""
+        pivot_index = np.unravel_index(pivot_flat, self._pivot_shape)
+        block = reconstruction[pivot_index].reshape(
+            self._free_size[1], self._free_size[2]
+        )
+        if which == 1:
+            return block[free_flat, self._fixing_flat[2]]
+        return block[self._fixing_flat[1], free_flat]
+
+    def _model_values(
+        self, reconstruction: np.ndarray, which: int
+    ) -> np.ndarray:
         """Model predictions at every observed cell of one side."""
-        assert self._model is not None
         free_flat, pivot_flat = np.nonzero(self._mask[which])
         predictions = np.empty(free_flat.shape[0])
         for pivot in np.unique(pivot_flat):
             rows = pivot_flat == pivot
-            predictions[rows] = predict_cells(
-                self._model, self.partition, which,
-                free_flat[rows], int(pivot),
+            predictions[rows] = self._predict_cells(
+                reconstruction, which, free_flat[rows], int(pivot)
             )
         return predictions
 
-    def _probe_pivot(self, index: int) -> int:
+    def _probe_pivot(self, reconstruction: np.ndarray, index: int) -> int:
         """Pick the pivot cell confirm-round probes are simulated at.
 
         Probing a near-silent pivot slice (an epidemic's early time
@@ -428,8 +471,6 @@ class CampaignOrchestrator:
         the top half.  Deterministic given the round history — replay
         recomputes the same pivot without the journal storing it.
         """
-        assert self._model is not None
-        reconstruction = self._model.tucker.reconstruct()
         energy = np.abs(
             reconstruction.reshape(self._pivot_size, -1)
         ).sum(axis=1)
@@ -445,7 +486,8 @@ class CampaignOrchestrator:
         self._fire_round_site(index)
         assert self._model is not None
         spec = self.spec
-        probe_pivot = self._probe_pivot(index)
+        reconstruction = self._model.tucker.reconstruct()
+        probe_pivot = self._probe_pivot(reconstruction, index)
         slots = max(1, math.ceil(spec.batch / (2 * self._pivot_size)))
         remaining = self.remaining
         probe_configs: Dict[int, np.ndarray] = {}
@@ -493,9 +535,8 @@ class CampaignOrchestrator:
             for which in (1, 2):
                 configs = probe_configs[which]
                 observed = self._values[which][configs, probe_pivot]
-                predicted = predict_cells(
-                    self._model, self.partition, which, configs,
-                    probe_pivot,
+                predicted = self._predict_cells(
+                    reconstruction, which, configs, probe_pivot
                 )
                 errors[which] = np.abs(observed - predicted)
             residuals = np.concatenate([errors[1], errors[2]])

@@ -2,38 +2,48 @@
 
 The paper's related work splits ensemble design into one-shot
 (multiple-run) and incremental (single-run replication) allocation.
-This experiment grows the two sub-ensembles incrementally, promoting
-the free configurations where the current M2TD model is most wrong
-(see :mod:`repro.adaptive`), and compares three ways of spending the
-same half-budget:
+This experiment grows the two sub-ensembles incrementally with the
+campaign orchestrator (:mod:`repro.campaigns`), and compares three
+ways of spending the same half-budget:
 
-* adaptive fiber selection (model-mismatch guided);
-* random fiber selection (same structure, no guidance);
+* an adaptive campaign: confirm rounds spend their batch where the
+  current M2TD model is most wrong (the variant);
+* a uniform campaign: the same rounds, batch spread evenly (the
+  declared baseline);
 * conventional random *cell* sampling (no structure at all).
 
 Expected shape — a negative result that *strengthens* the paper:
-adaptive and random fiber selection are statistically
-indistinguishable (accuracy is governed by the sub-ensemble density
-``E`` itself, exactly Table VII's ``P * E^2`` message), while both
-beat unstructured cell sampling by an order of magnitude or more.
-What matters is *that* you sample dense sub-ensembles, not *which*
-fibers you pick.
+adaptive and uniform allocation are statistically indistinguishable
+(accuracy is governed by the sub-ensemble density ``E`` itself,
+exactly Table VII's ``P * E^2`` message), while both beat unstructured
+cell sampling by an order of magnitude or more.  What matters is
+*that* you sample dense sub-ensembles, not *which* fibers you pick.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..adaptive import AdaptiveEnsembleBuilder, random_reference
 from ..sampling import RandomSampler
 from .config import ExperimentConfig, StudyCache
+from .ext_campaign import run_allocations
 from .reporting import ExperimentReport
 
-#: Fraction of the full sub-ensemble budget the loop may spend.
+#: Fraction of the full sub-ensemble budget the campaigns may spend.
 BUDGET_FRACTION = 0.5
+
+#: Confirm-round batch in simulation cells.
+BATCH = 64
 
 #: Seeds averaged per scheme.
 N_SEEDS = 3
+
+#: Report label per scheme.
+LABELS = {
+    "adaptive": "adaptive campaign (model-mismatch)",
+    "uniform": "uniform campaign",
+    "conventional": "conventional random cells",
+}
 
 
 def run(
@@ -47,51 +57,45 @@ def run(
     full_budget = 2 * partition.pivot_space_size * partition.free_space_size(1)
     budget = int(BUDGET_FRACTION * full_budget)
 
-    adaptive_accs, random_accs, conventional_accs = [], [], []
-    cells_used = budget
-    for seed in range(N_SEEDS):
-        builder = AdaptiveEnsembleBuilder(
+    accuracies = {scheme: [] for scheme in LABELS}
+    cells = {scheme: [] for scheme in LABELS}
+    for offset in range(N_SEEDS):
+        seed = config.seed + offset
+        outcomes = run_allocations(
             study,
-            partition,
-            ranks,
-            initial_fraction=0.2,
-            batch_size=3,
-            seed=config.seed + seed,
+            scenario=config.default_system,
+            budget=budget,
+            batch=BATCH,
+            success_delta=0.0,
+            resolution=config.default_resolution,
+            rank=config.default_rank,
+            seed=seed,
         )
-        adaptive = builder.run(budget)
-        cells_used = adaptive.cells_used
-        reference, _ref_cells = random_reference(
-            study, partition, ranks, cells_used, seed=config.seed + seed
-        )
+        for allocation, outcome in outcomes.items():
+            accuracies[allocation].append(outcome.accuracy(study.truth))
+            cells[allocation].append(outcome.cells_simulated)
         conventional = study.run_conventional(
-            RandomSampler(config.seed + seed), cells_used, ranks
+            RandomSampler(seed), outcomes["adaptive"].cells_simulated, ranks
         )
-        adaptive_accs.append(adaptive.result.accuracy(study.truth))
-        random_accs.append(reference.accuracy(study.truth))
-        conventional_accs.append(conventional.accuracy)
+        accuracies["conventional"].append(conventional.accuracy)
+        cells["conventional"].append(conventional.cells)
 
     report = ExperimentReport(
         experiment_id="ext-adaptive",
-        title="Extension: adaptive vs random fiber selection "
+        title="Extension: adaptive vs uniform campaign allocation "
         f"(~{BUDGET_FRACTION:.0%} budget, mean of {N_SEEDS} seeds)",
-        headers=["scheme", "accuracy (mean)", "cells"],
+        headers=["scheme", "accuracy (mean)", "cells (mean)"],
     )
-    report.add_row(
-        "adaptive fibers (model-mismatch)",
-        float(np.mean(adaptive_accs)),
-        cells_used,
-    )
-    report.add_row(
-        "random fibers", float(np.mean(random_accs)), cells_used
-    )
-    report.add_row(
-        "conventional random cells",
-        float(np.mean(conventional_accs)),
-        cells_used,
-    )
+    for scheme, label in LABELS.items():
+        mean_cells = float(np.mean(cells[scheme]))
+        report.add_row(
+            label,
+            float(np.mean(accuracies[scheme])),
+            int(mean_cells) if mean_cells.is_integer() else mean_cells,
+        )
     report.notes.append(
-        "structured fibers >> unstructured cells; adaptive vs random "
-        "fiber choice is within noise — density E, not fiber identity, "
-        "drives accuracy (Table VII's message)"
+        "structured sub-ensembles >> unstructured cells; adaptive vs "
+        "uniform allocation is within noise — density E, not fiber "
+        "identity, drives accuracy (Table VII's message)"
     )
     return report

@@ -1,7 +1,6 @@
 """Extension experiment: campaign-level adaptive budget allocation.
 
-Where ``ext-adaptive`` grows one sub-ensemble fiber at a time, this
-experiment evaluates the *campaign* layer (:mod:`repro.campaigns`):
+This experiment evaluates the *campaign* layer (:mod:`repro.campaigns`):
 whole rounds of simulations allocated across probed configurations by
 per-cell stitched-reconstruction error, versus the uniform-allocation
 control, at the same total budget on the epidemic study.
@@ -13,7 +12,15 @@ of the paper's fixed-budget quality tables.
 
 from __future__ import annotations
 
-from ..campaigns import CampaignOrchestrator, CampaignSpec
+from typing import Dict
+
+from ..campaigns import (
+    ALLOCATIONS,
+    CampaignOrchestrator,
+    CampaignOutcome,
+    CampaignSpec,
+)
+from ..core.pipeline import EnsembleStudy
 from .config import ExperimentConfig, StudyCache
 from .reporting import ExperimentReport
 
@@ -23,6 +30,24 @@ CAMPAIGN_RESOLUTION = 6
 
 #: Confirm-round batch in simulation cells.
 CAMPAIGN_BATCH = 24
+
+
+def run_allocations(
+    study: EnsembleStudy, **spec_fields
+) -> Dict[str, CampaignOutcome]:
+    """Run the adaptive campaign and its uniform baseline on ``study``.
+
+    Both campaigns share every spec field but ``allocation``; each
+    records its ground-truth RMSE per round.
+    """
+    outcomes = {}
+    for allocation in ALLOCATIONS:
+        spec = CampaignSpec(allocation=allocation, **spec_fields)
+        with CampaignOrchestrator(
+            spec, study=study, truth_metrics=True
+        ) as orchestrator:
+            outcomes[allocation] = orchestrator.run()
+    return outcomes
 
 
 def run(
@@ -48,23 +73,19 @@ def run(
             "allocation", "truth RMSE", "cells", "rounds", "stop",
         ],
     )
+    outcomes = run_allocations(
+        study,
+        scenario="epidemic_seir",
+        budget=budget,
+        batch=CAMPAIGN_BATCH,
+        success_delta=1e-9,
+        resolution=CAMPAIGN_RESOLUTION,
+        rank=2,
+        seed=config.seed,
+        max_rounds=12,
+    )
     finals = {}
-    for allocation in ("adaptive", "uniform"):
-        spec = CampaignSpec(
-            scenario="epidemic_seir",
-            budget=budget,
-            batch=CAMPAIGN_BATCH,
-            success_delta=1e-9,
-            resolution=CAMPAIGN_RESOLUTION,
-            rank=2,
-            seed=config.seed,
-            allocation=allocation,
-            max_rounds=12,
-        )
-        with CampaignOrchestrator(
-            spec, study=study, truth_metrics=True
-        ) as orchestrator:
-            outcome = orchestrator.run()
+    for allocation, outcome in outcomes.items():
         final_rmse = outcome.rounds[-1].truth_rmse
         finals[allocation] = final_rmse
         report.add_row(

@@ -81,6 +81,13 @@ class TestFieldValidation:
             make(budget=budget)
         assert excinfo.value.field == "budget"
 
+    @pytest.mark.parametrize("field", ["batch", "probe_factor"])
+    @pytest.mark.parametrize("value", [0, -1, 2.5])
+    def test_bad_round_size(self, field, value):
+        with pytest.raises(CampaignSpecError) as excinfo:
+            make(**{field: value})
+        assert excinfo.value.field == field
+
     def test_batch_exceeding_budget(self):
         with pytest.raises(CampaignSpecError) as excinfo:
             make(budget=10, batch=11)

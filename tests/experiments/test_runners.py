@@ -197,11 +197,24 @@ class TestExtensions:
     def test_adaptive_structured_beats_unstructured(self, tiny_config, cache):
         report = run_experiment("ext-adaptive", tiny_config, cache)
         rows = {row["scheme"]: row for row in report.as_dicts()}
-        structured = rows["adaptive fibers (model-mismatch)"][
-            "accuracy (mean)"
-        ]
-        unstructured = rows["conventional random cells"]["accuracy (mean)"]
-        assert structured > 3 * max(unstructured, 1e-9)
+        adaptive = rows["adaptive campaign (model-mismatch)"]
+        uniform = rows["uniform campaign"]
+        conventional = rows["conventional random cells"]
+        unstructured = max(conventional["accuracy (mean)"], 1e-9)
+        for campaign in (adaptive, uniform):
+            assert campaign["accuracy (mean)"] > 3 * unstructured
+        # every row reports its own charge: the same cells, in budget
+        study = cache.study(
+            tiny_config.default_system, tiny_config.default_resolution
+        )
+        partition = study.default_partition()
+        budget = partition.pivot_space_size * partition.free_space_size(1)
+        cells = {row["cells (mean)"] for row in (adaptive, uniform,
+                                                 conventional)}
+        assert len(cells) == 1 and 0 < cells.pop() <= budget
+        # adaptive vs uniform allocation: the same accuracy regime
+        a, u = adaptive["accuracy (mean)"], uniform["accuracy (mean)"]
+        assert a > 0.3 * u and u > 0.3 * a
 
     def test_noise_preserves_ordering(self, tiny_config, cache):
         report = run_experiment("ext-noise", tiny_config, cache)
