@@ -38,7 +38,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -729,6 +729,22 @@ class CampaignOrchestrator:
             )
         return self._drive(state)
 
+    def _traced_round(
+        self, index: int, phase: str, run_round: Callable[[], None]
+    ) -> None:
+        """Run one round under a ``round-<i>`` span that carries the
+        round's decisions (probe pivot, costs, metric, spend)."""
+        with span(f"round-{index}", "campaign", phase=phase) as sp:
+            run_round()
+            record = self._records[-1]
+            sp.set(
+                probe_pivot=record.probe_pivot,
+                probe_cost=record.probe_cost,
+                alloc_cells=record.alloc_cells,
+                metric=record.metric,
+                spent_after=record.spent_after,
+            )
+
     def _drive(self, state: JournalState) -> CampaignOutcome:
         with span(
             f"campaign:{self.spec.name}", "campaign",
@@ -741,15 +757,13 @@ class CampaignOrchestrator:
             stop_reason = state.stop_reason
             if stop_reason is None:
                 if not self._records:
-                    with span("round-0", "campaign", phase="explore"):
-                        self._explore_round()
+                    self._traced_round(0, "explore", self._explore_round)
                 stop_reason = self._stop_reason()
                 while stop_reason is None:
                     index = len(self._records)
-                    with span(
-                        f"round-{index}", "campaign", phase="confirm"
-                    ):
-                        self._confirm_round(index)
+                    self._traced_round(
+                        index, "confirm", lambda: self._confirm_round(index)
+                    )
                     stop_reason = self._stop_reason()
                 last = self._records[-1]
                 self.journal.append_stop(

@@ -35,7 +35,7 @@ from ..exceptions import FaultInjectionError, MapReduceError
 from ..faults.directive import FaultDirective, directive_for
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span as _span
-from ..runtime.executors import Executor, InlineExecutor, ThreadExecutor
+from ..runtime.executors import InlineExecutor, ThreadExecutor
 
 #: A key-value record flowing through the pipeline.
 Record = Tuple[Hashable, Any]
@@ -247,13 +247,11 @@ class LocalMapReduceEngine:
     a reproduction harness than real parallel speed, and the cluster
     model, not the host machine, decides the reported wall-clock.
     Passing ``n_workers > 1`` executes both the map and the reduce
-    stages on the runtime's shared executor interface
-    (:mod:`repro.runtime.executors`), a thread pool by default: the
+    stages on a runtime thread pool
+    (:class:`~repro.runtime.executors.ThreadExecutor`): the
     heavy tasks here are numpy/LAPACK-bound (SVDs, dense projections),
     which release the GIL, so threads yield real speedups without
-    pickling the closures a process pool would require.  An explicit
-    ``executor`` overrides that choice — any venue satisfying the
-    :class:`~repro.runtime.executors.Executor` contract works.
+    pickling the closures a process pool would require.
 
     Cross-process execution is one constructor argument away:
     ``transport="process"`` (or ``"inline"``) routes every map/reduce
@@ -273,7 +271,6 @@ class LocalMapReduceEngine:
     def __init__(
         self,
         n_workers: int = 1,
-        executor: Optional[Executor] = None,
         task_attempts: int = 1,
         straggler_seconds: Optional[float] = None,
         transport: Optional[str] = None,
@@ -305,13 +302,9 @@ class LocalMapReduceEngine:
         #: and the fresh copy's result is taken (``None`` disables).
         self.straggler_seconds = straggler_seconds
         self._stats_lock = threading.Lock()
-        self._owns_executor = executor is None
-        if executor is None:
-            executor = (
-                InlineExecutor() if n_workers == 1
-                else ThreadExecutor(n_workers)
-            )
-        self.executor = executor
+        self.executor = (
+            InlineExecutor() if n_workers == 1 else ThreadExecutor(n_workers)
+        )
         self._owns_supervisor = False
         if supervisor is None and transport is None:
             transport = os.environ.get("M2TD_TRANSPORT", "").strip() or None
@@ -343,8 +336,7 @@ class LocalMapReduceEngine:
 
     def close(self) -> None:
         """Release the worker pool (only what the engine created)."""
-        if self._owns_executor:
-            self.executor.shutdown()
+        self.executor.shutdown()
         if self._owns_supervisor and self.supervisor is not None:
             self.supervisor.shutdown()
 

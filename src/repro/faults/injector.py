@@ -74,7 +74,7 @@ class _FaultedCall:
     """A task callable with a fault effect baked in.
 
     Module-level and built from plain data so it survives pickling to
-    a process pool; the effect fires where the task runs, which lets
+    a worker process; the effect fires where the task runs, which lets
     the scheduler's retry/timeout machinery treat it like any other
     task failure.
     """

@@ -37,7 +37,9 @@ tensor-op       low-level unfold/fold/TTM/matricize primitives
 mapreduce       map/reduce tasks of the local engine
 storage         block-store put/get/slice I/O
 experiment      one CLI experiment run end to end
-runtime-task    task-graph metrics bridged from ``RuntimeReport``
+runtime-task    one live span per task attempt, under the span that
+                submitted it
+cache           runtime result-cache lookups (``hit`` attribute)
 bench           one harness workload iteration (``repro.bench``)
 serving         factor-space queries, batch drains, bundle loads
 worker          supervised worker batches and (re)spawns
@@ -50,8 +52,6 @@ layer (tensor primitives included) can depend on it freely.
 
 from .cli import add_observability_args, observe
 from .distributed import (
-    TelemetryEnvelope,
-    TelemetryTask,
     TraceContext,
     capture,
     current_trace_context,
@@ -109,8 +109,6 @@ from .tracer import (
 __all__ = [
     "add_observability_args",
     "observe",
-    "TelemetryEnvelope",
-    "TelemetryTask",
     "TraceContext",
     "capture",
     "current_trace_context",

@@ -20,9 +20,7 @@ This module is the bridge:
   and buffered child events replay into the parent's event log;
 * :func:`merged_trace_signature` — a canonical, timing-free rendering
   of the merged dispatch subtrees, so tests can assert byte-identical
-  merges across worker counts;
-* :class:`TelemetryTask` — the same capture wrapped as a picklable
-  callable, for runtime process-executor submissions.
+  merges across worker counts.
 
 Clock-skew normalization: each tracer records ``epoch_unix``
 (``time.time()`` at construction) alongside its ``perf_counter``
@@ -47,8 +45,6 @@ from .tracer import Span, Tracer, get_tracer, set_tracer
 
 __all__ = [
     "SNAPSHOT_VERSION",
-    "TelemetryEnvelope",
-    "TelemetryTask",
     "TraceContext",
     "capture",
     "current_trace_context",
@@ -359,40 +355,3 @@ def merged_trace_signature(tracer: Any, prefix: str = "dispatch:") -> str:
     ]
     subtrees.sort(key=lambda tree: (tree["name"], json.dumps(tree, sort_keys=True)))
     return json.dumps(subtrees, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# runtime process-executor path
-# ----------------------------------------------------------------------
-
-class TelemetryEnvelope:
-    """A task result plus the telemetry captured while producing it."""
-
-    __slots__ = ("value", "snapshot")
-
-    def __init__(self, value: Any, snapshot: Dict[str, Any]):
-        self.value = value
-        self.snapshot = snapshot
-
-
-class TelemetryTask:
-    """Picklable wrapper giving a runtime process-executor submission
-    the same capture-and-ship behaviour as a supervised worker task.
-
-    The scheduler wraps the task function with this only while tracing
-    is on *and* the executor crosses a process boundary; the result
-    comes back as a :class:`TelemetryEnvelope` the scheduler unwraps
-    and merges before caching.
-    """
-
-    __slots__ = ("fn", "context", "label")
-
-    def __init__(self, fn: Any, context: Optional[TraceContext], label: str = ""):
-        self.fn = fn
-        self.context = context
-        self.label = label
-
-    def __call__(self, *args: Any, **kwargs: Any) -> TelemetryEnvelope:
-        with capture(self.context, worker=self.label) as telemetry:
-            value = self.fn(*args, **kwargs)
-        return TelemetryEnvelope(value, telemetry.snapshot())

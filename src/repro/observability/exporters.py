@@ -166,10 +166,11 @@ def flat_profile(tracer: Tracer, top: Optional[int] = None) -> str:
     ``self`` is wall time not covered by child spans; ``cum`` is wall
     time of the outermost spans of the category (nested same-category
     spans are not double-counted); ``self%`` is against the summed
-    top-level span time.
+    self time, so the column adds up to 100%.
     """
     by_category, by_name = _aggregate(tracer)
     total = tracer.total_wall_seconds()
+    total_self = sum(agg["self"] for agg in by_category.values())
     lines = [
         f"flat profile — {tracer.n_spans} spans, "
         f"{total:.3f}s total top-level wall time",
@@ -182,7 +183,7 @@ def flat_profile(tracer: Tracer, top: Optional[int] = None) -> str:
         by_category.items(), key=lambda item: item[1]["self"], reverse=True
     )
     for category, agg in ordered:
-        pct = 100.0 * agg["self"] / total if total > 0 else 0.0
+        pct = 100.0 * agg["self"] / total_self if total_self > 0 else 0.0
         lines.append(
             f"{category:<16} {int(agg['calls']):>7} {agg['self']:>10.4f} "
             f"{agg['cum']:>10.4f} {agg['cpu']:>10.4f} {pct:>6.1f}%"

@@ -9,14 +9,14 @@ against a pipeline run.
 
 Spans nest per thread: each thread keeps its own open-span stack, so a
 span opened on an executor worker becomes a top-level span of that
-thread rather than a child of whatever the main thread had open.  Every
-span records wall time (``perf_counter``), CPU time (``process_time``),
-its thread name, and free-form attributes (tensor shape, nnz, rank,
-worker id, ...).
+thread unless the worker adopts the submitting thread's open span
+(:meth:`Tracer.adopt` — the runtime scheduler does, so task spans nest
+under whatever span submitted them).  Every span records wall time
+(``perf_counter``), CPU time (``process_time``), its thread name, and
+free-form attributes (tensor shape, nnz, rank, worker id, ...).
 
 Timestamps are offsets from the tracer's construction (its *epoch*),
-which is what the Chrome-trace exporter wants and what
-:meth:`Tracer.ingest_report` maps runtime task metrics onto.
+which is what the Chrome-trace exporter wants.
 """
 
 from __future__ import annotations
@@ -86,10 +86,20 @@ class Span:
 
     @property
     def self_seconds(self) -> float:
-        """Wall time not covered by child spans."""
-        return max(
-            0.0, self.wall_seconds - sum(c.wall_seconds for c in self.children)
-        )
+        """Wall time not covered by child spans.
+
+        Children that overlap (parallel tasks under one parent) cover
+        the union of their intervals, clipped to this span's window.
+        """
+        lo, hi = self.started, self.started + self.wall_seconds
+        covered, reached = 0.0, lo
+        for child in sorted(self.children, key=lambda c: c.started):
+            start = max(child.started, reached)
+            end = min(child.started + child.wall_seconds, hi)
+            if end > start:
+                covered += end - start
+                reached = end
+        return max(0.0, self.wall_seconds - covered)
 
     def __enter__(self) -> "Span":
         self.started = time.perf_counter() - self._tracer.epoch
@@ -163,51 +173,31 @@ class Tracer:
         """A new span; use as a context manager."""
         return Span(self, name, category, attrs)
 
-    def record_span(
-        self,
-        name: str,
-        category: str,
-        wall_seconds: float,
-        started: Optional[float] = None,
-        cpu_seconds: float = 0.0,
-        thread: Optional[str] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Record an already-measured span (post-hoc bridge path).
+    def current(self) -> Optional[Span]:
+        """The innermost span open on the calling thread, if any."""
+        stack = self._stack()
+        return stack[-1] if stack else None
 
-        ``started`` is a ``time.perf_counter()`` reading; when omitted
-        the span is back-dated so it ends now.  Bridged spans are
-        always top-level — they describe work that happened elsewhere
-        (an executor worker, a cache lookup), not inside the caller's
-        open span.
+    @contextmanager
+    def adopt(self, parent: Optional[Span]) -> Iterator[None]:
+        """Nest spans opened on this thread under ``parent``.
+
+        ``parent`` is a span still open on another thread (the one that
+        submitted this thread's work); it goes on this thread's stack
+        for the duration, so spans closed here attach as its children
+        rather than becoming roots.  A no-op when ``parent`` is
+        ``None`` or already innermost (the inline case).
         """
-        completed = Span(self, name, category, attrs)
-        if started is None:
-            started = time.perf_counter() - wall_seconds
-        completed.started = max(0.0, started - self.epoch)
-        completed.wall_seconds = float(wall_seconds)
-        completed.cpu_seconds = float(cpu_seconds)
-        completed.thread = thread or threading.current_thread().name
-        with self._lock:
-            self._roots.append(completed)
-        return completed
-
-    def ingest_report(self, report: Any) -> None:
-        """Merge a runtime :class:`~repro.runtime.report.RuntimeReport`
-        into this trace, one ``runtime-task`` span per task (duck-typed
-        so the observability layer stays import-free of the runtime)."""
-        for task in getattr(report, "tasks", []):
-            self.record_span(
-                f"task:{task.name}",
-                "runtime-task",
-                wall_seconds=task.wall_seconds,
-                started=getattr(task, "started_at", None) or None,
-                executor=task.executor,
-                attempts=task.attempts,
-                cache_hit=task.cache_hit,
-                cached=task.cached,
-                error=task.error,
-            )
+        stack = self._stack()
+        if parent is None or (stack and stack[-1] is parent):
+            yield
+            return
+        stack.append(parent)
+        try:
+            yield
+        finally:
+            if stack and stack[-1] is parent:
+                stack.pop()
 
     # ------------------------------------------------------------------
     # per-thread stack plumbing
@@ -271,12 +261,6 @@ class NullTracer:
 
     def span(self, name: str, category: str = "misc", **attrs: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def record_span(self, *args: Any, **kwargs: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-    def ingest_report(self, report: Any) -> None:
-        pass
 
     def roots(self) -> List[Span]:
         return []

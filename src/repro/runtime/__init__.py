@@ -5,13 +5,17 @@ studies express ground-truth construction and per-scheme decomposition
 as cached graph tasks, the MapReduce engine runs its map/reduce stages
 on the shared executor interface, and D-M2TD's three phases form a
 small DAG (phase 1 and phase 2 are independent; phase 3 joins them).
+While tracing is on, every task attempt records a live ``task:<name>``
+span nested under the span that submitted it.  Work that must leave
+the process goes through the supervised worker pool
+(:mod:`repro.distributed.workers`), not through this runtime.
 
 Pieces
 ------
 :class:`TaskGraph` / :func:`output`
     Declare named tasks with explicit dependencies and argument
     placeholders.
-:class:`InlineExecutor` / :class:`ThreadExecutor` / :class:`ProcessExecutor`
+:class:`InlineExecutor` / :class:`ThreadExecutor`
     Pluggable venues behind one ``submit`` interface, chosen per task
     affinity.
 :class:`ResultCache` / :func:`fingerprint`
@@ -24,13 +28,7 @@ Pieces
 """
 
 from .cache import CacheStats, ResultCache, fingerprint
-from .executors import (
-    Executor,
-    InlineExecutor,
-    ProcessExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from .executors import Executor, InlineExecutor, ThreadExecutor
 from .graph import Task, TaskGraph, TaskOutput, output
 from .report import RuntimeReport, TaskMetrics
 from .retry import NO_RETRY, RetryPolicy
@@ -48,9 +46,7 @@ __all__ = [
     "fingerprint",
     "Executor",
     "InlineExecutor",
-    "ProcessExecutor",
     "ThreadExecutor",
-    "make_executor",
     "Task",
     "TaskGraph",
     "TaskOutput",

@@ -1,4 +1,4 @@
-"""Pluggable executors: one submit interface, three execution venues.
+"""Pluggable executors: one submit interface, two in-process venues.
 
 Every executor exposes ``submit(fn, *args, **kwargs) ->
 concurrent.futures.Future``; the scheduler (and any other component
@@ -11,19 +11,19 @@ only where the work runs:
 * :class:`ThreadExecutor` — a shared thread pool.  The right venue for
   GIL-releasing numpy/LAPACK work (SVDs, dense projections, batched
   RK4 steps) and for closures, which need no pickling.
-* :class:`ProcessExecutor` — a process pool for pure-python,
-  GIL-bound work.  Functions and arguments must be picklable
-  (module-level functions, plain-data args).
 
-Pools are created lazily so merely constructing a
-:class:`~repro.runtime.scheduler.Runtime` never forks workers.
+The pool is created lazily so merely constructing a
+:class:`~repro.runtime.scheduler.Runtime` starts no threads.  Work that
+must leave the process goes through the supervised worker pool
+(:class:`~repro.distributed.workers.WorkerSupervisor`), the one
+process venue.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
 from ..exceptions import TaskGraphError
@@ -79,8 +79,11 @@ class InlineExecutor(Executor):
         return future
 
 
-class _PooledExecutor(Executor):
-    """Shared lazy-pool behaviour for thread/process executors."""
+class ThreadExecutor(Executor):
+    """Shared thread-pool venue for GIL-releasing numeric work; the
+    pool is created on first submit and rebuilt after a shutdown."""
+
+    kind = "thread"
 
     def __init__(self, max_workers: int):
         max_workers = int(max_workers)
@@ -89,57 +92,21 @@ class _PooledExecutor(Executor):
                 f"max_workers must be >= 1, got {max_workers}"
             )
         self.max_workers = max_workers
-        self._pool: Optional[Any] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
 
-    def _make_pool(self) -> Any:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> Any:
+    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
         with self._lock:
             if self._pool is None:
-                self._pool = self._make_pool()
-            return self._pool
-
-    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Future:
-        return self._ensure_pool().submit(self._prepare(fn), *args, **kwargs)
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self.max_workers,
+                    thread_name_prefix="repro-runtime",
+                )
+            pool = self._pool
+        return pool.submit(self._prepare(fn), *args, **kwargs)
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=wait)
-
-
-class ThreadExecutor(_PooledExecutor):
-    """Thread-pool venue for GIL-releasing numeric work."""
-
-    kind = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-runtime",
-        )
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Process-pool venue for GIL-bound work (picklable tasks only)."""
-
-    kind = "process"
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-
-def make_executor(kind: str, max_workers: int = 1) -> Executor:
-    """Factory used by CLI flags: ``kind`` in inline/thread/process."""
-    if kind == "inline":
-        return InlineExecutor()
-    if kind == "thread":
-        return ThreadExecutor(max_workers)
-    if kind == "process":
-        return ProcessExecutor(max_workers)
-    raise TaskGraphError(
-        f"unknown executor kind {kind!r}; use 'inline', 'thread' or 'process'"
-    )

@@ -24,10 +24,8 @@ from .retry import RetryPolicy
 
 #: Executor affinities a task may declare.  ``"inline"`` runs on the
 #: scheduling thread, ``"thread"`` suits GIL-releasing numpy/LAPACK
-#: work, ``"process"`` suits pure-python / integrator-heavy work (the
-#: function and its arguments must then be picklable), and ``"any"``
-#: lets the scheduler pick its default.
-AFFINITIES = ("any", "inline", "thread", "process")
+#: work, and ``"any"`` lets the scheduler pick its default.
+AFFINITIES = ("any", "inline", "thread")
 
 
 @dataclass(frozen=True)

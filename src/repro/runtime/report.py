@@ -26,11 +26,6 @@ class TaskMetrics:
     cached: bool = False
     bytes_cached: int = 0
     error: Optional[str] = None
-    #: ``time.perf_counter()`` at first submission (0.0 = never ran,
-    #: e.g. a cache hit).  The observability bridge
-    #: (:meth:`repro.observability.Tracer.ingest_report`) uses it to
-    #: place the task span on the trace timeline.
-    started_at: float = 0.0
 
     @property
     def ok(self) -> bool:

@@ -46,7 +46,7 @@ class RetryPolicy:
         Upper bound on any single sleep.
     timeout_seconds:
         Per-attempt wall-clock budget (``None`` = unbounded).  Enforced
-        pre-emptively for thread/process executors via future timeouts;
+        pre-emptively for the thread executor via future timeouts;
         the inline executor can only detect the overrun after the call
         returns.
     backoff_budget_seconds:

@@ -7,13 +7,15 @@ affinity requests, short-circuiting through the
 and applying the task's :class:`~repro.runtime.retry.RetryPolicy` on
 failure.  It fails fast: the first task that exhausts its attempts
 aborts the run with a :class:`~repro.exceptions.RuntimeExecutionError`
-naming the task.
+naming the task.  While tracing is on, each attempt runs under a live
+``task:<name>`` span nested under the span open where it was
+submitted, and each cache lookup under a ``cache:<name>`` span.
 
 :class:`Runtime` bundles a runner, a shared executor set and one cache
 into the object the rest of the library passes around (``runtime=``
 parameters, ``--workers`` / ``--cache-dir`` CLI flags).
 
-Timeout semantics: thread/process attempts are abandoned once their
+Timeout semantics: thread attempts are abandoned once their
 deadline passes (the worker cannot be force-killed, but its result is
 discarded and the task is retried or failed); inline attempts can only
 be measured after the fact, so their timeout is detected post-hoc.
@@ -37,15 +39,9 @@ from ..exceptions import (
     TaskTimeoutError,
 )
 from ..faults.injector import get_injector
-from ..observability import get_metrics, get_tracer
-from ..observability.distributed import (
-    TelemetryEnvelope,
-    TelemetryTask,
-    current_trace_context,
-    merge_snapshot,
-)
+from ..observability import get_metrics, get_tracer, span
 from .cache import ResultCache, fingerprint
-from .executors import Executor, InlineExecutor, ProcessExecutor, ThreadExecutor
+from .executors import Executor, InlineExecutor, ThreadExecutor
 from .graph import Task, TaskGraph, TaskOutput
 from .report import RuntimeReport, TaskMetrics
 from .retry import NO_RETRY, RetryPolicy
@@ -70,9 +66,23 @@ class _Attempt:
     attempt: int
     started: float
     deadline: Optional[float]
-    #: Wall clock at submission — maps a process-attempt's telemetry
-    #: snapshot onto this tracer's timeline during the merge.
-    dispatched_unix: float = 0.0
+
+
+def _traced_attempt(
+    fn: Any, tracer: Any, parent: Any, name: str, executor: str, attempt: int
+) -> Any:
+    """``fn`` recording one live ``task:<name>`` span per attempt on
+    whichever thread runs it, nested under ``parent`` (the span open
+    where the scheduler submitted the attempt)."""
+
+    def attempt_fn(*args: Any, **kwargs: Any) -> Any:
+        with tracer.adopt(parent), tracer.span(
+            f"task:{name}", "runtime-task",
+            executor=executor, attempts=attempt,
+        ):
+            return fn(*args, **kwargs)
+
+    return attempt_fn
 
 
 def _resolve(value: Any, results: Dict[str, Any]) -> Any:
@@ -109,7 +119,7 @@ class TaskGraphRunner:
         executor = self.executors.get(affinity)
         if executor is None:
             # Degrade gracefully: a runner configured without e.g. a
-            # process pool still runs process-affine tasks inline.
+            # thread pool still runs thread-affine tasks on its default.
             executor = self.executors[self.default_affinity]
         return executor
 
@@ -162,18 +172,13 @@ class TaskGraphRunner:
                 # the effect fires on the task's executor so it flows
                 # through the ordinary failure path.
                 fn = injector.wrap_callable("runtime.task", task.name, fn)
-            if get_tracer().enabled and executor.kind == "process":
-                # A process-executor attempt records into its own
-                # tracer domain; wrap it so the child's telemetry
-                # rides home with the result (unwrapped on success
-                # below).  Tracing off → no wrap, zero overhead.
-                fn = TelemetryTask(
-                    fn,
-                    current_trace_context(f"dispatch:{task.name}"),
-                    label=task.name,
+            tracer = get_tracer()
+            if tracer.enabled:
+                # Tracing off → no wrap, zero overhead.
+                fn = _traced_attempt(
+                    fn, tracer, tracer.current(), task.name,
+                    executor.kind, attempt,
                 )
-            if attempt == 1:
-                m.started_at = time.perf_counter()
             started = time.monotonic()
             deadline = (
                 started + policy.timeout_seconds
@@ -181,10 +186,7 @@ class TaskGraphRunner:
                 else None
             )
             future = executor.submit(fn, *args, **kwargs)
-            running[future] = _Attempt(
-                task, attempt, started, deadline,
-                dispatched_unix=time.time(),
-            )
+            running[future] = _Attempt(task, attempt, started, deadline)
 
         def fail(task: Task, attempt: int, error: BaseException) -> None:
             policy = self._policy_for(task)
@@ -220,7 +222,9 @@ class TaskGraphRunner:
                 m.cached = True
                 key = fingerprint(task.cache_namespace, task.cache_key)
                 cache_keys[name] = key
-                hit, value = self.cache.get(key)
+                with span(f"cache:{name}", "cache") as lookup:
+                    hit, value = self.cache.get(key)
+                    lookup.set(hit=hit)
                 if hit:
                     m.cache_hit = True
                     m.executor = "cache"
@@ -282,27 +286,7 @@ class TaskGraphRunner:
                                 get_injector().note_recovery(
                                     "runtime.task", task.name
                                 )
-                            value = future.result()
-                            if isinstance(value, TelemetryEnvelope):
-                                tracer = get_tracer()
-                                dispatch = None
-                                if tracer.enabled:
-                                    dispatch = tracer.record_span(
-                                        f"dispatch:{task.name}",
-                                        "runtime-task",
-                                        wall_seconds=elapsed,
-                                        worker=m.executor,
-                                    )
-                                merge_snapshot(
-                                    value.snapshot,
-                                    parent_span=dispatch,
-                                    tracer=tracer,
-                                    dispatched_unix=(
-                                        attempt_info.dispatched_unix
-                                    ),
-                                )
-                                value = value.value
-                            finish(task.name, value)
+                            finish(task.name, future.result())
                     else:
                         fail(task, attempt_info.attempt, error)
                 # expire attempts whose deadline passed without a result
@@ -346,10 +330,10 @@ class Runtime:
     Parameters
     ----------
     workers:
-        Pool width for the thread and process executors.  ``1`` keeps
-        graph execution inline (deterministic scheduling, zero pool
-        overhead) while still honouring explicit thread/process
-        affinities with single-worker pools.
+        Pool width for the thread executor.  ``1`` keeps graph
+        execution inline (deterministic scheduling, zero pool
+        overhead) while still honouring explicit thread affinities
+        with a single-worker pool.
     cache_dir:
         Directory for the content-addressed ``.npz`` cache tier;
         ``None`` keeps results memory-only.
@@ -376,7 +360,6 @@ class Runtime:
         self.executors: Dict[str, Executor] = {
             "inline": InlineExecutor(),
             "thread": ThreadExecutor(workers),
-            "process": ProcessExecutor(workers),
         }
         self._runner = TaskGraphRunner(
             executors=self.executors,
@@ -389,18 +372,11 @@ class Runtime:
 
     # ------------------------------------------------------------------
     def run(self, graph: TaskGraph) -> RunOutcome:
-        """Run a graph; metrics also accumulate on ``self.report``.
-
-        When tracing is active the run's :class:`TaskMetrics` are
-        bridged into the trace as ``runtime-task`` spans, and the
-        cache counters tick on the process metrics registry — task
-        execution itself is never touched.
-        """
+        """Run a graph; metrics also accumulate on ``self.report`` and
+        the task and cache counters tick on the process metrics
+        registry."""
         outcome = self._runner.run(graph)
         self.report.merge(outcome.report)
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.ingest_report(outcome.report)
         metrics = get_metrics()
         metrics.counter("runtime.tasks").inc(outcome.report.n_tasks)
         metrics.counter("runtime.cache_hits").inc(outcome.report.cache_hits)
@@ -433,13 +409,6 @@ class Runtime:
             **kwargs,
         )
         return self.run(graph).results[name]
-
-    def executor(self, kind: str) -> Executor:
-        """The shared executor of a given kind (inline/thread/process)."""
-        try:
-            return self.executors[kind]
-        except KeyError:
-            raise TaskGraphError(f"no executor of kind {kind!r}") from None
 
     def shutdown(self, wait: bool = True) -> None:
         for executor in self.executors.values():

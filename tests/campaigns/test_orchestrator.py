@@ -154,6 +154,20 @@ class TestObservability:
         rounds = [s for s in campaign_spans if s.name.startswith("round-")]
         assert len(rounds) == len(outcome.rounds)
 
+    def test_round_spans_carry_decisions(self, epidemic_study):
+        with use_tracer(Tracer()) as tracer:
+            outcome = run_campaign(spec_with(), epidemic_study)
+        rounds = [
+            s for s in tracer.iter_spans()
+            if s.category == "campaign" and s.name.startswith("round-")
+        ]
+        for sp, record in zip(rounds, outcome.rounds):
+            assert sp.name == f"round-{record.index}"
+            assert sp.attrs["probe_pivot"] == record.probe_pivot
+            assert sp.attrs["alloc_cells"] == record.alloc_cells
+            assert sp.attrs["metric"] == record.metric
+        assert rounds[-1].attrs["spent_after"] == outcome.cells_simulated
+
 
 class TestStateContract:
     def test_run_refuses_existing_progress(

@@ -9,6 +9,8 @@ workers, counter totals equal to the inline-transport run.  With
 tracing off, nothing is collected or shipped at all.
 """
 
+import pytest
+
 from repro.distributed import LocalMapReduceEngine, distributed_m2td
 from repro.distributed.workers.protocol import TaskMessage
 from repro.distributed.workers.transport import execute_task
@@ -17,6 +19,7 @@ from repro.observability import (
     MetricsRegistry,
     Tracer,
     merged_trace_signature,
+    span,
     use_event_log,
     use_metrics,
     use_tracer,
@@ -31,20 +34,22 @@ VENUE_INVARIANT_COUNTERS = (
 
 
 def traced_run(dm2td_inputs, workers, transport="process"):
-    """One traced D-M2TD run; returns (tracer, registry, events, run)."""
+    """One traced D-M2TD run under one ``dm2td-run`` span; returns
+    (tracer, registry, events, run)."""
     x1, x2, part, ranks = dm2td_inputs
     tracer, registry, events = Tracer(), MetricsRegistry(), EventLog()
     with use_tracer(tracer), use_metrics(registry), use_event_log(events):
-        engine = LocalMapReduceEngine(
-            workers,
-            transport=transport,
-            heartbeat_seconds=0.1,
-            lease_seconds=5.0,
-        )
-        try:
-            run = distributed_m2td(x1, x2, part, ranks, engine=engine)
-        finally:
-            engine.close()
+        with span("dm2td-run", "experiment", workers=workers):
+            engine = LocalMapReduceEngine(
+                workers,
+                transport=transport,
+                heartbeat_seconds=0.1,
+                lease_seconds=5.0,
+            )
+            try:
+                run = distributed_m2td(x1, x2, part, ranks, engine=engine)
+            finally:
+                engine.close()
     return tracer, registry, events, run
 
 
@@ -88,6 +93,21 @@ class TestMergedTrace:
         assert attributed, "no worker.<id>.* attributed counters"
         # And the workers' buffered events replayed into the parent log.
         assert events.records(event="worker.dispatch")
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_one_root_and_children_inside_parents(
+        self, dm2td_inputs, workers
+    ):
+        tracer, _, _, _ = traced_run(dm2td_inputs, workers)
+        (root,) = tracer.roots()
+        assert root.name == "dm2td-run"
+        for parent in root.walk():
+            parent_end = parent.started + parent.wall_seconds
+            for child in parent.children:
+                assert parent.started - 1e-9 <= child.started, child
+                assert (
+                    child.started + child.wall_seconds <= parent_end + 1e-9
+                ), child
 
     def test_merged_signature_identical_across_worker_counts(
         self, dm2td_inputs

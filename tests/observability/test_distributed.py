@@ -12,8 +12,6 @@ from repro.observability import (
     MetricsRegistry,
     NULL_TRACER,
     Span,
-    TelemetryEnvelope,
-    TelemetryTask,
     TraceContext,
     Tracer,
     capture,
@@ -267,24 +265,3 @@ class TestMergedTraceSignature:
         assert merged_trace_signature(tracer) != merged_trace_signature(
             self.build("worker-0", 100)
         )
-
-
-class TestTelemetryTask:
-    def test_wraps_result_in_envelope_with_snapshot(self):
-        def body(a, b):
-            get_metrics().counter("body.calls").inc()
-            return a + b
-
-        task = TelemetryTask(body, TraceContext("tid"), label="t1")
-        envelope = task(2, 3)
-        assert isinstance(envelope, TelemetryEnvelope)
-        assert envelope.value == 5
-        assert envelope.snapshot["trace_id"] == "tid"
-        assert envelope.snapshot["metrics"]["body.calls"]["value"] == 1.0
-
-    def test_pickles(self):
-        import pickle
-
-        task = TelemetryTask(len, TraceContext("tid"), label="t")
-        clone = pickle.loads(pickle.dumps(task))
-        assert clone((1, 2, 3)).value == 3

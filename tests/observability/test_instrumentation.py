@@ -10,9 +10,11 @@ import numpy as np
 
 from repro.core import EnsembleStudy
 from repro.observability import (
+    MetricsRegistry,
     NullTracer,
     Tracer,
     flat_profile,
+    get_metrics,
     get_tracer,
     span,
     use_metrics,
@@ -28,6 +30,12 @@ from repro.sampling import (
 from repro.simulation import DoublePendulum
 from repro.storage import BlockTensorStore
 from repro.tensor import SparseTensor
+
+def _traced_work(x):
+    with span("child-work", "tensor-op", x=x):
+        get_metrics().counter("child.calls").inc()
+    return x * 2
+
 
 #: the flat profile must split pipeline time across these.
 PIPELINE_CATEGORIES = {
@@ -263,6 +271,54 @@ class TestRuntimeBridge:
         finally:
             runtime.shutdown()
         assert outcome.results["answer"] == 1
+
+    def test_thread_affinity_records_into_live_globals(self):
+        tracer, registry = Tracer(), MetricsRegistry()
+        runtime = Runtime(workers=2)
+        try:
+            graph = TaskGraph()
+            graph.add("double", _traced_work, 21, affinity="thread")
+            with use_tracer(tracer), use_metrics(registry):
+                assert runtime.run(graph)["double"] == 42
+        finally:
+            runtime.shutdown()
+        # Same process: no dispatch indirection, spans recorded live.
+        assert not [
+            s for s in tracer.iter_spans()
+            if s.name.startswith("dispatch:")
+        ]
+        assert registry.as_dict()["child.calls"]["value"] == 1.0
+        # The task body's span nests under the live task span.
+        (task_span,) = tracer.roots()
+        assert task_span.name == "task:double"
+        assert [c.name for c in task_span.children] == ["child-work"]
+
+
+class TestTraceAddsUp:
+    """One run, one trace: the root span accounts for the run's wall
+    time, and span self-times partition it — no post-hoc copies of
+    task time standing beside the task bodies' own spans."""
+
+    def test_serial_table2_quick_has_one_root(self):
+        from repro.experiments import quick_config, run_experiment
+
+        runtime = Runtime(workers=1)
+        try:
+            with use_tracer(Tracer()) as tracer:
+                started = time.perf_counter()
+                with span("experiment:table2", "experiment"):
+                    run_experiment("table2", quick_config(), runtime=runtime)
+                elapsed = time.perf_counter() - started
+        finally:
+            runtime.shutdown()
+        (root,) = tracer.roots()
+        assert root.name == "experiment:table2"
+        assert root.wall_seconds == pytest.approx(elapsed, rel=0.05)
+        self_total = sum(s.self_seconds for s in tracer.iter_spans())
+        assert self_total == pytest.approx(root.wall_seconds, rel=0.05)
+        # Runtime tasks and cache lookups sit inside the root.
+        categories = {s.category for s in root.walk()}
+        assert {"runtime-task", "cache"} <= categories
 
 
 class TestOverheadGuard:

@@ -36,7 +36,6 @@ class TestNoOpDefault:
     def test_null_tracer_records_nothing(self):
         with NULL_TRACER.span("a"):
             pass
-        NULL_TRACER.record_span("b", "misc", 1.0)
         assert NULL_TRACER.roots() == []
         assert NULL_TRACER.n_spans == 0
         assert NULL_TRACER.total_wall_seconds() == 0.0
@@ -84,6 +83,15 @@ class TestRecording:
             outer.wall_seconds
             - sum(c.wall_seconds for c in outer.children)
         )
+        # Parallel children cover the union of their intervals, not
+        # the sum: [1, 4] and [2, 5] under [0, 10] leave 6 s uncovered.
+        parent = tracer.span("parent", "misc")
+        parent.started, parent.wall_seconds = 0.0, 10.0
+        for started in (1.0, 2.0):
+            child = tracer.span("child", "misc")
+            child.started, child.wall_seconds = started, 3.0
+            parent.children.append(child)
+        assert parent.self_seconds == pytest.approx(6.0)
 
     def test_error_captured_and_reraised(self):
         tracer = Tracer()
@@ -131,6 +139,26 @@ class TestThreads:
         assert worker_root.thread == "worker-0"
         assert worker_root.children == []
 
+    def test_adopted_parent_nests_worker_spans(self):
+        tracer = Tracer()
+        after_adopt = []
+
+        def work(parent):
+            with tracer.adopt(parent):
+                with tracer.span("on-worker", "mapreduce"):
+                    pass
+            after_adopt.append(tracer.current())
+
+        with tracer.span("on-main", "misc") as main:
+            assert tracer.current() is main
+            thread = threading.Thread(target=work, args=(main,))
+            thread.start()
+            thread.join()
+        assert after_adopt == [None]
+        (root,) = tracer.roots()
+        assert root is main
+        assert [c.name for c in root.children] == ["on-worker"]
+
     def test_concurrent_recording_is_thread_safe(self):
         tracer = Tracer()
 
@@ -167,45 +195,3 @@ class TestInstallation:
                 pass
         assert get_tracer() is before
         assert tracer.n_spans == 1
-
-
-class TestBridge:
-    def test_record_span_is_top_level(self):
-        tracer = Tracer()
-        with tracer.span("open", "misc"):
-            tracer.record_span(
-                "bridged", "runtime-task", wall_seconds=0.5, executor="thread"
-            )
-        names = {r.name for r in tracer.roots()}
-        assert names == {"open", "bridged"}
-        bridged = next(r for r in tracer.roots() if r.name == "bridged")
-        assert bridged.wall_seconds == 0.5
-        assert bridged.attrs["executor"] == "thread"
-
-    def test_record_span_backdates_when_started_missing(self):
-        tracer = Tracer()
-        sp = tracer.record_span("late", "runtime-task", wall_seconds=0.25)
-        now = time.perf_counter() - tracer.epoch
-        assert 0.0 <= sp.started <= now
-
-    def test_ingest_report_duck_types_tasks(self):
-        class FakeTask:
-            name = "build"
-            wall_seconds = 0.125
-            started_at = time.perf_counter()
-            executor = "thread"
-            attempts = 1
-            cache_hit = False
-            cached = True
-            error = None
-
-        class FakeReport:
-            tasks = [FakeTask()]
-
-        tracer = Tracer()
-        tracer.ingest_report(FakeReport())
-        (root,) = tracer.roots()
-        assert root.name == "task:build"
-        assert root.category == "runtime-task"
-        assert root.wall_seconds == 0.125
-        assert root.attrs["attempts"] == 1

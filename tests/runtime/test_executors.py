@@ -1,9 +1,11 @@
 """Executor venues: one contract, identical results everywhere.
 
 The determinism test runs one full ``EnsembleStudy.run_m2td`` through
-each executor kind — inline, thread pool and process pool — and
-asserts the decomposition agrees to machine precision, which is the
-property that lets callers pick venues on affinity alone.
+each executor kind — inline and thread pool — and asserts the
+decomposition agrees to machine precision, which is the property that
+lets callers pick venues on affinity alone.  Cross-process execution
+belongs to the supervised worker pool and is tested with it
+(``tests/distributed/test_workers.py``).
 """
 
 import numpy as np
@@ -11,14 +13,7 @@ import pytest
 
 from repro.core import EnsembleStudy
 from repro.exceptions import TaskGraphError
-from repro.runtime import (
-    InlineExecutor,
-    ProcessExecutor,
-    Runtime,
-    TaskGraph,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.runtime import InlineExecutor, Runtime, TaskGraph, ThreadExecutor
 from repro.simulation import DoublePendulum
 
 
@@ -27,17 +22,20 @@ def _double(x):
 
 
 def _study_m2td(resolution: int = 5):
-    """Build a small study and run M2TD-SELECT (module-level so the
-    process pool can pickle it by qualified name)."""
+    """Build a small study and run M2TD-SELECT."""
     study = EnsembleStudy.create(DoublePendulum(), resolution=resolution)
     result = study.run_m2td([2] * 5, variant="select", seed=3)
     return result.accuracy, result.m2td.tucker.core
 
 
 class TestContract:
-    @pytest.mark.parametrize("kind", ["inline", "thread", "process"])
-    def test_submit_returns_future(self, kind):
-        executor = make_executor(kind, max_workers=2)
+    @pytest.mark.parametrize(
+        "kind, make",
+        [("inline", InlineExecutor), ("thread", lambda: ThreadExecutor(2))],
+        ids=["inline", "thread"],
+    )
+    def test_submit_returns_future(self, kind, make):
+        executor = make()
         try:
             assert executor.submit(_double, 21).result() == 42
             assert executor.kind == kind
@@ -66,11 +64,7 @@ class TestContract:
         with pytest.raises(TaskGraphError):
             ThreadExecutor(0)
         with pytest.raises(TaskGraphError):
-            ProcessExecutor(-1)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(TaskGraphError, match="unknown executor"):
-            make_executor("gpu")
+            ThreadExecutor(-1)
 
     def test_shutdown_then_resubmit_rebuilds_pool(self):
         executor = ThreadExecutor(1)
@@ -83,7 +77,7 @@ class TestContract:
 class TestDeterminismAcrossVenues:
     def test_full_m2td_study_identical(self):
         outcomes = {}
-        for kind in ("inline", "thread", "process"):
+        for kind in ("inline", "thread"):
             runtime = Runtime(workers=2)
             try:
                 graph = TaskGraph()
@@ -92,10 +86,9 @@ class TestDeterminismAcrossVenues:
             finally:
                 runtime.shutdown()
         accuracy0, core0 = outcomes["inline"]
-        for kind in ("thread", "process"):
-            accuracy, core = outcomes[kind]
-            assert accuracy == pytest.approx(accuracy0, rel=1e-12)
-            np.testing.assert_allclose(core, core0, rtol=1e-12, atol=1e-12)
+        accuracy, core = outcomes["thread"]
+        assert accuracy == pytest.approx(accuracy0, rel=1e-12)
+        np.testing.assert_allclose(core, core0, rtol=1e-12, atol=1e-12)
 
     def test_graph_results_identical_across_worker_counts(self):
         from repro.runtime import output

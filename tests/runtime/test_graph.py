@@ -62,8 +62,11 @@ def test_duplicate_name_rejected():
 
 def test_bad_affinity_rejected():
     g = TaskGraph()
-    with pytest.raises(TaskGraphError, match="affinity"):
-        g.add("a", lambda: 1, affinity="gpu")
+    # "process" is no affinity: the supervised worker pool is the one
+    # process venue.
+    for affinity in ("gpu", "process"):
+        with pytest.raises(TaskGraphError, match="affinity"):
+            g.add("a", lambda: 1, affinity=affinity)
 
 
 def test_non_callable_rejected():

@@ -10,6 +10,7 @@ from repro.exceptions import (
     TaskGraphError,
     TaskTimeoutError,
 )
+from repro.observability import Tracer, use_tracer
 from repro.runtime import RetryPolicy, Runtime
 
 
@@ -225,3 +226,22 @@ class TestSchedulerRetries:
             retry=RetryPolicy(max_attempts=3, backoff_seconds=0.001),
         )
         assert runtime.report.task("counted").attempts == 2
+
+    def test_each_attempt_is_a_traced_span(self):
+        state = {"calls": 0}
+
+        def fails_once():
+            state["calls"] += 1
+            if state["calls"] < 2:
+                raise OSError("flake")
+            return 1
+
+        with use_tracer(Tracer()) as tracer:
+            Runtime().call(
+                "flaky", fails_once, retry=RetryPolicy(max_attempts=2)
+            )
+        attempts = [
+            (s.attrs["attempts"], s.error)
+            for s in tracer.iter_spans() if s.name == "task:flaky"
+        ]
+        assert attempts == [(1, "OSError"), (2, None)]
