@@ -13,9 +13,9 @@ Three subcommands around one workdir:
     Print a round-by-round table from the journal without running
     anything.
 
-Observability (``--trace``/``--profile``/``--metrics``/``--events``)
-and fault injection (``--fault-plan``/``--fault-seed``) compose the
-same way as every other entrypoint in the package.
+Observability (``--trace``/``--profile``/``--metrics``) and fault
+injection (``--fault-plan``/``--fault-seed``) compose the same way as
+every other entrypoint in the package.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _print_rounds(bodies: List[dict]) -> None:
 
 def _cmd_run_or_resume(args: argparse.Namespace, resume: bool) -> int:
     spec = CampaignSpec.from_file(args.spec)
-    with observe(args.trace, args.profile, args.metrics, args.events):
+    with observe(args.trace, args.profile, args.metrics):
         with inject_faults(args.fault_plan, args.fault_seed):
             cache_dir = (
                 os.path.join(args.workdir, "cache")

@@ -6,7 +6,7 @@ the full observability surface one flag away::
 
     M2TD_TRANSPORT=process python -m repro.distributed \
         --workers 4 --transport process --trace trace.json \
-        --metrics metrics.json --events events.jsonl
+        --metrics metrics.json
 
 This is what the CI observability job runs: a live 4-worker pool whose
 merged Chrome trace (one pid lane per worker process) is uploaded as
@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.distributed",
         description="Run the canonical D-M2TD problem on a supervised "
-        "worker pool, with tracing/metrics/events one flag away.",
+        "worker pool, with tracing and metrics one flag away.",
     )
     parser.add_argument(
         "--workers", type=int, default=4, metavar="N",
@@ -85,10 +85,9 @@ def main(argv=None) -> int:
 
     x1, x2, partition, ranks = _canonical_problem()
     core_norm = 0.0
-    with observe(
-        args.trace, args.profile, args.metrics,
-        getattr(args, "events", None),
-    ), inject_faults(args.fault_plan, args.fault_seed):
+    with observe(args.trace, args.profile, args.metrics), inject_faults(
+        args.fault_plan, args.fault_seed
+    ):
         for repeat in range(max(1, args.repeats)):
             engine = LocalMapReduceEngine(n_workers=args.workers)
             try:

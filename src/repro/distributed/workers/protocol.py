@@ -106,10 +106,10 @@ class TaskMessage:
 
     ``trace_context`` propagates the parent's trace id so worker-side
     spans stitch back under the dispatching span;
-    ``collect_telemetry`` asks the child to capture its spans/metrics/
-    events around the task (the supervisor sets it only on process
-    venues, and only while tracing or event logging is on — the
-    disabled path ships nothing and captures nothing).
+    ``collect_telemetry`` asks the child to capture its spans and
+    metrics around the task (the supervisor sets it only on process
+    venues, and only while tracing is on — the disabled path ships
+    nothing and captures nothing).
     ``telemetry_directive`` is the child-side half of a parent-decided
     ``observability.telemetry`` fault: mangle the snapshot, never the
     result.

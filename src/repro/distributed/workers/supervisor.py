@@ -50,14 +50,7 @@ from ...exceptions import (
 )
 from ...faults.directive import directive_for
 from ...faults.injector import get_injector
-from ...observability import (
-    Span,
-    emit,
-    get_event_log,
-    get_metrics,
-    get_tracer,
-    span as _span,
-)
+from ...observability import Span, get_metrics, get_tracer, span as _span
 from ...observability.distributed import current_trace_context, merge_snapshot
 from ...runtime.retry import RetryPolicy
 from .protocol import (
@@ -128,6 +121,9 @@ class _Entry:
     completed_perf: float = 0.0
     expects_telemetry: bool = False
     telemetry: Optional[dict] = None
+    #: Why the shipped snapshot was lost ("" while none was), recorded
+    #: as ``telemetry_dropped`` on the task's dispatch span.
+    telemetry_dropped: str = ""
 
     @property
     def finished(self) -> bool:
@@ -243,7 +239,8 @@ class WorkerSupervisor:
             for i in range(n_workers)
         ]
         self._respawns = 0
-        self._degraded = False
+        #: Why execution fell back to inline ("" while it has not).
+        self._degraded_reason = ""
         self._closed = False
         self._lock = threading.RLock()
         self._pending: deque = deque()
@@ -255,7 +252,7 @@ class WorkerSupervisor:
     def degraded(self) -> bool:
         """True once the crash budget is exhausted and execution fell
         back to inline."""
-        return self._degraded
+        return bool(self._degraded_reason)
 
     @property
     def respawns(self) -> int:
@@ -291,7 +288,8 @@ class WorkerSupervisor:
                 self._merge_telemetry(entries, sp)
                 sp.set(
                     respawns=self._respawns,
-                    degraded=self._degraded,
+                    degraded=self.degraded,
+                    degraded_reason=self._degraded_reason,
                 )
         return [entry.outcome() for entry in entries]
 
@@ -322,20 +320,20 @@ class WorkerSupervisor:
     # the supervision loop
     # ------------------------------------------------------------------
     def _run_entries(self, entries: List[_Entry]) -> None:
-        if self._degraded:
+        if self.degraded:
             for entry in entries:
-                self._run_inline(entry, counter="worker.inline_fallbacks")
+                self._run_inline(entry, "degraded")
             return
         by_task: Dict[str, _Entry] = {e.task_id: e for e in entries}
         self._pending = deque(entries)
         self._ensure_started()
         while not all(e.finished for e in entries):
-            if self._degraded:
+            if self.degraded:
                 break
             now = time.monotonic()
             self._respawn_due(now)
             self._assign(now)
-            if self._degraded:
+            if self.degraded:
                 break
             live = [s for s in self._slots if s.state == "live"]
             if not live:
@@ -369,13 +367,11 @@ class WorkerSupervisor:
                 for message in handle.receive_all():
                     self._on_message(slot, by_task, message, now)
             self._check_deadlines(time.monotonic())
-        if self._degraded:
+        if self.degraded:
             for entry in entries:
                 if not entry.finished:
                     entry.state = "pending"
-                    self._run_inline(
-                        entry, counter="worker.inline_fallbacks"
-                    )
+                    self._run_inline(entry, "degraded")
         if all(e.state == "done" for e in entries):
             # The batch completed despite any worker-keyed faults along
             # the way — that *is* the recovery, even when the pool
@@ -392,21 +388,20 @@ class WorkerSupervisor:
                     slot.pending_heal = False
 
     def _merge_telemetry(self, entries: List[_Entry], sp: Any) -> None:
-        """Stitch shipped worker telemetry into the parent's trace,
-        metrics, and event log, still inside the open batch span.
+        """Stitch shipped worker telemetry into the parent's trace and
+        metrics, still inside the open batch span.
 
         Every externally dispatched task gets a ``dispatch:<task_id>``
         span under the batch span — even when its snapshot was dropped
         or corrupted, which is exactly the degraded
-        "supervisor-side-only" view.  Child spans attach beneath the
-        dispatch span, clock-skew-normalized onto this tracer's
-        timeline; counters/histograms fold into the live registry with
-        ``worker.<id>`` attribution; buffered child events replay
-        tagged with their origin.
+        "supervisor-side-only" view, marked ``telemetry_dropped``.
+        Child spans attach beneath the dispatch span,
+        clock-skew-normalized onto this tracer's timeline;
+        counters/histograms fold into the live registry with
+        ``worker.<id>`` attribution.
         """
         tracer = get_tracer()
         registry = get_metrics()
-        events = get_event_log()
         parent_open = isinstance(sp, Span)
         for entry in entries:
             dispatch = None
@@ -432,6 +427,8 @@ class WorkerSupervisor:
                 dispatch.thread = threading.current_thread().name
                 if entry.error is not None:
                     dispatch.error = type(entry.error).__name__
+                if entry.telemetry_dropped:
+                    dispatch.set(telemetry_dropped=entry.telemetry_dropped)
                 sp.children.append(dispatch)
             if entry.telemetry:
                 worker_id = entry.worker_id
@@ -442,7 +439,6 @@ class WorkerSupervisor:
                     parent_span=dispatch,
                     tracer=tracer,
                     registry=registry,
-                    events=events,
                     dispatched_unix=entry.dispatched_unix,
                     worker_id=worker_id,
                 )
@@ -472,7 +468,7 @@ class WorkerSupervisor:
         for slot in self._slots:
             if slot.state == "empty":
                 self._try_spawn(slot)
-                if self._degraded:
+                if self.degraded:
                     return
 
     def _try_spawn(self, slot: _Slot) -> bool:
@@ -480,7 +476,10 @@ class WorkerSupervisor:
         worker_id = slot.worker_id
         injector = get_injector()
         kill_after_spawn = False
-        with _span("worker-spawn", "worker", worker=worker_id):
+        with _span(
+            "worker-spawn", "worker",
+            worker=worker_id, attempt=slot.spawn_attempts,
+        ) as sp:
             try:
                 directive = directive_for(
                     injector, "worker.spawn", worker_id
@@ -508,18 +507,13 @@ class WorkerSupervisor:
                 logger.warning("spawn of %s failed: %s", worker_id, exc)
                 self._after_worker_loss(slot, "spawn failed")
                 return False
+            sp.set(pid=handle.pid)
         now = time.monotonic()
         slot.handle = handle
         slot.state = "live"
         slot.last_beat = now
         slot.counted_misses = 0
         slot.entry = None
-        emit(
-            "worker.spawn",
-            correlation_id=worker_id,
-            pid=handle.pid,
-            attempt=slot.spawn_attempts,
-        )
         if kill_after_spawn:
             # A real kill -9 of the live worker: death is discovered
             # by the loop (pipe EOF / liveness), recovery by respawn.
@@ -536,24 +530,22 @@ class WorkerSupervisor:
             "worker %s lost (%s); requeueing its lease", slot.worker_id,
             reason,
         )
-        emit(
-            "worker.death",
-            correlation_id=slot.worker_id,
-            reason=reason,
-            task=slot.entry.task_id if slot.entry is not None else "",
-        )
         entry = slot.entry
         slot.entry = None
-        if entry is not None and entry.state == "running":
-            entry.state = "pending"
-            entry.requeues += 1
-            entry.heal_targets.add(("worker.result", entry.task_id))
-            self._pending.append(entry)
-        if slot.handle is not None:
-            slot.handle.kill()
-            slot.handle = None
-        slot.pending_heal = True
-        self._after_worker_loss(slot, reason)
+        with _span(
+            "worker-death", "worker", worker=slot.worker_id, reason=reason,
+            task=entry.task_id if entry is not None else "",
+        ):
+            if entry is not None and entry.state == "running":
+                entry.state = "pending"
+                entry.requeues += 1
+                entry.heal_targets.add(("worker.result", entry.task_id))
+                self._pending.append(entry)
+            if slot.handle is not None:
+                slot.handle.kill()
+                slot.handle = None
+            slot.pending_heal = True
+            self._after_worker_loss(slot, reason)
 
     def _after_worker_loss(self, slot: _Slot, reason: str) -> None:
         """Pay for a replacement (or degrade) and schedule the respawn
@@ -576,10 +568,9 @@ class WorkerSupervisor:
         if not self.degrade_to_inline:
             self.shutdown_workers_only()
             raise CrashBudgetError(self._respawns, self.crash_budget)
-        if not self._degraded:
-            self._degraded = True
+        if not self.degraded:
+            self._degraded_reason = reason
             get_metrics().gauge("worker.degraded").set(1)
-            emit("worker.degraded", reason=reason)
             logger.warning(
                 "degrading to inline execution (%s); remaining tasks "
                 "run in-process and are metered on "
@@ -607,7 +598,7 @@ class WorkerSupervisor:
             if entry is None:
                 return
             self._dispatch(slot, entry, now)
-            if self._degraded:
+            if self.degraded:
                 return
 
     def _next_pending(self) -> Optional[_Entry]:
@@ -633,15 +624,15 @@ class WorkerSupervisor:
                     entry.task_id, exc,
                 )
                 metrics.counter("worker.unpicklable_tasks").inc()
-                self._run_inline(entry)
+                self._run_inline(entry, "unpicklable")
                 return
             metrics.counter("worker.bytes_sent").inc(len(payload))
         # Telemetry only crosses a process boundary — the inline venue
-        # records straight into the live tracer/metrics/event log — and
-        # only while something is on to receive it, so the disabled
-        # path captures and ships nothing.
-        collect_telemetry = self.transport.requires_pickle and (
-            get_tracer().enabled or get_event_log().enabled
+        # records straight into the live tracer and metrics — and only
+        # while tracing is on, so the disabled path captures and ships
+        # nothing.
+        collect_telemetry = (
+            self.transport.requires_pickle and get_tracer().enabled
         )
         telemetry_directive = (
             directive_for(injector, "observability.telemetry", entry.task_id)
@@ -671,12 +662,6 @@ class WorkerSupervisor:
         entry.dispatched_perf = time.perf_counter()
         entry.dispatched_unix = time.time()
         metrics.counter("worker.tasks_dispatched").inc()
-        emit(
-            "worker.dispatch",
-            correlation_id=entry.task_id,
-            worker=slot.worker_id,
-            requeues=entry.requeues,
-        )
 
     def _on_message(
         self, slot: _Slot, by_task: Dict[str, _Entry], message, now: float
@@ -728,23 +713,12 @@ class WorkerSupervisor:
                 # the loss and fall back to supervisor-side-only spans.
                 try:
                     entry.telemetry = message.telemetry_snapshot()
+                    if entry.telemetry is None:
+                        raise ValueError("snapshot missing from reply")
                 except ValueError as exc:
                     entry.telemetry = None
-                    reason = str(exc)
-                else:
-                    reason = (
-                        "snapshot missing from reply"
-                        if entry.telemetry is None
-                        else ""
-                    )
-                if entry.telemetry is None:
+                    entry.telemetry_dropped = str(exc)
                     metrics.counter("worker.telemetry_dropped").inc()
-                    emit(
-                        "worker.telemetry_dropped",
-                        correlation_id=entry.task_id,
-                        worker=message.worker_id,
-                        reason=reason,
-                    )
                     if injector.enabled:
                         injector.note_recovery(
                             "observability.telemetry", entry.task_id
@@ -807,7 +781,7 @@ class WorkerSupervisor:
                     entry.heal_targets.add(
                         ("worker.result", entry.task_id)
                     )
-                    self._run_inline(entry, quarantined=True)
+                    self._run_inline(entry, "quarantined")
                     self._handle_death(slot, "lease expired (poison)")
                 else:
                     self._handle_death(slot, "lease expired")
@@ -815,30 +789,32 @@ class WorkerSupervisor:
     # ------------------------------------------------------------------
     # inline execution (degradation, quarantine, unpicklable tasks)
     # ------------------------------------------------------------------
-    def _run_inline(
-        self,
-        entry: _Entry,
-        counter: str = "worker.inline_tasks",
-        quarantined: bool = False,
-    ) -> None:
-        get_metrics().counter(counter).inc()
+    def _run_inline(self, entry: _Entry, reason: str) -> None:
+        """Settle ``entry`` in this process under an ``inline:<task>``
+        span; ``reason`` is ``degraded``, ``quarantined`` or
+        ``unpicklable``."""
+        get_metrics().counter(
+            "worker.inline_fallbacks" if reason == "degraded"
+            else "worker.inline_tasks"
+        ).inc()
         injector = get_injector()
         entry.ran_inline = True
         entry.worker_id = "inline"
-        try:
-            entry.value = entry.fn()
-        except PoisonTaskError:
-            raise  # pragma: no cover — defensive
-        except BaseException as exc:  # noqa: BLE001 — outcome carries it
-            entry.error = exc
-            entry.state = "failed"
-            return
+        with _span(f"inline:{entry.task_id}", "worker", reason=reason):
+            try:
+                entry.value = entry.fn()
+            except PoisonTaskError:
+                raise  # pragma: no cover — defensive
+            except BaseException as exc:  # noqa: BLE001 — outcome carries it
+                entry.error = exc
+                entry.state = "failed"
+                return
         entry.state = "done"
         if injector.enabled:
             injector.note_recovery("worker.result", entry.task_id)
             for site, target in entry.heal_targets:
                 injector.note_recovery(site, target)
-        if quarantined:
+        if reason == "quarantined":
             logger.warning(
                 "quarantined task %s completed inline after %d expired "
                 "lease(s)", entry.task_id, entry.expiries,

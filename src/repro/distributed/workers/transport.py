@@ -72,9 +72,9 @@ def execute_task(
     the supervisor), drop never sends, delay stalls the reply.
 
     When the message asks for telemetry (process venues with tracing
-    or event logging on), the task runs under
-    :func:`~repro.observability.distributed.capture` and its snapshot
-    rides home on the reply with its own digest.  An
+    on), the task runs under :func:`~repro.observability.distributed.
+    capture` and its snapshot rides home on the reply with its own
+    digest.  An
     ``observability.telemetry`` directive mangles only the snapshot —
     the result bytes and their digest are computed first and are
     never touched, so a telemetry fault can cost visibility but never

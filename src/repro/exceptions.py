@@ -281,7 +281,7 @@ class ServingOverloadError(ServingError):
     error they can back off on instead of an unbounded wait.
     """
 
-    def __init__(self, study: str, depth: int, limit: int):
+    def __init__(self, study: str, depth: int, limit: int, kind: str):
         super().__init__(
             f"study {study!r} queue is full ({depth} >= {limit}); "
             "request shed"
@@ -289,9 +289,13 @@ class ServingOverloadError(ServingError):
         self.study = study
         self.depth = depth
         self.limit = limit
+        #: The query kind that was shed (``point``, ``slice``, ...).
+        self.kind = kind
 
     def __reduce__(self):
-        return (self.__class__, (self.study, self.depth, self.limit))
+        return (
+            self.__class__, (self.study, self.depth, self.limit, self.kind)
+        )
 
 
 class ExperimentError(ReproError, RuntimeError):

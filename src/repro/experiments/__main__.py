@@ -102,10 +102,7 @@ def main(argv=None) -> int:
     runtime = Runtime(workers=args.workers, cache_dir=args.cache_dir)
     sections = []
     try:
-        with observe(
-            args.trace, args.profile, args.metrics,
-            getattr(args, "events", None),
-        ), inject_faults(
+        with observe(args.trace, args.profile, args.metrics), inject_faults(
             args.fault_plan, args.fault_seed
         ):
             if args.all:

@@ -12,13 +12,10 @@ The instrumentation layer the rest of the stack reports into:
     Exporters: ``chrome://tracing``-loadable JSON, a flat text
     self/cumulative profile per span category, and a JSON metrics dump.
 :class:`TraceContext` / :func:`capture` / :func:`merge_snapshot`
-    Distributed stitching: worker children record into local
-    tracer/metrics/event instances whose serialized snapshot rides
-    home in the reply envelope and folds back under the dispatching
-    span with ``worker.<id>`` attribution.
-:func:`emit` / :class:`EventLog`
-    Structured JSON-lines events with correlation ids shared across
-    the supervisor ↔ worker ↔ serving paths.
+    Distributed stitching: worker children record into a local
+    tracer and metrics registry whose serialized snapshot rides home
+    in the reply envelope and folds back under the dispatching span
+    with ``worker.<id>`` attribution.
 :func:`evaluate_slos` / ``python -m repro.observability slo --check``
     Declarative service-level objectives evaluated against a metrics
     snapshot, with nonzero exit on breach.
@@ -42,7 +39,8 @@ runtime-task    one live span per task attempt, under the span that
 cache           runtime result-cache lookups (``hit`` attribute)
 bench           one harness workload iteration (``repro.bench``)
 serving         factor-space queries, batch drains, bundle loads
-worker          supervised worker batches and (re)spawns
+worker          supervised worker batches, dispatches, (re)spawns,
+                deaths and inline fallbacks
 campaign        adaptive campaign runs and their explore/confirm rounds
 ==============  ======================================================
 
@@ -61,15 +59,6 @@ from .distributed import (
     merged_trace_signature,
     span_from_dict,
     span_to_dict,
-)
-from .events import (
-    NULL_EVENT_LOG,
-    EventLog,
-    NullEventLog,
-    emit,
-    get_event_log,
-    set_event_log,
-    use_event_log,
 )
 from .exporters import (
     chrome_trace,
@@ -118,13 +107,6 @@ __all__ = [
     "merged_trace_signature",
     "span_from_dict",
     "span_to_dict",
-    "NULL_EVENT_LOG",
-    "EventLog",
-    "NullEventLog",
-    "emit",
-    "get_event_log",
-    "set_event_log",
-    "use_event_log",
     "SLObjective",
     "SLOReport",
     "SLOResult",

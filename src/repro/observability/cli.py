@@ -1,11 +1,11 @@
 """Argparse glue shared by the CLIs: ``--trace`` / ``--profile`` /
-``--metrics`` / ``--events`` flags and the session that honours them.
+``--metrics`` flags and the session that honours them.
 
 Usage::
 
     add_observability_args(parser)
     args = parser.parse_args(argv)
-    with observe(args.trace, args.profile, args.metrics, args.events):
+    with observe(args.trace, args.profile, args.metrics):
         ...   # run; exporters fire on exit (also on error)
 """
 
@@ -16,8 +16,12 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .events import EventLog, set_event_log
-from .exporters import flat_profile, write_chrome_trace, write_metrics
+from .exporters import (
+    flat_profile,
+    write_chrome_trace,
+    write_flat_profile,
+    write_metrics,
+)
 from .tracer import Tracer, use_tracer
 
 __all__ = ["add_observability_args", "main", "observe"]
@@ -43,12 +47,6 @@ def add_observability_args(parser: argparse.ArgumentParser) -> None:
         help="write the process metrics registry (counters/gauges/"
         "histograms) as JSON",
     )
-    group.add_argument(
-        "--events",
-        metavar="PATH",
-        help="append structured JSON-lines events (worker respawns, "
-        "shed queries, telemetry drops) with correlation ids",
-    )
 
 
 @contextmanager
@@ -56,16 +54,12 @@ def observe(
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
     metrics_path: Optional[str] = None,
-    events_path: Optional[str] = None,
 ) -> Iterator[Optional[Tracer]]:
     """Install a tracer when any trace output was requested and export
     everything on the way out (even when the run raised — a partial
     trace of a failed run is exactly when you want one)."""
     wants_trace = bool(trace_path or profile_path)
     tracer = Tracer() if wants_trace else None
-    events = EventLog(events_path) if events_path else None
-    if events is not None:
-        set_event_log(events)
     try:
         if tracer is not None:
             with use_tracer(tracer):
@@ -73,17 +67,13 @@ def observe(
         else:
             yield None
     finally:
-        if events is not None:
-            set_event_log(None)
-            events.close()
         if tracer is not None and trace_path:
             write_chrome_trace(tracer, trace_path)
         if tracer is not None and profile_path:
             if profile_path == "-":
                 print(flat_profile(tracer), file=sys.stderr)
             else:
-                with open(profile_path, "w") as handle:
-                    handle.write(flat_profile(tracer) + "\n")
+                write_flat_profile(tracer, profile_path)
         if metrics_path:
             write_metrics(metrics_path)
 
@@ -114,36 +104,11 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_events(args: argparse.Namespace) -> int:
-    import json
-
-    shown = 0
-    with open(args.path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if args.event and not record.get("event", "").startswith(
-                args.event
-            ):
-                continue
-            if args.correlation and (
-                record.get("correlation_id") != args.correlation
-            ):
-                continue
-            print(json.dumps(record, sort_keys=True))
-            shown += 1
-    print(f"{shown} matching event(s)", file=sys.stderr)
-    return 0
-
-
 def main(argv: Optional[list] = None) -> int:
-    """``python -m repro.observability`` — SLO checks and event greps."""
+    """``python -m repro.observability`` — SLO checks."""
     parser = argparse.ArgumentParser(
         prog="repro.observability",
-        description="Evaluate SLOs against a metrics dump; filter "
-        "structured event logs.",
+        description="Evaluate SLOs against a metrics dump.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -171,18 +136,6 @@ def main(argv: Optional[list] = None) -> int:
         "--json", action="store_true", help="emit the report as JSON"
     )
     slo.set_defaults(fn=_cmd_slo)
-
-    events = commands.add_parser(
-        "events", help="filter a JSON-lines event log"
-    )
-    events.add_argument("path", help="event .jsonl file (from --events)")
-    events.add_argument(
-        "--event", metavar="PREFIX", help="keep events whose name starts with this"
-    )
-    events.add_argument(
-        "--correlation", metavar="ID", help="keep events with this correlation id"
-    )
-    events.set_defaults(fn=_cmd_events)
 
     args = parser.parse_args(argv)
     return args.fn(args)

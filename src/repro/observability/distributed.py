@@ -1,23 +1,21 @@
 """Cross-process trace stitching and worker telemetry shipping.
 
-A worker child process has its own tracer epoch, its own metrics
-registry, and its own event buffer — none of which the parent can see.
+A worker child process has its own tracer epoch and its own metrics
+registry — neither of which the parent can see.
 This module is the bridge:
 
 * :class:`TraceContext` — the tiny picklable capsule (trace id +
   dispatching span name) the parent sends *out* with each task body;
 * :func:`capture` — the child-side context manager that installs a
   fresh :class:`~repro.observability.Tracer` /
-  :class:`~repro.observability.MetricsRegistry` /
-  :class:`~repro.observability.EventLog` around task execution and
-  serializes what they collected;
+  :class:`~repro.observability.MetricsRegistry` around task execution
+  and serializes what they collected;
 * :func:`encode_snapshot` / :func:`decode_snapshot` — the JSON wire
   shape that rides *home* inside the checksummed reply envelope;
 * :func:`merge_snapshot` — the parent-side fold: child spans attach
   under the dispatching span (clock-skew-normalized onto the parent's
   timeline and clamped into the dispatch window), counters/histograms
-  add into the process-wide registry with ``worker.<id>`` attribution,
-  and buffered child events replay into the parent's event log;
+  add into the process-wide registry with ``worker.<id>`` attribution;
 * :func:`merged_trace_signature` — a canonical, timing-free rendering
   of the merged dispatch subtrees, so tests can assert byte-identical
   merges across worker counts.
@@ -39,7 +37,6 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from contextlib import contextmanager
 
-from .events import EventLog, get_event_log, set_event_log
 from .metrics import MetricsRegistry, get_metrics, set_metrics
 from .tracer import Span, Tracer, get_tracer, set_tracer
 
@@ -56,7 +53,7 @@ __all__ = [
     "span_to_dict",
 ]
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Attributes stripped by :func:`merged_trace_signature` — everything
 #: that legitimately varies run-to-run or with the worker count.
@@ -172,12 +169,10 @@ class Telemetry:
         self,
         tracer: Tracer,
         registry: MetricsRegistry,
-        events: EventLog,
         worker: str = "",
     ):
         self.tracer = tracer
         self.registry = registry
-        self.events = events
         self.worker = worker
 
     def snapshot(self) -> Dict[str, Any]:
@@ -191,7 +186,6 @@ class Telemetry:
             "epoch_unix": self.tracer.epoch_unix,
             "spans": [span_to_dict(root) for root in self.tracer.roots()],
             "metrics": self.registry.export_state(),
-            "events": self.events.export_records(),
         }
 
     def encode(self) -> bytes:
@@ -204,8 +198,8 @@ def capture(
 ) -> Iterator[Telemetry]:
     """Collect telemetry around a task body in a child process.
 
-    Installs a fresh tracer (carrying the propagated trace id),
-    metrics registry, and event buffer as the process-wide actives,
+    Installs a fresh tracer (carrying the propagated trace id) and
+    metrics registry as the process-wide actives,
     runs the body, then restores whatever was installed before — the
     same child can capture many tasks back to back without their
     telemetry bleeding together.
@@ -214,21 +208,14 @@ def capture(
     if context is not None and context.trace_id:
         tracer.trace_id = context.trace_id
     registry = MetricsRegistry()
-    events = EventLog()
-    prev_tracer, prev_metrics, prev_events = (
-        get_tracer(),
-        get_metrics(),
-        get_event_log(),
-    )
+    prev_tracer, prev_metrics = get_tracer(), get_metrics()
     set_tracer(tracer)
     set_metrics(registry)
-    set_event_log(events)
     try:
-        yield Telemetry(tracer, registry, events, worker=worker)
+        yield Telemetry(tracer, registry, worker=worker)
     finally:
         set_tracer(prev_tracer)
         set_metrics(prev_metrics)
-        set_event_log(prev_events)
 
 
 def encode_snapshot(snapshot: Dict[str, Any]) -> bytes:
@@ -261,7 +248,6 @@ def merge_snapshot(
     parent_span: Optional[Span] = None,
     tracer: Optional[Any] = None,
     registry: Optional[MetricsRegistry] = None,
-    events: Optional[Any] = None,
     dispatched_unix: Optional[float] = None,
     worker_id: str = "",
 ) -> int:
@@ -270,12 +256,10 @@ def merge_snapshot(
     Spans attach as children of ``parent_span`` (the dispatch span),
     clock-skew-normalized onto the parent tracer's timeline and
     clamped into the dispatch window; metrics fold with ``worker.<id>``
-    attribution; events replay tagged with their origin.  Returns the
-    number of spans attached.
+    attribution.  Returns the number of spans attached.
     """
     tracer = tracer if tracer is not None else get_tracer()
     registry = registry if registry is not None else get_metrics()
-    events = events if events is not None else get_event_log()
     worker_id = worker_id or str(snapshot.get("worker") or "")
     label = f"worker.{worker_id}" if worker_id else "worker"
 
@@ -309,12 +293,6 @@ def merge_snapshot(
     metrics_state = snapshot.get("metrics") or {}
     if metrics_state:
         registry.merge_state(metrics_state, worker_id=worker_id)
-
-    child_events = snapshot.get("events") or []
-    if child_events and getattr(events, "enabled", False):
-        events.ingest(
-            [dict(record, worker=worker_id) for record in child_events]
-        )
     return attached
 
 

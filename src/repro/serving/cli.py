@@ -187,7 +187,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             getattr(args, "trace", None),
             getattr(args, "profile", None),
             getattr(args, "metrics", None),
-            getattr(args, "events", None),
         ), inject_faults(
             getattr(args, "fault_plan", None),
             getattr(args, "fault_seed", None),

@@ -36,7 +36,7 @@ from ..exceptions import (
     ServingOverloadError,
 )
 from ..faults.injector import get_injector
-from ..observability import emit, get_metrics, span as _span
+from ..observability import get_metrics, span as _span
 from .catalog import StudyCatalog
 from .engine import _check_coords
 
@@ -213,14 +213,8 @@ class ServingServer:
             # objectives reading them) see every admission decision,
             # not just the requests that got in.
             metrics.histogram("serving.queue_wait_seconds").observe(0.0)
-            emit(
-                "serving.shed",
-                correlation_id=f"{study}/{kind}",
-                depth=worker.queue.qsize(),
-                limit=self.max_queue,
-            )
             raise ServingOverloadError(
-                study, worker.queue.qsize(), self.max_queue
+                study, worker.queue.qsize(), self.max_queue, kind
             )
         loop = asyncio.get_running_loop()
         request = _Request(

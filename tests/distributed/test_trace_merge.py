@@ -15,12 +15,10 @@ from repro.distributed import LocalMapReduceEngine, distributed_m2td
 from repro.distributed.workers.protocol import TaskMessage
 from repro.distributed.workers.transport import execute_task
 from repro.observability import (
-    EventLog,
     MetricsRegistry,
     Tracer,
     merged_trace_signature,
     span,
-    use_event_log,
     use_metrics,
     use_tracer,
 )
@@ -35,10 +33,10 @@ VENUE_INVARIANT_COUNTERS = (
 
 def traced_run(dm2td_inputs, workers, transport="process"):
     """One traced D-M2TD run under one ``dm2td-run`` span; returns
-    (tracer, registry, events, run)."""
+    (tracer, registry, run)."""
     x1, x2, part, ranks = dm2td_inputs
-    tracer, registry, events = Tracer(), MetricsRegistry(), EventLog()
-    with use_tracer(tracer), use_metrics(registry), use_event_log(events):
+    tracer, registry = Tracer(), MetricsRegistry()
+    with use_tracer(tracer), use_metrics(registry):
         with span("dm2td-run", "experiment", workers=workers):
             engine = LocalMapReduceEngine(
                 workers,
@@ -50,7 +48,7 @@ def traced_run(dm2td_inputs, workers, transport="process"):
                 run = distributed_m2td(x1, x2, part, ranks, engine=engine)
             finally:
                 engine.close()
-    return tracer, registry, events, run
+    return tracer, registry, run
 
 
 def counter_totals(registry):
@@ -66,7 +64,7 @@ class TestMergedTrace:
     def test_worker_spans_under_dispatch_with_attribution(
         self, dm2td_inputs
     ):
-        tracer, registry, events, _ = traced_run(dm2td_inputs, workers=2)
+        tracer, registry, _ = traced_run(dm2td_inputs, workers=2)
         dispatches = [
             span for span in tracer.iter_spans()
             if span.name.startswith("dispatch:")
@@ -91,14 +89,25 @@ class TestMergedTrace:
             if name.startswith("worker.0.") or name.startswith("worker.1.")
         ]
         assert attributed, "no worker.<id>.* attributed counters"
-        # And the workers' buffered events replayed into the parent log.
-        assert events.records(event="worker.dispatch")
+        # Every dispatch span names the worker that ran its task.
+        assert all(dispatch.attrs["worker"] for dispatch in dispatches)
+
+    def test_spawn_pids_are_the_worker_lanes(self, dm2td_inputs):
+        tracer, _, _ = traced_run(dm2td_inputs, workers=4)
+        spawns = [s for s in tracer.iter_spans() if s.name == "worker-spawn"]
+        lanes = {
+            s.process_id for s in tracer.iter_spans()
+            if s.process_name.startswith("worker.")
+        }
+        assert len(spawns) == 4
+        assert all(s.attrs["attempt"] == 1 for s in spawns)
+        assert {s.attrs["pid"] for s in spawns} == lanes
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_one_root_and_children_inside_parents(
         self, dm2td_inputs, workers
     ):
-        tracer, _, _, _ = traced_run(dm2td_inputs, workers)
+        tracer, _, _ = traced_run(dm2td_inputs, workers)
         (root,) = tracer.roots()
         assert root.name == "dm2td-run"
         for parent in root.walk():
@@ -114,7 +123,7 @@ class TestMergedTrace:
     ):
         signatures, totals = {}, {}
         for workers in (1, 2, 4):
-            tracer, registry, _, _ = traced_run(dm2td_inputs, workers)
+            tracer, registry, _ = traced_run(dm2td_inputs, workers)
             signatures[workers] = merged_trace_signature(tracer)
             totals[workers] = counter_totals(registry)
         assert signatures[1] != "[]"
@@ -124,10 +133,10 @@ class TestMergedTrace:
         assert totals[4] == totals[1]
 
     def test_counter_totals_match_inline_transport(self, dm2td_inputs):
-        _, external_registry, _, external = traced_run(
+        _, external_registry, external = traced_run(
             dm2td_inputs, workers=2, transport="process"
         )
-        _, inline_registry, _, inline = traced_run(
+        _, inline_registry, inline = traced_run(
             dm2td_inputs, workers=2, transport="inline"
         )
         assert counter_totals(external_registry) == counter_totals(

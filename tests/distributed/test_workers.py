@@ -37,7 +37,7 @@ from repro.exceptions import (
 )
 from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
 from repro.faults.directive import FaultDirective
-from repro.observability import get_metrics
+from repro.observability import Tracer, get_metrics, use_tracer
 
 
 class Square:
@@ -343,6 +343,67 @@ class TestRecovery:
         assert outcomes[0].value == "slept"
         assert outcomes[1].value == 4
         assert get_metrics().counter("worker.heartbeat_misses").value > before
+
+
+class TestSupervisorSpans:
+    """What happened to the pool is on the trace: deaths carry their
+    reason, and every task settled inline runs under an
+    ``inline:<task>`` span saying why.  Spawn spans are covered in
+    ``test_trace_merge.py``."""
+
+    def test_spawn_fault_without_budget_degrades_on_the_trace(self):
+        plan = plan_of(
+            [FaultSpec(site="worker.spawn", kind="raise",
+                       target="worker-*", times=None)]
+        )
+        with use_tracer(Tracer()) as tracer, use_injector(
+            FaultInjector(plan)
+        ):
+            with WorkerSupervisor(
+                transport="process", n_workers=2, crash_budget=0,
+            ) as sup:
+                expect_squares(sup.run_tasks(squares()))
+        (run,) = [s for s in tracer.iter_spans() if s.name == "supervisor-run"]
+        assert run.attrs["degraded"] is True
+        assert "crash budget exhausted" in run.attrs["degraded_reason"]
+        inline = [s for s in run.walk() if s.name.startswith("inline:")]
+        assert sorted(s.name for s in inline) == [
+            f"inline:t{i}" for i in range(6)
+        ]
+        assert {s.attrs["reason"] for s in inline} == {"degraded"}
+
+    def test_unpicklable_closure_runs_under_inline_span(self):
+        with use_tracer(Tracer()) as tracer:
+            with WorkerSupervisor(transport="process", n_workers=1) as sup:
+                sup.run_tasks([("lam", lambda: 123)])
+        (span,) = [s for s in tracer.iter_spans() if s.name == "inline:lam"]
+        assert span.attrs["reason"] == "unpicklable"
+
+    def test_poison_task_runs_under_quarantined_inline_span(self):
+        with use_tracer(Tracer()) as tracer:
+            with WorkerSupervisor(
+                transport="process", n_workers=1, heartbeat_seconds=0.05,
+                lease_seconds=0.2, poison_lease_expiries=1, crash_budget=5,
+            ) as sup:
+                sup.run_tasks([("sleepy", Sleeps(0.6))])
+        (span,) = [
+            s for s in tracer.iter_spans() if s.name == "inline:sleepy"
+        ]
+        assert span.attrs["reason"] == "quarantined"
+
+    def test_mid_task_death_span_names_reason_and_task(self):
+        with use_tracer(Tracer()) as tracer:
+            with WorkerSupervisor(
+                transport="process", n_workers=1, heartbeat_seconds=0.1,
+                lease_seconds=2.0, crash_budget=1,
+            ) as sup:
+                sup.run_tasks([("kill", SelfKill())])
+        (run,) = [s for s in tracer.iter_spans() if s.name == "supervisor-run"]
+        deaths = [s for s in run.walk() if s.name == "worker-death"]
+        assert deaths
+        assert deaths[0].attrs["worker"] == "worker-0"
+        assert deaths[0].attrs["reason"] == "process died"
+        assert deaths[0].attrs["task"] == "kill"
 
 
 class TestOutcome:

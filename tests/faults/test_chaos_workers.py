@@ -11,11 +11,13 @@ Like the rest of the chaos suite, every plan is seeded from
 ``M2TD_CHAOS_SEED`` so CI failures replay locally.
 """
 
+import time
+
 import pytest
 
 from repro.distributed import LocalMapReduceEngine, distributed_m2td
 from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
-from repro.observability import get_metrics
+from repro.observability import Tracer, get_metrics, span, use_tracer
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
@@ -95,6 +97,56 @@ def test_single_worker_fault_output_byte_identical(
             assert summary["recovered"] >= 1, (
                 f"fault not recovered with {workers} external workers"
             )
+
+
+def test_heartbeat_sigkill_is_a_death_span_in_one_trace(
+    dm2td_inputs, fault_free_payload, dm2td_payload_fn, chaos_seed,
+):
+    """The ``heartbeat-sigkill`` case, traced: the real SIGKILL lands
+    as a ``worker-death`` span inside ``supervisor-run``, and the trace
+    keeps one root with every child inside its parent.
+
+    The kill fires on worker-0's first beat, 0.1 s after its spawn —
+    often after a whole small run has finished — so the engine
+    outlives the kill and a second run meets the dead worker.
+    """
+    x1, x2, part, ranks = dm2td_inputs
+    (spec,) = next(
+        p.values for p in WORKER_FAULTS if p.id == "heartbeat-sigkill"
+    )
+    tracer = Tracer()
+    with use_tracer(tracer), use_injector(
+        FaultInjector(plan_of([spec], seed=chaos_seed))
+    ):
+        engine = LocalMapReduceEngine(
+            2, transport="process", heartbeat_seconds=0.1,
+            lease_seconds=5.0,
+        )
+        try:
+            with span("chaos-run", "experiment"):
+                runs = [distributed_m2td(x1, x2, part, ranks, engine=engine)]
+                time.sleep(0.3)
+                runs.append(
+                    distributed_m2td(x1, x2, part, ranks, engine=engine)
+                )
+        finally:
+            engine.close()
+    for run in runs:
+        assert dm2td_payload_fn(run) == fault_free_payload
+    deaths = [
+        death
+        for batch in tracer.iter_spans() if batch.name == "supervisor-run"
+        for death in batch.walk() if death.name == "worker-death"
+    ]
+    assert deaths, "the SIGKILL left no worker-death span"
+    assert all(death.attrs["reason"] for death in deaths)
+    (root,) = tracer.roots()
+    assert root.name == "chaos-run"
+    for parent in root.walk():
+        parent_end = parent.started + parent.wall_seconds
+        for child in parent.children:
+            assert parent.started - 1e-9 <= child.started, child
+            assert child.started + child.wall_seconds <= parent_end + 1e-9
 
 
 def test_fault_free_external_workers_match_in_process(

@@ -12,14 +12,7 @@ import pytest
 
 from repro.distributed import LocalMapReduceEngine, distributed_m2td
 from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
-from repro.observability import (
-    EventLog,
-    MetricsRegistry,
-    Tracer,
-    use_event_log,
-    use_metrics,
-    use_tracer,
-)
+from repro.observability import MetricsRegistry, Tracer, use_metrics, use_tracer
 
 TELEMETRY_FAULTS = [
     pytest.param(
@@ -43,7 +36,7 @@ TELEMETRY_FAULTS = [
 def traced_chaos_run(dm2td_inputs, plan, workers=2):
     x1, x2, part, ranks = dm2td_inputs
     tracer, registry = Tracer(), MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry), use_event_log() as events:
+    with use_tracer(tracer), use_metrics(registry):
         with use_injector(FaultInjector(plan)) as injector:
             engine = LocalMapReduceEngine(
                 workers,
@@ -56,7 +49,7 @@ def traced_chaos_run(dm2td_inputs, plan, workers=2):
             finally:
                 engine.close()
             summary = injector.summary()
-    return run, tracer, registry, events, summary
+    return run, tracer, registry, summary
 
 
 @pytest.mark.parametrize("spec", TELEMETRY_FAULTS)
@@ -64,9 +57,7 @@ def test_telemetry_fault_costs_visibility_not_the_answer(
     spec, dm2td_inputs, fault_free_payload, dm2td_payload_fn, chaos_seed,
 ):
     plan = plan_of([spec], seed=chaos_seed)
-    run, tracer, registry, events, summary = traced_chaos_run(
-        dm2td_inputs, plan
-    )
+    run, tracer, registry, summary = traced_chaos_run(dm2td_inputs, plan)
     # The decomposition never noticed.
     assert dm2td_payload_fn(run) == fault_free_payload
     # The loss was injected, metered, and accounted as recovered.
@@ -75,7 +66,13 @@ def test_telemetry_fault_costs_visibility_not_the_answer(
     state = registry.as_dict()
     assert state["worker.telemetry_dropped"]["value"] >= 1.0
     assert state["faults.recovered"]["value"] >= 1.0
-    assert events.records(event="worker.telemetry_dropped")
+    # The faulted task's dispatch span says why its subtree is missing.
+    dropped = [
+        span for span in tracer.iter_spans()
+        if "telemetry_dropped" in span.attrs
+    ]
+    assert [span.name for span in dropped] == ["dispatch:map-0"]
+    assert dropped[0].attrs["telemetry_dropped"]
     # Supervisor-side dispatch spans survive; only the faulted task's
     # worker-side subtree is missing.
     dispatches = {
@@ -95,7 +92,7 @@ def test_all_snapshots_dropped_still_converges(
                    target="*", times=None)],
         seed=chaos_seed,
     )
-    run, tracer, registry, _, summary = traced_chaos_run(dm2td_inputs, plan)
+    run, tracer, registry, summary = traced_chaos_run(dm2td_inputs, plan)
     assert dm2td_payload_fn(run) == fault_free_payload
     dropped = registry.as_dict()["worker.telemetry_dropped"]["value"]
     assert dropped == summary["injected"] >= 1

@@ -8,7 +8,6 @@ import os
 import pytest
 
 from repro.observability import (
-    EventLog,
     MetricsRegistry,
     NULL_TRACER,
     Span,
@@ -120,7 +119,8 @@ class TestCapture:
             with telemetry.tracer.span("work", "misc"):
                 pass
         snapshot = telemetry.snapshot()
-        assert snapshot["version"] == 1
+        assert snapshot["version"] == 2
+        assert "events" not in snapshot
         assert snapshot["trace_id"] == "t1"
         assert snapshot["pid"] == os.getpid()
         assert snapshot["worker"] == "0"
@@ -146,14 +146,13 @@ class TestCapture:
 
 def child_snapshot(worker="1", epoch_unix=1000.0, counters=(), spans=()):
     return {
-        "version": 1, "trace_id": "t", "pid": 777, "worker": worker,
+        "version": 2, "trace_id": "t", "pid": 777, "worker": worker,
         "epoch_unix": epoch_unix,
         "spans": list(spans),
         "metrics": {
             name: {"kind": "counter", "value": value}
             for name, value in counters
         },
-        "events": [],
     }
 
 
@@ -214,19 +213,6 @@ class TestMergeSnapshot:
         assert state["svd.calls"]["value"] == 9.0
         assert state["worker.1.svd.calls"]["value"] == 3.0
         assert state["worker.2.svd.calls"]["value"] == 4.0
-
-    def test_events_replay_with_worker_tag(self):
-        events = EventLog()
-        snapshot = child_snapshot()
-        snapshot["events"] = [
-            {"ts": 1.0, "pid": 777, "event": "task.start",
-             "correlation_id": "map-0"},
-        ]
-        merge_snapshot(snapshot, events=events, worker_id="1")
-        (record,) = events.export_records()
-        assert record["event"] == "task.start"
-        assert record["worker"] == "1"
-        assert record["pid"] == 777
 
     def test_no_parent_span_merges_metrics_only(self):
         registry = MetricsRegistry()

@@ -1,5 +1,5 @@
 """Serving-layer telemetry: labelled error counters, shed accounting
-in the queue-wait histogram, and structured shed events.
+in the queue-wait histogram, and typed shed errors.
 """
 
 import asyncio
@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.exceptions import QueryError, ServingOverloadError
-from repro.observability import MetricsRegistry, use_event_log, use_metrics
+from repro.observability import MetricsRegistry, use_metrics
 from repro.serving import ServingServer
 
 
@@ -54,14 +54,13 @@ class TestShedAccounting:
                 ]
                 return await asyncio.gather(*tasks, return_exceptions=True)
 
-        with use_metrics(registry), use_event_log() as events:
+        with use_metrics(registry):
             results = run(go())
-        shed = [r for r in results if isinstance(r, ServingOverloadError)]
-        return shed, events
+        return [r for r in results if isinstance(r, ServingOverloadError)]
 
     def test_shed_lands_in_queue_wait_histogram(self, catalog):
         registry = MetricsRegistry()
-        shed, events = self.shed_once(catalog, registry)
+        shed = self.shed_once(catalog, registry)
         if not shed:
             pytest.skip("scheduler drained every request; nothing shed")
         state = registry.as_dict()
@@ -71,14 +70,14 @@ class TestShedAccounting:
         waits = state["serving.queue_wait_seconds"]
         assert waits["count"] >= len(shed)
         assert waits["min"] == 0.0
-        shed_events = events.records(event="serving.shed")
-        assert len(shed_events) == len(shed)
-        assert shed_events[0]["correlation_id"] == "alpha/point"
-        assert shed_events[0]["limit"] == 1
+        # The typed error says which study and query kind was shed.
+        assert shed[0].study == "alpha"
+        assert shed[0].kind == "point"
+        assert shed[0].limit == 1
 
     def test_overload_error_is_labelled(self, catalog):
         registry = MetricsRegistry()
-        shed, _ = self.shed_once(catalog, registry)
+        shed = self.shed_once(catalog, registry)
         if not shed:
             pytest.skip("scheduler drained every request; nothing shed")
         # Shedding happens at admission, before _resolve: it must NOT
