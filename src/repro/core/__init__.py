@@ -5,7 +5,6 @@ Decomposition (M2TD), plus the end-to-end study pipeline.
 from .evaluation import BaselineResult, accuracy, decompose_sample
 from .join_tensor import (
     dense_join_from_subs,
-    join_memory_footprint,
     lazy_core,
     materialized_core,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "accuracy",
     "decompose_sample",
     "dense_join_from_subs",
-    "join_memory_footprint",
     "lazy_core",
     "materialized_core",
     "M2TDResult",

@@ -4,14 +4,16 @@ The costliest step of every M2TD variant (the paper's Phase 3) is
 
     G = J x_1 U^(1)T x_2 U^(2)T ... x_N U^(N)T.
 
-Two implementations are provided:
+:func:`~repro.core.m2td.m2td_decompose` picks one of two routes from
+its inputs:
 
 * :func:`materialized_core` — paper-faithful: build the (dense) join
-  tensor and run the multilinear product;
-* :func:`lazy_core` — our ablation optimisation: when both
-  sub-ensembles are *complete* over their sub-spaces the join tensor
-  has the closed form ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2``, and
-  the projection distributes:
+  tensor and run the multilinear product; every zero-join and every
+  join of partially observed sub-ensembles takes it;
+* :func:`lazy_core` — the closed form: when both sub-ensembles are
+  *complete* over their sub-spaces the join tensor is
+  ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2``, and the projection
+  distributes:
 
       G = 1/2 [ (X1 proj) ⊗ colsum(U_b...) + (X2 proj) ⊗ colsum(U_a...) ]
 
@@ -21,7 +23,7 @@ Two implementations are provided:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,9 +111,8 @@ def dense_join_from_subs(
 ) -> np.ndarray:
     """Materialize the complete cross join densely (join mode order).
 
-    ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2`` — used by tests to
-    validate :func:`lazy_core` and by the paper-faithful pipeline at
-    full sub-ensemble density.
+    ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2`` — the reference the
+    tests check both core routes against.
     """
     k = partition.k
     f1 = len(partition.s1_free)
@@ -124,22 +125,3 @@ def dense_join_from_subs(
     x1_expanded = x1_dense.reshape(pivot_shape + a_shape + (1,) * f2)
     x2_expanded = x2_dense.reshape(pivot_shape + (1,) * f1 + b_shape)
     return 0.5 * (x1_expanded + x2_expanded)
-
-
-def factor_memory_footprint(factors: Sequence[np.ndarray]) -> int:
-    """Bytes held by the factor matrices (reporting helper)."""
-    return int(sum(np.asarray(f).nbytes for f in factors))
-
-
-def join_memory_footprint(partition: PFPartition) -> int:
-    """Bytes a dense join tensor would occupy — the quantity that made
-    direct decomposition infeasible on the paper's 18-server cluster."""
-    cells = int(np.prod(partition.join_shape))
-    return cells * np.dtype(np.float64).itemsize
-
-
-def stack_factors(
-    pivot: List[np.ndarray], s1: List[np.ndarray], s2: List[np.ndarray]
-) -> List[np.ndarray]:
-    """Concatenate per-block factor lists into join order."""
-    return list(pivot) + list(s1) + list(s2)

@@ -9,11 +9,15 @@ All three variants share one skeleton (Algorithms 2-4):
    SELECT keeps the higher-energy row per entity);
 3. for each free mode, take the factor matrix from the sub-tensor that
    owns the mode;
-4. build the join tensor and recover the core
-   ``G = J x_1 U^(1)T ... x_N U^(N)T``.
+4. recover the core ``G = J x_1 U^(1)T ... x_N U^(N)T`` of the join
+   tensor ``J``.
 
 :func:`m2td_decompose` implements the skeleton; its ``variant``
-argument picks the pivot combiner.
+argument picks the pivot combiner.  The inputs pick the core route:
+a join of two complete sub-ensembles has the closed form
+``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2`` and takes
+:func:`~repro.core.join_tensor.lazy_core`, which never builds ``J``;
+every other stitch materializes ``J`` first.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sps
 
-from ..exceptions import RankError, StitchError
+from ..exceptions import RankError, ShapeError, StitchError
 from ..observability import span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
@@ -33,7 +37,7 @@ from ..tensor.svd import leading_left_singular_vectors, truncated_svd
 from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
 from .join_tensor import lazy_core, materialized_core
-from .row_select import average_factors, procrustes_align, row_select
+from .row_select import average_factors, row_select
 from .stitch import dense_to_original_order, join_tensor, zero_join_tensor
 
 TensorLike = Union[np.ndarray, SparseTensor]
@@ -55,12 +59,11 @@ class M2TDResult:
     variant:
         ``"avg"``, ``"concat"`` or ``"select"``.
     join_kind:
-        ``"join"`` or ``"zero"`` (``"lazy"`` marks the closed-form
-        core recovery on complete sub-ensembles).
+        ``"join"`` or ``"zero"``.
     join_nnz:
         Stored entries of the stitched join tensor (its effective
-        density numerator); 0 when the lazy path skipped
-        materialisation.
+        density numerator); every cell of the join space when two
+        complete sub-ensembles are joined.
     phase_seconds:
         Wall-clock split mirroring D-M2TD's phases:
         ``sub_decompose`` / ``stitch`` / ``core``.
@@ -87,6 +90,11 @@ class M2TDResult:
         """Paper Section VII-D accuracy against the full-space tensor."""
         truth = np.asarray(truth)
         approx = self.reconstruct_original()
+        if approx.shape != truth.shape:
+            raise ShapeError(
+                f"truth shape {truth.shape} != reconstruction shape "
+                f"{approx.shape}"
+            )
         denom = np.linalg.norm(truth.ravel())
         if denom == 0:
             raise StitchError("ground-truth tensor has zero norm")
@@ -137,10 +145,23 @@ def map_ranks_to_join(
     return tuple(ranks[m] for m in partition.join_modes)
 
 
+def _is_complete(tensor: TensorLike) -> bool:
+    """Every cell observed: always for a dense array; for a sparse
+    tensor when each cell is stored (duplicates are already averaged
+    away, and stored zeros count)."""
+    return not isinstance(tensor, SparseTensor) or tensor.nnz == tensor.size
+
+
 def _sub_dense(tensor: TensorLike) -> np.ndarray:
     if isinstance(tensor, SparseTensor):
         return tensor.to_dense()
     return np.asarray(tensor, dtype=np.float64)
+
+
+def _sub_sparse(tensor: TensorLike) -> SparseTensor:
+    if isinstance(tensor, SparseTensor):
+        return tensor
+    return SparseTensor.from_dense(np.asarray(tensor), keep_zeros=True)
 
 
 def m2td_decompose(
@@ -150,9 +171,6 @@ def m2td_decompose(
     ranks: Sequence[int],
     variant: str = "select",
     join_kind: str = "join",
-    lazy: bool = False,
-    zero_join_candidates: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    alignment: str = "sign",
 ) -> M2TDResult:
     """Run M2TD on two PF-partitioned sub-ensemble tensors.
 
@@ -177,18 +195,10 @@ def m2td_decompose(
         entity's row from whichever sub-system represents it with more
         energy.
     join_kind:
-        ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2).
-    lazy:
-        Use the closed-form core recovery (requires dense/complete
-        sub-ensembles and ``join_kind="join"``).
-    zero_join_candidates:
-        Optional explicit candidate free-config arrays for zero-join.
-    alignment:
-        How the second sub-decomposition's pivot factors are aligned to
-        the first before combining: ``"sign"`` (per-column sign flips,
-        the default) or ``"procrustes"`` (full orthogonal rotation) —
-        an implementation variant the paper leaves unspecified; see
-        the row-energy ablation bench for the trade-off.
+        ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2).  A
+        join of two complete sub-ensembles recovers the core in closed
+        form (the ``m2td-core`` span's ``core_route`` says which route
+        ran); every other stitch materializes the join tensor.
 
     Returns
     -------
@@ -198,10 +208,6 @@ def m2td_decompose(
         raise StitchError(f"unknown M2TD variant {variant!r}")
     if join_kind not in ("join", "zero"):
         raise StitchError(f"unknown join kind {join_kind!r}")
-    if lazy and join_kind != "join":
-        raise StitchError("lazy core recovery requires join_kind='join'")
-    if alignment not in ("sign", "procrustes"):
-        raise StitchError(f"unknown alignment {alignment!r}")
     for label, sub in (("x1", x1), ("x2", x2)):
         values = sub.values if isinstance(sub, SparseTensor) else sub
         if not np.isfinite(values).all():
@@ -232,8 +238,6 @@ def m2td_decompose(
                 width = min(u1.shape[1], u2.shape[1])
                 u1, u2 = u1[:, :width], u2[:, :width]
                 s1, s2 = s1[:width], s2[:width]
-                if alignment == "procrustes":
-                    u2 = procrustes_align(u1, u2)
                 if variant == "avg":
                     factors[axis] = average_factors(u1, u2)
                 else:
@@ -252,45 +256,35 @@ def m2td_decompose(
     sub_decompose_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------- phase 2
+    closed_form = (
+        join_kind == "join" and _is_complete(x1) and _is_complete(x2)
+    )
     started = time.perf_counter()
-    join_nnz = 0
-    join_dense: Optional[np.ndarray] = None
     with _span(
-        "m2td-stitch", "stitch",
-        join_kind="lazy" if lazy else join_kind, variant=variant,
+        "m2td-stitch", "stitch", join_kind=join_kind, variant=variant,
     ) as stitch_span:
-        if lazy:
-            x1_dense = _sub_dense(x1)
-            x2_dense = _sub_dense(x2)
+        if closed_form:
+            # J(p, a, b) = (X1(p, a) + X2(p, b)) / 2 fills every cell;
+            # the core needs only X1 and X2, never J itself.
+            subs = (_sub_dense(x1), _sub_dense(x2))
+            join_nnz = int(np.prod(partition.join_shape))
         else:
-            sparse1 = (
-                x1
-                if isinstance(x1, SparseTensor)
-                else SparseTensor.from_dense(np.asarray(x1), keep_zeros=True)
-            )
-            sparse2 = (
-                x2
-                if isinstance(x2, SparseTensor)
-                else SparseTensor.from_dense(np.asarray(x2), keep_zeros=True)
-            )
-            if join_kind == "join":
-                join = join_tensor(sparse1, sparse2, partition)
-            else:
-                candidates1, candidates2 = zero_join_candidates or (None, None)
-                join = zero_join_tensor(
-                    sparse1, sparse2, partition, candidates1, candidates2
-                )
+            stitch = join_tensor if join_kind == "join" else zero_join_tensor
+            join = stitch(_sub_sparse(x1), _sub_sparse(x2), partition)
             join_nnz = join.nnz
-            stitch_span.set(join_nnz=join_nnz)
             join_dense = join.to_dense()
+        stitch_span.set(join_nnz=join_nnz)
     stitch_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------- phase 3
     started = time.perf_counter()
-    with _span("m2td-core", "decompose", lazy=lazy, variant=variant):
+    with _span(
+        "m2td-core", "decompose", variant=variant,
+        core_route="closed-form" if closed_form else "materialized",
+    ):
         factor_list = [np.asarray(f) for f in factors]
-        if lazy:
-            core = lazy_core(x1_dense, x2_dense, factor_list, partition)
+        if closed_form:
+            core = lazy_core(*subs, factor_list, partition)
         else:
             core = materialized_core(join_dense, factor_list)
     core_seconds = time.perf_counter() - started
@@ -299,7 +293,7 @@ def m2td_decompose(
         tucker=TuckerTensor(core, factor_list),
         partition=partition,
         variant=variant,
-        join_kind="lazy" if lazy else join_kind,
+        join_kind=join_kind,
         join_nnz=join_nnz,
         phase_seconds={
             "sub_decompose": sub_decompose_seconds,

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import PartitionError, StitchError
+from ..exceptions import PartitionError, ShapeError, StitchError
 from ..sampling.partition import PFPartition
 from ..simulation.parameter_space import ParameterSpace
 from ..tensor.svd import truncated_svd, leading_left_singular_vectors
@@ -283,10 +283,15 @@ class MultiwayResult:
 
     def accuracy(self, truth: np.ndarray) -> float:
         truth = np.asarray(truth)
+        approx = self.reconstruct_original()
+        if approx.shape != truth.shape:
+            raise ShapeError(
+                f"truth shape {truth.shape} != reconstruction shape "
+                f"{approx.shape}"
+            )
         denom = np.linalg.norm(truth.ravel())
         if denom == 0:
             raise StitchError("ground-truth tensor has zero norm")
-        approx = self.reconstruct_original()
         return 1.0 - np.linalg.norm((approx - truth).ravel()) / denom
 
 

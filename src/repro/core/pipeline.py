@@ -266,7 +266,6 @@ class EnsembleStudy:
         pivot_fraction: float = 1.0,
         free_fraction: float = 1.0,
         join_kind: str = "join",
-        lazy: bool = False,
         sub_sampling: str = "cross",
         partition: Optional[PFPartition] = None,
         seed: SeedLike = None,
@@ -299,7 +298,6 @@ class EnsembleStudy:
             ranks,
             variant=variant,
             join_kind=join_kind,
-            lazy=lazy,
         )
         elapsed = time.perf_counter() - started
         logger.debug(

@@ -43,26 +43,6 @@ def align_columns(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u2
 
 
-def procrustes_align(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Orthogonally rotate ``u2``'s columns onto ``u1``'s.
-
-    Solves the orthogonal Procrustes problem
-    ``min_R ||u1 - u2 R||_F`` over rotations ``R`` and returns
-    ``u2 @ R``.  A stronger alternative to :func:`align_columns` when
-    the two sub-decompositions order or mix their singular vectors
-    differently (close singular values): rotation makes the bases
-    maximally comparable row-by-row while preserving the spanned
-    subspace.  Exposed through ``m2td_decompose(alignment=...)``; the
-    default stays the lighter sign alignment (``EXPERIMENTS.md``,
-    "Known deviations", records the trade-off).
-    """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    _check_pair(u1, u2)
-    w, _s, vt = np.linalg.svd(u2.T @ u1)
-    return u2 @ (w @ vt)
-
-
 def average_factors(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """M2TD-AVG's combiner: the element-wise average (Figure 10(a)).
 

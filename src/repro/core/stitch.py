@@ -11,13 +11,13 @@ tensor ``J`` whose modes are ``pivot + S1-free + S2-free``:
 * **zero-join** additionally pairs a one-sided observation with every
   *candidate* configuration of the other side, treating the missing
   value as 0 — boosting effective density when per-pivot observations
-  are partial (Section V-C2).  Candidate sets default to the distinct
-  free configurations observed anywhere in the other sub-ensemble.
+  are partial (Section V-C2).  A side's candidates are the distinct
+  free configurations observed anywhere in that sub-ensemble.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -167,11 +167,7 @@ def join_tensor(
 
 
 def zero_join_tensor(
-    x1: SparseTensor,
-    x2: SparseTensor,
-    partition: PFPartition,
-    candidates1: Optional[np.ndarray] = None,
-    candidates2: Optional[np.ndarray] = None,
+    x1: SparseTensor, x2: SparseTensor, partition: PFPartition
 ) -> SparseTensor:
     """Zero-join stitching (Section V-C2).
 
@@ -181,21 +177,18 @@ def zero_join_tensor(
         Sub-ensemble tensors in sub-space coordinates.
     partition:
         The PF-partition.
-    candidates1 / candidates2:
-        Free-configuration index arrays each one-sided observation of
-        the *other* side is paired with; default: the distinct free
-        configurations observed anywhere in that sub-ensemble.
 
     For a pivot configuration ``p``: matched pairs average as in the
     plain join; an ``X1`` observation with no matching ``X2`` cell
-    contributes ``x1 / 2`` at every candidate ``b``; symmetrically for
+    contributes ``x1 / 2`` at every candidate ``b`` (a free
+    configuration ``X2`` observed at any pivot); symmetrically for
     ``X2``.
     """
     with _span(
         "zero-join-tensor", "stitch", nnz1=x1.nnz, nnz2=x2.nnz,
         join_shape=partition.join_shape,
     ) as sp:
-        join = _zero_join(x1, x2, partition, candidates1, candidates2)
+        join = _zero_join(x1, x2, partition)
         sp.set(join_nnz=join.nnz)
         metrics = get_metrics()
         metrics.counter("stitch.joins").inc()
@@ -204,28 +197,14 @@ def zero_join_tensor(
 
 
 def _zero_join(
-    x1: SparseTensor,
-    x2: SparseTensor,
-    partition: PFPartition,
-    candidates1: Optional[np.ndarray],
-    candidates2: Optional[np.ndarray],
+    x1: SparseTensor, x2: SparseTensor, partition: PFPartition
 ) -> SparseTensor:
     p1, f1 = _split_sub_coords(x1, partition, 1)
     p2, f2 = _split_sub_coords(x2, partition, 2)
     groups1 = _group_by_pivot(p1, f1, x1.values)
     groups2 = _group_by_pivot(p2, f2, x2.values)
-    if candidates1 is None:
-        cand1 = np.unique(f1)
-    else:
-        cand1 = np.unique(_flatten(
-            np.asarray(candidates1, dtype=np.int64), partition.free_shape(1)
-        ))
-    if candidates2 is None:
-        cand2 = np.unique(f2)
-    else:
-        cand2 = np.unique(_flatten(
-            np.asarray(candidates2, dtype=np.int64), partition.free_shape(2)
-        ))
+    cand1 = np.unique(f1)
+    cand2 = np.unique(f2)
     pivot_parts, free1_parts, free2_parts, value_parts = [], [], [], []
     all_pivots = sorted(set(groups1) | set(groups2))
     empty = (np.empty(0, dtype=np.int64), np.empty(0))

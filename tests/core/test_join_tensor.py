@@ -1,14 +1,9 @@
-"""Core recovery: materialized vs lazy closed form."""
+"""Core recovery: materialized vs closed form."""
 
 import numpy as np
 import pytest
 
 from repro.core import dense_join_from_subs, lazy_core, materialized_core
-from repro.core.join_tensor import (
-    factor_memory_footprint,
-    join_memory_footprint,
-    stack_factors,
-)
 from repro.exceptions import StitchError
 from repro.sampling import PFPartition
 
@@ -82,18 +77,3 @@ class TestLazyCore:
         with pytest.raises(StitchError):
             lazy_core(x1[:-1], x2, factors, part)
 
-
-class TestFootprints:
-    def test_join_footprint(self):
-        part = partition()
-        cells = np.prod(SHAPE)
-        assert join_memory_footprint(part) == cells * 8
-
-    def test_factor_footprint(self, rng):
-        factors = [rng.standard_normal((4, 2)), rng.standard_normal((3, 2))]
-        assert factor_memory_footprint(factors) == (8 + 6) * 8
-
-    def test_stack_factors_order(self):
-        a, b, c = np.ones((2, 1)), np.ones((3, 1)), np.ones((4, 1))
-        stacked = stack_factors([a], [b], [c])
-        assert [f.shape[0] for f in stacked] == [2, 3, 4]

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core import m2td_decompose
+from repro.core import (
+    dense_join_from_subs,
+    join_tensor,
+    m2td_decompose,
+    materialized_core,
+    zero_join_tensor,
+)
 from repro.core.m2td import map_ranks_to_join
-from repro.exceptions import RankError, StitchError
+from repro.exceptions import RankError, ShapeError, StitchError
+from repro.observability import Tracer, use_tracer
 from repro.sampling import PFPartition
 from repro.tensor import SparseTensor
 
@@ -58,11 +65,6 @@ class TestEngine:
         with pytest.raises(StitchError):
             m2td_decompose(x1, x2, part, RANKS, join_kind="outer")
 
-    def test_lazy_requires_join(self, subs):
-        part, x1, x2 = subs
-        with pytest.raises(StitchError):
-            m2td_decompose(x1, x2, part, RANKS, join_kind="zero", lazy=True)
-
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("which", ["x1", "x2"])
     def test_rejects_non_finite_sub_ensemble(self, subs, which, sparse):
@@ -78,14 +80,6 @@ class TestEngine:
             }
         with pytest.raises(StitchError, match=f"sub-ensemble {which}"):
             m2td_decompose(inputs["x1"], inputs["x2"], part, RANKS)
-
-    def test_lazy_matches_materialized(self, subs):
-        part, x1, x2 = subs
-        eager = m2td_decompose(x1, x2, part, RANKS, variant="select")
-        lazy = m2td_decompose(x1, x2, part, RANKS, variant="select", lazy=True)
-        assert np.allclose(eager.tucker.core, lazy.tucker.core)
-        assert lazy.join_kind == "lazy"
-        assert lazy.join_nnz == 0
 
     def test_sparse_and_dense_inputs_agree(self, subs):
         part, x1, x2 = subs
@@ -127,38 +121,61 @@ class TestEngine:
         with pytest.raises(StitchError):
             result.accuracy(np.zeros(SHAPE))
 
-
-class TestAlignment:
-    def test_procrustes_option_runs(self, subs):
+    def test_accuracy_rejects_mismatched_truth(self, subs, rng):
+        """A truth that merely broadcasts against the reconstruction
+        (here a trailing mode of size 1) must not score silently."""
         part, x1, x2 = subs
-        result = m2td_decompose(
-            x1, x2, part, RANKS, variant="select", alignment="procrustes"
-        )
-        assert result.tucker.shape == part.join_shape
+        result = m2td_decompose(x1, x2, part, RANKS)
+        truth = rng.standard_normal(SHAPE) + 2.0
+        with pytest.raises(ShapeError):
+            result.accuracy(truth[..., :1])
 
-    def test_unknown_alignment_rejected(self, subs):
+
+class TestCoreRoute:
+    """The inputs pick the core route: a join of two complete
+    sub-ensembles recovers the core in closed form, every other
+    stitch materializes the join tensor — with the same core and the
+    same ``join_nnz`` either way."""
+
+    @pytest.mark.parametrize(
+        "inputs, join_kind, route",
+        [
+            ("dense", "join", "closed-form"),
+            ("complete-sparse", "join", "closed-form"),
+            ("one-cell-missing", "join", "materialized"),
+            ("complete-sparse", "zero", "materialized"),
+        ],
+    )
+    def test_route_follows_the_data(self, subs, inputs, join_kind, route):
         part, x1, x2 = subs
-        with pytest.raises(StitchError):
-            m2td_decompose(x1, x2, part, RANKS, alignment="affine")
+        sparse1 = SparseTensor.from_dense(x1, keep_zeros=True)
+        sparse2 = SparseTensor.from_dense(x2, keep_zeros=True)
+        if inputs == "one-cell-missing":
+            sparse1 = SparseTensor(
+                sparse1.shape, sparse1.coords[1:], sparse1.values[1:]
+            )
+        subs_in = (x1, x2) if inputs == "dense" else (sparse1, sparse2)
+        with use_tracer(Tracer()) as tracer:
+            result = m2td_decompose(
+                *subs_in, part, RANKS, join_kind=join_kind
+            )
+        (core_span,) = [
+            s for s in tracer.iter_spans() if s.name == "m2td-core"
+        ]
+        assert core_span.attrs["core_route"] == route
+        assert result.join_kind == join_kind
 
-    def test_procrustes_preserves_subspace(self, subs):
-        """Rotation must not change the spanned pivot subspace: the
-        CONCAT-free variants' reconstructions of identical inputs only
-        differ through the pivot factor's row mixing."""
-        from repro.core.row_select import procrustes_align
-
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        u1 = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        u2 = np.linalg.qr(rng.standard_normal((6, 3)))[0]
-        rotated = procrustes_align(u1, u2)
-        # same column space as u2
-        projector_before = u2 @ u2.T
-        projector_after = rotated @ rotated.T
-        assert np.allclose(projector_before, projector_after, atol=1e-10)
-        # and at least as close to u1 as the raw basis
-        assert np.linalg.norm(u1 - rotated) <= np.linalg.norm(u1 - u2) + 1e-12
+        stitch = join_tensor if join_kind == "join" else zero_join_tensor
+        materialized = stitch(sparse1, sparse2, part)
+        assert result.join_nnz == materialized.nnz
+        if route == "closed-form":
+            assert result.join_nnz == int(np.prod(part.join_shape))
+            reference_join = dense_join_from_subs(x1, x2, part)
+        else:
+            reference_join = materialized.to_dense()
+        reference = materialized_core(reference_join, result.tucker.factors)
+        error = np.abs(result.tucker.core - reference).max()
+        assert error <= 1e-12 * np.abs(reference).max()
 
 
 class TestVariants:
@@ -194,8 +211,6 @@ class TestVariants:
         x1 = np.einsum("t,ij->tij", p, a)
         x2 = np.einsum("t,ij->tij", p, b)
         result = m2td_decompose(x1, x2, part, [4] * 5, variant="select")
-        from repro.core.join_tensor import dense_join_from_subs
-
         joined = dense_join_from_subs(x1, x2, part)
         reconstruction = result.tucker.reconstruct()
         error = np.linalg.norm(reconstruction - joined) / np.linalg.norm(joined)

@@ -10,7 +10,7 @@ from repro.core.multiway import (
     multiway_join_dense,
     multiway_study,
 )
-from repro.exceptions import PartitionError, StitchError
+from repro.exceptions import PartitionError, ShapeError, StitchError
 from repro.simulation import DoublePendulum, ParameterSpace
 
 SHAPE = (4, 4, 4, 4, 4)
@@ -157,3 +157,6 @@ class TestMultiwayStudy:
         )
         assert cells == multiway_budget_cells(part)
         assert 0 < result.accuracy(pendulum_study.truth) < 1
+        # a truth that only broadcasts against the reconstruction
+        with pytest.raises(ShapeError):
+            result.accuracy(pendulum_study.truth[..., :1])

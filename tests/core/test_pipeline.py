@@ -79,12 +79,6 @@ class TestM2TD:
         )
         assert zero.join_nnz > join.join_nnz
 
-    def test_lazy_matches_eager(self, pendulum_study):
-        study = pendulum_study
-        eager = study.run_m2td(RANKS, seed=0)
-        lazy = study.run_m2td(RANKS, lazy=True, seed=0)
-        assert lazy.accuracy == pytest.approx(eager.accuracy, abs=1e-10)
-
     def test_pivot_choice(self, pendulum_study):
         result = pendulum_study.run_m2td(RANKS, pivot="m1", seed=0)
         assert -1.0 <= result.accuracy <= 1.0

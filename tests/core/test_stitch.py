@@ -93,18 +93,6 @@ class TestZeroJoin:
         assert zero_joined.get((0, 1, 1, 2, 0)) == pytest.approx(6.0)
         assert zero_joined.nnz == 1
 
-    def test_explicit_candidates(self):
-        part = partition()
-        x1 = SparseTensor(part.sub_shape(1), [[0, 0, 0]], [4.0])
-        x2 = SparseTensor(part.sub_shape(2), [[1, 2, 2]], [6.0])
-        candidates2 = np.array([[0, 0], [1, 1]])
-        zero_joined = zero_join_tensor(
-            x1, x2, part, candidates2=candidates2
-        )
-        # x1 now pairs with both explicit candidates.
-        assert zero_joined.get((0, 0, 0, 0, 0)) == pytest.approx(2.0)
-        assert zero_joined.get((0, 0, 0, 1, 1)) == pytest.approx(2.0)
-
     def test_denser_than_join_under_random_sampling(self, rng):
         part = partition()
         # Sparse random sub-ensembles: few pivot matches.

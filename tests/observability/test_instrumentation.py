@@ -74,12 +74,30 @@ class TestPipelineCoverage:
         ]
         assert decompose
 
-    def test_stitch_spans_report_join_nnz(self, pipeline_tracer):
-        joins = [
-            s
-            for s in pipeline_tracer.iter_spans()
-            if s.name == "join-tensor"
+    def test_stitch_spans_report_join_nnz(
+        self, pipeline_tracer, pendulum_study
+    ):
+        """The fixture's full-density cross sample is a complete join,
+        so it recovers the core in closed form and builds no
+        ``join-tensor``; a random sample still materializes one."""
+        names = [s.name for s in pipeline_tracer.iter_spans()]
+        assert "join-tensor" not in names
+        (stitch,) = [
+            s for s in pipeline_tracer.iter_spans() if s.name == "m2td-stitch"
         ]
+        (core,) = [
+            s for s in pipeline_tracer.iter_spans() if s.name == "m2td-core"
+        ]
+        assert core.attrs["core_route"] == "closed-form"
+        # resolution 5 over five modes: the join space is all 5**5 cells
+        assert stitch.attrs["join_nnz"] == 5**5
+
+        with use_tracer(Tracer()) as tracer:
+            pendulum_study.run_m2td(
+                [2] * pendulum_study.space.n_modes, free_fraction=0.5,
+                sub_sampling="random", seed=7,
+            )
+        joins = [s for s in tracer.iter_spans() if s.name == "join-tensor"]
         assert joins and all(s.attrs["join_nnz"] > 0 for s in joins)
 
 
