@@ -1,7 +1,8 @@
 """Dynamical-system simulation substrate.
 
 Provides the paper's three test systems (double pendulum, triple
-pendulum with friction, Lorenz), the ODE integrators that run them,
+pendulum with friction, Lorenz) plus the 5-parameter pendulum and an
+SEIR epidemic, the batched RK4 integrator that runs them,
 discretized parameter spaces, the observed reference configuration,
 and the memoized simulation oracle that builds ensemble tensors.
 """
@@ -15,7 +16,7 @@ from .ensemble import (
     full_space_tensor,
     simulate_fibers,
 )
-from .integrators import euler, rk4, rk45, rk4_sampled
+from .integrators import rk45, rk4_sampled
 from .lorenz import Lorenz
 from .observation import Observation, make_observation
 from .parameter_space import TIME_MODE, ParameterSpace
@@ -57,8 +58,6 @@ __all__ = [
     "SimulationOracle",
     "full_space_tensor",
     "simulate_fibers",
-    "euler",
-    "rk4",
     "rk45",
     "rk4_sampled",
     "chain_pendulum_derivative",

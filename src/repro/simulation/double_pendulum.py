@@ -5,7 +5,7 @@ angles ``phi1``/``phi2`` and bob weights ``m1``/``m2`` of the two
 pendulums.  Gravity is a fixed constructor argument (the intro's
 5-parameter illustration includes ``g``; the evaluation freezes it).
 
-State vector: ``(theta1, omega1, theta2, omega2)``.
+State: rows ``(theta1, omega1, theta2, omega2)``, one column per run.
 """
 
 from __future__ import annotations
@@ -41,15 +41,22 @@ class DoublePendulum(DynamicalSystem):
     def parameters(self) -> Tuple[ParameterDef, ...]:
         return self._parameters
 
-    def initial_state(self, params: Dict[str, float]) -> np.ndarray:
-        return np.array([params["phi1"], 0.0, params["phi2"], 0.0])
+    def initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
+        phi1 = np.asarray(params["phi1"], dtype=np.float64)
+        phi2 = np.asarray(params["phi2"], dtype=np.float64)
+        zeros = np.zeros_like(phi1)
+        return np.stack([phi1, zeros, phi2, zeros])
+
+    def gravity_of(self, params: Dict[str, np.ndarray]) -> float:
+        """Gravity of each run: the fixed constructor value here."""
+        return self.gravity
 
     def derivative(
-        self, params: Dict[str, float]
+        self, params: Dict[str, np.ndarray]
     ) -> Callable[[float, np.ndarray], np.ndarray]:
-        m1 = float(params["m1"])
-        m2 = float(params["m2"])
-        g = self.gravity
+        m1 = params["m1"]
+        m2 = params["m2"]
+        g = self.gravity_of(params)
         length = self.length
 
         def deriv(_t: float, state: np.ndarray) -> np.ndarray:
@@ -79,54 +86,15 @@ class DoublePendulum(DynamicalSystem):
 
         return deriv
 
-    def batch_initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
-        phi1 = np.asarray(params["phi1"], dtype=np.float64)
-        phi2 = np.asarray(params["phi2"], dtype=np.float64)
-        zeros = np.zeros_like(phi1)
-        return np.stack([phi1, zeros, phi2, zeros], axis=1)
-
-    def batch_derivative(self, params: Dict[str, np.ndarray]):
-        m1 = np.asarray(params["m1"], dtype=np.float64)
-        m2 = np.asarray(params["m2"], dtype=np.float64)
-        g = self.gravity
-        length = self.length
-
-        def deriv(_t: float, states: np.ndarray) -> np.ndarray:
-            theta1 = states[:, 0]
-            omega1 = states[:, 1]
-            theta2 = states[:, 2]
-            omega2 = states[:, 3]
-            delta = theta1 - theta2
-            cos_d = np.cos(delta)
-            sin_d = np.sin(delta)
-            denom = length * (2 * m1 + m2 - m2 * np.cos(2 * delta))
-            alpha1 = (
-                -g * (2 * m1 + m2) * np.sin(theta1)
-                - m2 * g * np.sin(theta1 - 2 * theta2)
-                - 2
-                * sin_d
-                * m2
-                * (omega2**2 * length + omega1**2 * length * cos_d)
-            ) / denom
-            alpha2 = (
-                2
-                * sin_d
-                * (
-                    omega1**2 * length * (m1 + m2)
-                    + g * (m1 + m2) * np.cos(theta1)
-                    + omega2**2 * length * m2 * cos_d
-                )
-            ) / denom
-            return np.stack([omega1, alpha1, omega2, alpha2], axis=1)
-
-        return deriv
-
-    def total_energy(self, params: Dict[str, float], state: np.ndarray) -> float:
-        """Mechanical energy of a state — conserved (no friction), which
-        tests use to validate the integrator against this system."""
-        m1 = float(params["m1"])
-        m2 = float(params["m2"])
-        g = self.gravity
+    def total_energy(
+        self, params: Dict[str, np.ndarray], state: np.ndarray
+    ) -> np.ndarray:
+        """Mechanical energy of each column of a ``(4, B)`` state —
+        conserved (no friction), which tests use to validate the
+        integrator against this system."""
+        m1 = params["m1"]
+        m2 = params["m2"]
+        g = self.gravity_of(params)
         length = self.length
         theta1, omega1, theta2, omega2 = state
         v1_sq = (length * omega1) ** 2
@@ -139,4 +107,4 @@ class DoublePendulum(DynamicalSystem):
         y1 = -length * np.cos(theta1)
         y2 = y1 - length * np.cos(theta2)
         potential = m1 * g * y1 + m2 * g * y2
-        return float(kinetic + potential)
+        return kinetic + potential

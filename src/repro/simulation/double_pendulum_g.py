@@ -9,8 +9,9 @@ ensemble tensor ``(phi1, m1, phi2, m2, g, t)``.
 
 With six modes the PF-partitioning generalizes beyond the evaluated
 ``k = 1``: two pivots (say ``g`` and ``t``) leave four free modes to
-split 2 + 2 — the multi-pivot regime exercised by
-``examples/five_parameter_pendulum.py`` and the k-sweep experiment.
+split 2 + 2 — the multi-pivot regime the ``ext-pendulum5`` experiment
+exercises.  The equation of motion is the parent's; this subclass only
+supplies a per-run ``g``.
 """
 
 from __future__ import annotations
@@ -42,45 +43,6 @@ class DoublePendulumG(DoublePendulum):
     def parameters(self) -> Tuple[ParameterDef, ...]:
         return self._parameters
 
-    def derivative(self, params: Dict[str, float]):
-        # Reuse the parent's closed-form RHS with per-run gravity.
-        bound = DoublePendulum(
-            gravity=float(params["g"]), length=self.length
-        )
-        return bound.derivative(params)
-
-    def batch_derivative(self, params: Dict[str, np.ndarray]):
-        m1 = np.asarray(params["m1"], dtype=np.float64)
-        m2 = np.asarray(params["m2"], dtype=np.float64)
-        g = np.asarray(params["g"], dtype=np.float64)
-        length = self.length
-
-        def deriv(_t: float, states: np.ndarray) -> np.ndarray:
-            theta1 = states[:, 0]
-            omega1 = states[:, 1]
-            theta2 = states[:, 2]
-            omega2 = states[:, 3]
-            delta = theta1 - theta2
-            cos_d = np.cos(delta)
-            sin_d = np.sin(delta)
-            denom = length * (2 * m1 + m2 - m2 * np.cos(2 * delta))
-            alpha1 = (
-                -g * (2 * m1 + m2) * np.sin(theta1)
-                - m2 * g * np.sin(theta1 - 2 * theta2)
-                - 2
-                * sin_d
-                * m2
-                * (omega2**2 * length + omega1**2 * length * cos_d)
-            ) / denom
-            alpha2 = (
-                2
-                * sin_d
-                * (
-                    omega1**2 * length * (m1 + m2)
-                    + g * (m1 + m2) * np.cos(theta1)
-                    + omega2**2 * length * m2 * cos_d
-                )
-            ) / denom
-            return np.stack([omega1, alpha1, omega2, alpha2], axis=1)
-
-        return deriv
+    def gravity_of(self, params: Dict[str, np.ndarray]) -> np.ndarray:
+        """Gravity of each run: the ``g`` parameter."""
+        return params["g"]

@@ -105,13 +105,12 @@ def simulate_fibers(
         "simulate-fibers", "simulate",
         system=system.name, batch=param_indices.shape[0],
     ):
-        deriv = system.batch_derivative(params)
-        y0 = system.batch_initial_state(params)
         sampled = rk4_sampled(
-            deriv, y0, 0.0, system.t_end, system.n_steps, space.time_indices
-        )
+            system.derivative(params), system.initial_state(params),
+            0.0, system.t_end, system.n_steps, space.time_indices,
+        )  # (T, state_dim, B)
     elapsed = time.perf_counter() - started
-    distances = observation.distances(sampled)  # (T, B)
+    distances = observation.distances(sampled.transpose(0, 2, 1))  # (T, B)
     metrics = get_metrics()
     metrics.counter("simulate.runs").inc(param_indices.shape[0])
     metrics.counter("simulate.cells").inc(

@@ -34,7 +34,8 @@ from .systems import DynamicalSystem, ParameterDef
 class EpidemicSEIR(DynamicalSystem):
     """SEIR compartmental epidemic model.
 
-    State vector: ``(S, E, I, R)`` as population fractions.
+    State: rows ``(S, E, I, R)`` as population fractions, one column
+    per run.
     """
 
     name = "epidemic_seir"
@@ -55,17 +56,18 @@ class EpidemicSEIR(DynamicalSystem):
     def parameters(self) -> Tuple[ParameterDef, ...]:
         return self._parameters
 
-    def initial_state(self, params: Dict[str, float]) -> np.ndarray:
-        i0 = float(params["i0"])
-        s0 = max(0.0, 1.0 - i0 - self.e0)
-        return np.array([s0, self.e0, i0, 0.0])
+    def initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
+        i0 = np.asarray(params["i0"], dtype=np.float64)
+        s0 = np.clip(1.0 - i0 - self.e0, 0.0, None)
+        e0 = np.full_like(i0, self.e0)
+        return np.stack([s0, e0, i0, np.zeros_like(i0)])
 
     def derivative(
-        self, params: Dict[str, float]
+        self, params: Dict[str, np.ndarray]
     ) -> Callable[[float, np.ndarray], np.ndarray]:
-        beta = float(params["beta"])
-        sigma = float(params["sigma"])
-        gamma = float(params["gamma"])
+        beta = params["beta"]
+        sigma = params["sigma"]
+        gamma = params["gamma"]
 
         def deriv(_t: float, state: np.ndarray) -> np.ndarray:
             s, e, i, _r = state
@@ -77,34 +79,6 @@ class EpidemicSEIR(DynamicalSystem):
                     sigma * e - gamma * i,
                     gamma * i,
                 ]
-            )
-
-        return deriv
-
-    def batch_initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
-        i0 = np.asarray(params["i0"], dtype=np.float64)
-        s0 = np.clip(1.0 - i0 - self.e0, 0.0, None)
-        e0 = np.full_like(i0, self.e0)
-        return np.stack([s0, e0, i0, np.zeros_like(i0)], axis=1)
-
-    def batch_derivative(self, params: Dict[str, np.ndarray]):
-        beta = np.asarray(params["beta"], dtype=np.float64)
-        sigma = np.asarray(params["sigma"], dtype=np.float64)
-        gamma = np.asarray(params["gamma"], dtype=np.float64)
-
-        def deriv(_t: float, states: np.ndarray) -> np.ndarray:
-            s = states[:, 0]
-            e = states[:, 1]
-            i = states[:, 2]
-            new_infections = beta * s * i
-            return np.stack(
-                [
-                    -new_infections,
-                    new_infections - sigma * e,
-                    sigma * e - gamma * i,
-                    gamma * i,
-                ],
-                axis=1,
             )
 
         return deriv

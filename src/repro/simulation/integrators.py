@@ -1,11 +1,11 @@
 """Fixed- and adaptive-step ODE integrators.
 
 The paper obtains its pendulum/Lorenz trajectories from MATLAB codes;
-we integrate the same equations of motion ourselves.  A classical
-fixed-step RK4 is the default (deterministic cost per simulation, which
-the budget accounting relies on); explicit Euler exists as a cheap
-baseline, and an adaptive RK45 (Dormand-Prince) is provided for
-accuracy checks in tests.
+we integrate the same equations of motion ourselves.  The one
+fixed-step integrator is a classical RK4 over a batch of runs
+(deterministic cost per simulation, which the budget accounting relies
+on); an adaptive RK45 (Dormand-Prince) is provided as the tests'
+high-accuracy reference.
 """
 
 from __future__ import annotations
@@ -24,44 +24,6 @@ def _check_times(t0: float, t1: float, n_steps: int) -> None:
         raise SimulationError(f"n_steps must be >= 1, got {n_steps}")
     if not t1 > t0:
         raise SimulationError(f"need t1 > t0, got t0={t0}, t1={t1}")
-
-
-def euler(
-    deriv: Derivative, y0: np.ndarray, t0: float, t1: float, n_steps: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Explicit Euler. Returns ``(times, states)`` with
-    ``states.shape == (n_steps + 1, len(y0))``."""
-    _check_times(t0, t1, n_steps)
-    y0 = np.asarray(y0, dtype=np.float64)
-    times = np.linspace(t0, t1, n_steps + 1)
-    states = np.empty((n_steps + 1, y0.shape[0]))
-    states[0] = y0
-    h = (t1 - t0) / n_steps
-    for i in range(n_steps):
-        states[i + 1] = states[i] + h * deriv(times[i], states[i])
-    _check_finite(states)
-    return times, states
-
-
-def rk4(
-    deriv: Derivative, y0: np.ndarray, t0: float, t1: float, n_steps: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Classical 4th-order Runge-Kutta with ``n_steps`` uniform steps."""
-    _check_times(t0, t1, n_steps)
-    y0 = np.asarray(y0, dtype=np.float64)
-    times = np.linspace(t0, t1, n_steps + 1)
-    states = np.empty((n_steps + 1, y0.shape[0]))
-    states[0] = y0
-    h = (t1 - t0) / n_steps
-    for i in range(n_steps):
-        t, y = times[i], states[i]
-        k1 = deriv(t, y)
-        k2 = deriv(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = deriv(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = deriv(t + h, y + h * k3)
-        states[i + 1] = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    _check_finite(states)
-    return times, states
 
 
 # Dormand-Prince 5(4) Butcher tableau.
@@ -149,23 +111,23 @@ def rk4_sampled(
     Parameters
     ----------
     deriv:
-        Right-hand side operating on the full state array (any shape
-        whose leading axis is the batch; typically ``(B, state_dim)``).
+        Right-hand side on the full state array, laid out
+        ``(state_dim, B)``: one column per run.
     y0:
-        Initial states, shape ``(B, state_dim)`` (or ``(state_dim,)``).
+        Initial states, shape ``(state_dim, B)``.
     sample_steps:
         Sorted step indices in ``[0, n_steps]`` to record.
 
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(len(sample_steps),) + y0.shape`` holding the
-        state at each requested step.  Recording only the requested
+        Array of shape ``(len(sample_steps), state_dim, B)`` holding
+        the state at each requested step.  Recording only the requested
         steps keeps memory at ``O(T * B)`` instead of
         ``O(n_steps * B)`` — this is what makes building the
         full-space ground-truth tensor tractable.  Non-finite states
-        are returned, not raised: the caller checks each batch row, so
-        it can name the run that diverged.
+        are returned, not raised: the caller checks each column, so it
+        can name the run that diverged.
     """
     _check_times(t0, t1, n_steps)
     y = np.array(y0, dtype=np.float64, copy=True)

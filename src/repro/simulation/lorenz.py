@@ -10,7 +10,7 @@ The classic chaotic regime (sigma=10, beta=8/3, rho=28) sits at the
 parameter defaults, so ensembles straddle both chaotic and
 non-chaotic behaviour.
 
-State vector: ``(x, y, z)``.
+State: rows ``(x, y, z)``, one column per run.
 """
 
 from __future__ import annotations
@@ -45,15 +45,18 @@ class Lorenz(DynamicalSystem):
     def parameters(self) -> Tuple[ParameterDef, ...]:
         return self._parameters
 
-    def initial_state(self, params: Dict[str, float]) -> np.ndarray:
-        return np.array([self.x0, self.y0, params["z0"]])
+    def initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
+        z0 = np.asarray(params["z0"], dtype=np.float64)
+        return np.stack(
+            [np.full_like(z0, self.x0), np.full_like(z0, self.y0), z0]
+        )
 
     def derivative(
-        self, params: Dict[str, float]
+        self, params: Dict[str, np.ndarray]
     ) -> Callable[[float, np.ndarray], np.ndarray]:
-        sigma = float(params["sigma"])
-        beta = float(params["beta"])
-        rho = float(params["rho"])
+        sigma = params["sigma"]
+        beta = params["beta"]
+        rho = params["rho"]
 
         def deriv(_t: float, state: np.ndarray) -> np.ndarray:
             x, y, z = state
@@ -63,33 +66,6 @@ class Lorenz(DynamicalSystem):
                     x * (rho - z) - y,
                     x * y - beta * z,
                 ]
-            )
-
-        return deriv
-
-    def batch_initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
-        z0 = np.asarray(params["z0"], dtype=np.float64)
-        return np.stack(
-            [np.full_like(z0, self.x0), np.full_like(z0, self.y0), z0],
-            axis=1,
-        )
-
-    def batch_derivative(self, params: Dict[str, np.ndarray]):
-        sigma = np.asarray(params["sigma"], dtype=np.float64)
-        beta = np.asarray(params["beta"], dtype=np.float64)
-        rho = np.asarray(params["rho"], dtype=np.float64)
-
-        def deriv(_t: float, states: np.ndarray) -> np.ndarray:
-            x = states[:, 0]
-            y = states[:, 1]
-            z = states[:, 2]
-            return np.stack(
-                [
-                    sigma * (y - x),
-                    x * (rho - z) - y,
-                    x * y - beta * z,
-                ],
-                axis=1,
             )
 
         return deriv

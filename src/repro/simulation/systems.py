@@ -1,10 +1,19 @@
-"""The dynamical-system abstraction shared by all three test systems.
+"""The dynamical-system abstraction shared by all test systems.
 
 A :class:`DynamicalSystem` exposes (a) a named, ordered set of
 *simulation parameters* (the tensor modes besides time), (b) the ODE
-right-hand side for a given parameter assignment, and (c) how to build
-the initial state vector.  The ensemble machinery only talks to this
-interface, so adding a fourth system means writing one subclass.
+right-hand side for a batch of parameter assignments, and (c) the
+batch's initial states.  Both work on one layout: parameters are
+length-``B`` arrays and the state is ``(state_dim, B)``, one column per
+run, so ``theta, omega = state`` unpacks rows and the body reads like
+the scalar formula.  The reference run (:meth:`DynamicalSystem.simulate`)
+feeds the same body one run: float parameters and a ``(state_dim,)``
+state, which elementwise numpy broadcasts exactly like a column, only
+without per-call array overhead.  So the ensemble runs and the
+reference run share one right-hand side and its arithmetic bit for bit
+(the triple pendulum's reference run is the one exception; see
+:mod:`.triple_pendulum`).  Adding a system means writing one subclass
+with one ``derivative`` and one ``initial_state``.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import SimulationError
-from .integrators import rk4
+from .integrators import rk4_sampled
 
 
 @dataclass(frozen=True)
@@ -74,13 +83,20 @@ class DynamicalSystem(ABC):
 
     @abstractmethod
     def derivative(
-        self, params: Dict[str, float]
+        self, params: Dict[str, np.ndarray]
     ) -> Callable[[float, np.ndarray], np.ndarray]:
-        """ODE right-hand side for a concrete parameter assignment."""
+        """ODE right-hand side for a batch of parameter assignments.
+
+        ``params`` maps each parameter name to a length-``B`` array;
+        the returned function maps a ``(state_dim, B)`` state to its
+        ``(state_dim, B)`` time derivative.  Given float parameters it
+        maps one ``(state_dim,)`` state (see :meth:`simulate`).
+        """
 
     @abstractmethod
-    def initial_state(self, params: Dict[str, float]) -> np.ndarray:
-        """Initial state vector for a concrete parameter assignment."""
+    def initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
+        """``(state_dim, B)`` initial states for a batch of assignments
+        (``(state_dim,)`` for float parameters)."""
 
     # ------------------------------------------------------------------
     @property
@@ -106,54 +122,38 @@ class DynamicalSystem(ABC):
 
     def simulate(self, params: Dict[str, float]) -> np.ndarray:
         """Run one simulation; returns states of shape
-        ``(n_steps + 1, state_dim)`` on the uniform time grid."""
+        ``(n_steps + 1, state_dim)`` on the uniform time grid.
+
+        This is the reference run behind :func:`make_observation`.  It
+        integrates the ensemble's right-hand side on float parameters,
+        so numpy does scalar arithmetic, which rounds exactly as a batch
+        column does; 1-element arrays would cost 2-4x as much per step
+        in numpy call overhead.
+        """
         missing = set(self.parameter_names) - set(params)
         if missing:
             raise SimulationError(
                 f"{self.name}: missing parameters {sorted(missing)}"
             )
-        deriv = self.derivative(params)
-        y0 = self.initial_state(params)
-        _times, states = rk4(deriv, y0, 0.0, self.t_end, self.n_steps)
+        run = {name: float(params[name]) for name in self.parameter_names}
+        states = rk4_sampled(
+            self._reference_derivative(run), self.initial_state(run),
+            0.0, self.t_end, self.n_steps, np.arange(self.n_steps + 1),
+        )
+        if not np.isfinite(states).all():
+            raise SimulationError(
+                f"{self.name}: integration diverged (non-finite state) "
+                f"at {dict(params)}"
+            )
         return states
 
-    # ------------------------------------------------------------------
-    # batched interface (vectorized over many parameter assignments)
-    # ------------------------------------------------------------------
-    def batch_initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
-        """Initial states for a batch of parameter assignments.
-
-        ``params`` maps each parameter name to a length-``B`` array;
-        returns a ``(B, state_dim)`` array.  The default implementation
-        loops over :meth:`initial_state`; systems override it with a
-        vectorized version.
-        """
-        batch = len(next(iter(params.values())))
-        rows = [
-            self.initial_state({k: float(v[i]) for k, v in params.items()})
-            for i in range(batch)
-        ]
-        return np.stack(rows)
-
-    def batch_derivative(
+    def _reference_derivative(
         self, params: Dict[str, np.ndarray]
     ) -> Callable[[float, np.ndarray], np.ndarray]:
-        """ODE right-hand side over a ``(B, state_dim)`` state batch.
-
-        The default loops over :meth:`derivative`; systems override it.
-        Batched evaluation is what makes constructing the full-space
-        ground-truth tensor (R^4 simulation runs) tractable.
-        """
-        batch = len(next(iter(params.values())))
-        derivs = [
-            self.derivative({k: float(v[i]) for k, v in params.items()})
-            for i in range(batch)
-        ]
-
-        def deriv(t: float, states: np.ndarray) -> np.ndarray:
-            return np.stack([d(t, states[i]) for i, d in enumerate(derivs)])
-
-        return deriv
+        """Right-hand side of :meth:`simulate`'s one run: the ensemble's
+        own :meth:`derivative`, except where a system keeps an
+        unbatched formula to hold its reference run's bits."""
+        return self.derivative(params)
 
     def time_grid(self, resolution: int) -> np.ndarray:
         """Indices into the trajectory for ``resolution`` time samples.

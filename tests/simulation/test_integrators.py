@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.simulation import euler, rk4, rk45, rk4_sampled
+from repro.simulation import rk45, rk4_sampled
+from repro.simulation.systems import DynamicalSystem, ParameterDef
 
 
 def exponential(_t, y):
@@ -12,48 +13,51 @@ def exponential(_t, y):
 
 
 def oscillator(_t, y):
+    """Harmonic oscillator on a ``(2, B)`` state."""
     return np.array([y[1], -y[0]])
 
 
-class TestEuler:
-    def test_converges_first_order(self):
-        y0 = np.array([1.0])
-        _t, coarse = euler(exponential, y0, 0.0, 1.0, 50)
-        _t, fine = euler(exponential, y0, 0.0, 1.0, 100)
-        exact = np.exp(-1.0)
-        error_ratio = abs(coarse[-1, 0] - exact) / abs(fine[-1, 0] - exact)
-        assert 1.5 < error_ratio < 2.5  # halving h halves the error
+class BlowUp(DynamicalSystem):
+    """``y' = y^2`` from ``y0 = 10``: infinite before ``t = 0.1``."""
 
-    def test_output_shapes(self):
-        times, states = euler(oscillator, [1.0, 0.0], 0.0, 2.0, 10)
-        assert times.shape == (11,)
-        assert states.shape == (11, 2)
+    name = "blow_up"
+    parameters = (ParameterDef("y0", low=1.0, high=20.0, default=10.0),)
+
+    def initial_state(self, params):
+        return np.stack([np.asarray(params["y0"], dtype=np.float64)])
+
+    def derivative(self, params):
+        return lambda _t, y: y**2
 
 
 class TestRk4:
     def test_fourth_order_accuracy(self):
-        y0 = np.array([1.0])
-        _t, coarse = rk4(exponential, y0, 0.0, 1.0, 20)
-        _t, fine = rk4(exponential, y0, 0.0, 1.0, 40)
+        y0 = np.ones((1, 1))
+        coarse = rk4_sampled(exponential, y0, 0.0, 1.0, 20, np.arange(21))
+        fine = rk4_sampled(exponential, y0, 0.0, 1.0, 40, np.arange(41))
         exact = np.exp(-1.0)
-        ratio = abs(coarse[-1, 0] - exact) / abs(fine[-1, 0] - exact)
+        ratio = abs(coarse[-1, 0, 0] - exact) / abs(fine[-1, 0, 0] - exact)
         assert 12 < ratio < 20  # ~2^4
 
     def test_oscillator_energy(self):
-        _t, states = rk4(oscillator, [1.0, 0.0], 0.0, 10.0, 2000)
+        y0 = np.array([[1.0, 0.6], [0.0, 0.8]])  # two runs, energy 1
+        states = rk4_sampled(
+            oscillator, y0, 0.0, 10.0, 2000, np.arange(2001)
+        )
         energy = states[:, 0] ** 2 + states[:, 1] ** 2
         assert np.allclose(energy, 1.0, atol=1e-8)
 
     def test_rejects_bad_steps(self):
         with pytest.raises(SimulationError):
-            rk4(exponential, [1.0], 0.0, 1.0, 0)
+            rk4_sampled(exponential, np.ones((1, 1)), 0.0, 1.0, 0, [0])
         with pytest.raises(SimulationError):
-            rk4(exponential, [1.0], 1.0, 0.0, 10)
+            rk4_sampled(exponential, np.ones((1, 1)), 1.0, 0.0, 10, [0])
 
     def test_divergence_detected(self):
+        """A diverged reference run fails loudly, naming its system."""
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SimulationError):
-                rk4(lambda _t, y: y**2, np.array([10.0]), 0.0, 10.0, 100)
+            with pytest.raises(SimulationError, match="blow_up"):
+                BlowUp().simulate({"y0": 10.0})
 
 
 class TestRk45:
@@ -63,24 +67,22 @@ class TestRk45:
         assert states[-1, 0] == pytest.approx(np.exp(-2.0), rel=1e-6)
 
     def test_agrees_with_rk4(self):
-        _t, dense = rk4(oscillator, [1.0, 0.0], 0.0, 5.0, 5000)
-        _times, adaptive = rk45(oscillator, [1.0, 0.0], 0.0, 5.0)
+        y0 = np.array([[1.0], [0.0]])
+        dense = rk4_sampled(oscillator, y0, 0.0, 5.0, 5000, [5000])
+        _times, adaptive = rk45(oscillator, y0, 0.0, 5.0)
         assert np.allclose(adaptive[-1], dense[-1], atol=1e-5)
 
 
 class TestRk4Sampled:
     def test_matches_full_rk4(self):
-        y0 = np.array([[1.0, 0.0], [0.5, 0.5]])
+        """Recording a few steps gives exactly the states a run that
+        records every step passes through."""
+        y0 = np.array([[1.0, 0.5], [0.0, 0.5]])
         sample_steps = np.array([0, 7, 20])
-
-        def batched(_t, y):
-            return np.stack([y[:, 1], -y[:, 0]], axis=1)
-
-        sampled = rk4_sampled(batched, y0, 0.0, 2.0, 20, sample_steps)
+        sampled = rk4_sampled(oscillator, y0, 0.0, 2.0, 20, sample_steps)
         assert sampled.shape == (3, 2, 2)
-        for row, y_start in enumerate(y0):
-            _t, full = rk4(oscillator, y_start, 0.0, 2.0, 20)
-            assert np.allclose(sampled[:, row, :], full[sample_steps])
+        full = rk4_sampled(oscillator, y0, 0.0, 2.0, 20, np.arange(21))
+        assert np.array_equal(sampled, full[sample_steps])
 
     def test_rejects_unsorted_samples(self):
         with pytest.raises(SimulationError):

@@ -4,7 +4,8 @@ The oracle's fibers must equal the plain full-space construction bit
 for bit whatever the batching, the lazy ground truth must equal it
 byte for byte, a runtime must make repeated requests free, concurrent
 requests must integrate each run once, and a non-finite fiber must
-fail loudly, naming its parameter row.
+fail loudly, naming its parameter row (a non-finite reference run,
+its system).
 """
 
 import numpy as np
@@ -164,13 +165,18 @@ class NaNLorenz(Lorenz):
 
     name = "nan_lorenz"
 
-    def batch_initial_state(self, params):
-        states = super().batch_initial_state(params)
-        states[params["z0"] == self.parameters[0].high] = np.nan
+    def initial_state(self, params):
+        states = super().initial_state(params)
+        states[..., params["z0"] == self.parameters[0].high] = np.nan
         return states
 
 
 class TestFiniteFibers:
+    def test_reference_run_raises_naming_the_system(self):
+        space = ParameterSpace(NaNLorenz(), 4)
+        with pytest.raises(SimulationError, match="nan_lorenz"):
+            make_observation(space, offset=1.0)
+
     def test_conventional_scheme_raises_naming_the_row(self):
         study = EnsembleStudy.create(NaNLorenz(), 4)
         with pytest.raises(SimulationError, match=r"parameter row \(3, "):

@@ -5,11 +5,13 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulation import (
+    SYSTEMS,
     DoublePendulum,
     Lorenz,
     ParameterDef,
     TriplePendulum,
     make_system,
+    rk4_sampled,
 )
 
 
@@ -85,6 +87,7 @@ class TestSystemInterface:
         assert (np.diff(grid) > 0).all()
 
     def test_batch_matches_scalar(self, system_cls):
+        """Each column of a batch evaluates as that run alone."""
         system = system_cls()
         defaults = system.default_params()
         shifted = {
@@ -93,27 +96,41 @@ class TestSystemInterface:
         params = {
             k: np.array([defaults[k], shifted[k]]) for k in defaults
         }
-        deriv = system.batch_derivative(params)
-        y0 = system.batch_initial_state(params)
-        batched = deriv(0.0, y0)
+        batched = system.derivative(params)(0.0, system.initial_state(params))
         for i, p in enumerate([defaults, shifted]):
-            scalar = system.derivative(p)(0.0, system.initial_state(p))
-            assert np.allclose(batched[i], scalar, atol=1e-12)
+            one = {k: np.array([v]) for k, v in p.items()}
+            alone = system.derivative(one)(0.0, system.initial_state(one))
+            assert np.array_equal(batched[:, i], alone[:, 0])
 
 
-class TestBaseClassFallbacks:
-    def test_default_batch_methods_loop(self):
-        """The ABC's fallback batch implementations must agree with the
-        vectorized overrides."""
-        system = DoublePendulum()
-        defaults = system.default_params()
-        params = {k: np.array([v, v * 1.1]) for k, v in defaults.items()}
-        from repro.simulation.systems import DynamicalSystem
+_KEPT_SCALAR_PATH = pytest.mark.xfail(
+    strict=True,
+    reason="the triple pendulum's reference run keeps its unbatched "
+    "BLAS formula, which rounds differently (by up to 5.3e-15) so that "
+    "its observation does not move",
+)
 
-        fallback_y0 = DynamicalSystem.batch_initial_state(system, params)
-        assert np.allclose(fallback_y0, system.batch_initial_state(params))
-        fallback = DynamicalSystem.batch_derivative(system, params)
-        fast = system.batch_derivative(params)
-        assert np.allclose(
-            fallback(0.0, fallback_y0), fast(0.0, fallback_y0)
-        )
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=_KEPT_SCALAR_PATH)
+        if name == "triple_pendulum" else name
+        for name in sorted(SYSTEMS)
+    ],
+)
+def test_reference_run_matches_its_ensemble_column(name):
+    """The reference run and the ensemble run at the same parameters
+    use the same arithmetic, so their states agree bit for bit."""
+    system = SYSTEMS[name]()
+    # the default observation's true vector: 60% of each range
+    true = {p.name: p.low + 0.6 * (p.high - p.low) for p in system.parameters}
+    batch = {
+        p.name: np.array([p.low, true[p.name], p.high])
+        for p in system.parameters
+    }
+    ensemble = rk4_sampled(
+        system.derivative(batch), system.initial_state(batch),
+        0.0, system.t_end, system.n_steps, np.arange(system.n_steps + 1),
+    )
+    assert np.array_equal(system.simulate(true), ensemble[:, :, 1])
