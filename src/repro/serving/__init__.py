@@ -10,8 +10,9 @@ The stack, bottom-up:
 
 - :class:`~repro.serving.engine.FactorEngine` — factor-space query
   evaluation: a point is the core contracted with one factor row per
-  mode (batched across a whole queue drain), a slice is a single-row
-  core contraction followed by the remaining TTMs, and a top-k anomaly
+  mode (batched across a whole queue drain), a drain's slices on one
+  mode are one GEMM against the core projected through the other
+  factors, and a top-k anomaly
   query takes the head of a :class:`ResidualRanking` of the stored
   cells.
 - :mod:`repro.serving.bundle` — :class:`FactorBundle` (factors plus

@@ -2,11 +2,11 @@
 
 The TuckerMPI observation this module operationalises: once an
 ensemble lives as ``[G; U^(1), ..., U^(N)]``, any cell value is a tiny
-core×factor-row contraction and any hyperplane is a one-row TTM —
-recoverable at a fraction of dense cost, so the full tensor never
-needs to exist.  :meth:`TuckerTensor.reconstruct` is metered
-(``tucker.reconstructs``) precisely so serving tests can assert this
-engine leaves the counter untouched.
+core×factor-row contraction and any hyperplane is one factor row times
+a projected core — recoverable at a fraction of dense cost, so the
+full tensor never needs to exist.  :meth:`TuckerTensor.reconstruct`
+is metered (``tucker.reconstructs``) precisely so serving tests can
+assert this engine leaves the counter untouched.
 
 Three query shapes:
 
@@ -16,10 +16,13 @@ Three query shapes:
     evaluates B points as *one* contraction chain over a (B, r, ...)
     accumulator, which is what the server's request coalescing buys.
 ``slice``
-    The dense hyperplane ``mode = index``: contract the core with the
-    single factor row of the sliced mode, then apply the remaining
-    factors — cost ``O(prod(ranks) + slice size × rank)`` instead of
-    ``O(prod(shape))``.
+    The dense hyperplanes ``mode = index`` for B indices: project the
+    core through every *other* factor once,
+    ``P_m = G ×_{k≠m} U^(k)`` (``r_m × prod_{k≠m} I_k``), then answer
+    all B hyperplanes with one GEMM, ``U^(m)[indices] @ P_m`` — the
+    partial-reconstruction pattern of Austin/Ballard/Kolda.  The
+    projection is paid once per call, so the server's per-mode
+    grouping of a drain's slices amortises it over the whole group.
 ``top-k anomalies``
     Residual ranking of every *simulated* cell: its stored value minus
     its factor prediction, scored in one batched point evaluation and
@@ -42,11 +45,33 @@ import numpy as np
 from ..exceptions import QueryError
 from ..observability import get_metrics, span as _span
 from ..tensor.tucker import TuckerTensor
-from ..tensor.ttm import ttm
+from ..tensor.ttm import multi_ttm
+
+
+def _as_indices(values, what: str) -> np.ndarray:
+    """``values`` as int64, or :class:`QueryError` unless every entry is
+    a finite whole number (a float index is never truncated)."""
+    arr = np.asarray(values)
+    whole = arr.dtype.kind in "iu" or (
+        arr.dtype.kind == "f"
+        and np.isfinite(arr).all()
+        and (arr == np.trunc(arr)).all()
+    )
+    if not whole:
+        raise QueryError(f"{what} must be whole numbers, got {values!r}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _as_index(value, what: str) -> int:
+    """One finite whole number as an int (see :func:`_as_indices`)."""
+    arr = _as_indices(value, what)
+    if arr.ndim != 0:
+        raise QueryError(f"{what} must be a single number, got {value!r}")
+    return int(arr)
 
 
 def _check_coords(shape: Tuple[int, ...], coords: np.ndarray) -> np.ndarray:
-    coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
+    coords = np.atleast_2d(_as_indices(coords, "point index"))
     if coords.ndim != 2 or coords.shape[1] != len(shape):
         raise QueryError(
             f"point index needs {len(shape)} coordinates, got "
@@ -173,41 +198,65 @@ class FactorEngine:
     # ------------------------------------------------------------------
     # slice queries
     # ------------------------------------------------------------------
-    def _check_slice(self, mode: int, index: int) -> Tuple[int, int]:
-        shape = self.shape
-        if not 0 <= int(mode) < len(shape):
-            raise QueryError(
-                f"mode {mode} out of range for {len(shape)} modes"
-            )
-        mode = int(mode)
-        if not 0 <= int(index) < shape[mode]:
-            raise QueryError(
-                f"index {index} out of range for mode {mode} "
-                f"(size {shape[mode]})"
-            )
-        return mode, int(index)
+    def _check_slice(self, mode, index) -> Tuple[int, int]:
+        mode = self._check_mode(mode)
+        index = _as_index(index, "index")
+        self._check_indices(mode, index)
+        return mode, index
 
-    def slice(self, mode: int, index: int) -> np.ndarray:
-        """The dense hyperplane ``mode = index`` (that mode dropped).
+    def _check_mode(self, mode) -> int:
+        mode = _as_index(mode, "mode")
+        if not 0 <= mode < len(self.shape):
+            raise QueryError(
+                f"mode {mode} out of range for {len(self.shape)} modes"
+            )
+        return mode
 
-        One factor-row TTM: the sliced mode collapses to a single row
-        contraction on the *core*, then the remaining factors expand
-        the reduced core to the slice's full extent.
+    def _check_indices(self, mode: int, indices) -> np.ndarray:
+        indices = _as_indices(indices, "slice index")
+        size = self.shape[mode]
+        bad = indices[(indices < 0) | (indices >= size)]
+        if bad.size:
+            raise QueryError(
+                f"index {int(bad.flat[0])} out of range for mode {mode} "
+                f"(size {size})"
+            )
+        return indices
+
+    def slice_batch(self, mode: int, indices) -> np.ndarray:
+        """The dense hyperplanes ``mode = i`` for every ``i`` in
+        ``indices``, stacked: shape ``(B, *other mode sizes)``.
+
+        The core is projected through every other factor once,
+        ``P_m = G ×_{k≠m} U^(k)`` shaped ``r_m × prod_{k≠m} I_k``; all
+        B hyperplanes are then one GEMM, ``U^(m)[indices] @ P_m``.
+        Indices may repeat and come in any order.
         """
         t = self.tucker
-        mode, index = self._check_slice(mode, index)
+        mode = self._check_mode(mode)
+        rows = self._check_indices(mode, np.ravel(indices))
+        others = [size for m, size in enumerate(self.shape) if m != mode]
         with _span(
             "serving-slice", "serving", study=self.study, mode=mode,
-            index=index,
+            batch=rows.shape[0],
         ):
-            row = t.factors[mode][index]                    # (r_mode,)
-            reduced = np.tensordot(t.core, row, axes=([mode], [0]))
-            out = reduced
-            remaining = [f for m, f in enumerate(t.factors) if m != mode]
-            for m, factor in enumerate(remaining):
-                out = ttm(out, factor, m)
-            get_metrics().counter("serving.slices_evaluated").inc()
+            projected = multi_ttm(t.core, t.factors, skip=[mode])
+            projected = np.moveaxis(projected, mode, 0).reshape(
+                projected.shape[mode], -1
+            )
+            out = (t.factors[mode][rows] @ projected).reshape(
+                rows.shape[0], *others
+            )
+            get_metrics().counter("serving.slices_evaluated").inc(
+                rows.shape[0]
+            )
             return out
+
+    def slice(self, mode: int, index: int) -> np.ndarray:
+        """The dense hyperplane ``mode = index`` (that mode dropped):
+        a one-row :meth:`slice_batch`."""
+        mode, index = self._check_slice(mode, index)
+        return self.slice_batch(mode, [index])[0]
 
     # ------------------------------------------------------------------
     # anomaly queries

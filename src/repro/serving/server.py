@@ -7,10 +7,13 @@ store layout underneath).  The worker's drain loop is where batching
 happens: it blocks for the first request, then greedily drains
 whatever else has already queued (up to ``max_batch``) and coalesces
 all *point* requests in the drained run into **one** batched
-core×factor-rows contraction.  Under concurrent clients this turns N
-event-loop round-trips into N/``max_batch`` numpy calls — the
-batched-vs-unbatched benchmark in ``BENCH_serving.json`` measures
-exactly this win.
+core×factor-rows contraction, and the *slice* requests into one
+:meth:`~repro.serving.engine.FactorEngine.slice_batch` per sliced mode:
+the core is projected through the other factors once per mode and
+every slice on that mode is one row of a single GEMM.  Under
+concurrent clients this turns N event-loop round-trips into
+N/``max_batch`` numpy calls — the batched-vs-unbatched benchmark in
+``BENCH_serving.json`` measures exactly this win.
 
 Overload is shed, not queued: a request arriving at a full study queue
 fails immediately with the typed
@@ -38,7 +41,7 @@ from ..exceptions import (
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span as _span
 from .catalog import StudyCatalog
-from .engine import _check_coords
+from .engine import _as_index, _check_coords
 
 _SHUTDOWN = object()
 
@@ -174,7 +177,9 @@ class ServingServer:
 
     async def slice(self, study: str, mode: int, index: int) -> np.ndarray:
         """The dense hyperplane ``mode = index`` of the study."""
-        return await self._submit(study, "slice", (int(mode), int(index)))
+        return await self._submit(
+            study, "slice", (_as_index(mode, "mode"), _as_index(index, "index"))
+        )
 
     async def topk(
         self,
@@ -289,10 +294,11 @@ class ServingServer:
         metrics = get_metrics()
         metrics.histogram("serving.batch_size").observe(len(batch))
         points = [r for r in batch if r.kind == "point"]
-        others = [r for r in batch if r.kind != "point"]
+        slices = [r for r in batch if r.kind == "slice"]
+        others = [r for r in batch if r.kind not in ("point", "slice")]
         with _span(
             "serving-batch", "serving", study=study, batch=len(batch),
-            points=len(points),
+            points=len(points), slices=len(slices),
         ):
             engine = None
             try:
@@ -318,6 +324,7 @@ class ServingServer:
                     self.stats.points += len(points)
                     for request, value in zip(points, values):
                         self._resolve(request, value=float(value), loop=loop)
+            self._serve_slices(engine, slices, loop)
             for request in others:
                 try:
                     value = self._serve_one(study, engine, request)
@@ -326,11 +333,29 @@ class ServingServer:
                 else:
                     self._resolve(request, value=value, loop=loop)
 
+    def _serve_slices(self, engine, slices: List[_Request], loop) -> None:
+        """One :meth:`slice_batch` per sliced mode; a request that fails
+        validation gets its own error and leaves its group intact."""
+        groups: Dict[int, List[Tuple[_Request, int]]] = {}
+        for request in slices:
+            try:
+                mode, index = engine._check_slice(*request.args)
+            except ReproError as exc:
+                self._resolve(request, error=exc, loop=loop)
+            else:
+                groups.setdefault(mode, []).append((request, index))
+        for mode, group in groups.items():
+            try:
+                planes = engine.slice_batch(mode, [i for _r, i in group])
+            except ReproError as exc:
+                for request, _index in group:
+                    self._resolve(request, error=exc, loop=loop)
+            else:
+                self.stats.slices += len(group)
+                for (request, _index), plane in zip(group, planes):
+                    self._resolve(request, value=plane, loop=loop)
+
     def _serve_one(self, study: str, engine, request: _Request) -> Any:
-        if request.kind == "slice":
-            mode, index = request.args
-            self.stats.slices += 1
-            return engine.slice(mode, index)
         if request.kind == "topk":
             k, mode, index = request.args
             entry = self.catalog.entry(study)

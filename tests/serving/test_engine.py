@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import QueryError
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.serving import FactorEngine
 from repro.storage import BlockTensorStore
 from repro.tensor import SparseTensor, hosvd
@@ -78,6 +79,75 @@ class TestSlice:
     def test_bad_index(self, engine):
         with pytest.raises(QueryError, match="out of range"):
             engine.slice(0, 5)
+
+
+class TestSliceBatch:
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_matches_reconstruct_unsorted_and_repeated(
+        self, engine, full, mode
+    ):
+        size = full.shape[mode]
+        indices = [size - 1, 0, size - 1, 1, 0]
+        got = engine.slice_batch(mode, indices)
+        others = tuple(s for m, s in enumerate(full.shape) if m != mode)
+        assert got.shape == (len(indices),) + others
+        for plane, index in zip(got, indices):
+            assert np.allclose(
+                plane, np.take(full, index, axis=mode), atol=1e-10
+            )
+
+    @pytest.mark.parametrize("mode", [0, 1, 2])
+    def test_slice_is_a_one_row_batch(self, engine, full, mode):
+        for index in range(full.shape[mode]):
+            assert np.array_equal(
+                engine.slice(mode, index),
+                engine.slice_batch(mode, [index])[0],
+            )
+
+    def test_empty_indices(self, engine):
+        assert engine.slice_batch(1, []).shape == (0, 5, 3)
+
+    def test_counts_every_slice(self, engine):
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            engine.slice_batch(0, [3, 1, 3, 0])
+            engine.slice(2, 1)
+        assert registry.counter("serving.slices_evaluated").value == 5
+
+    def test_bad_index_anywhere_fails_the_call(self, engine):
+        with pytest.raises(QueryError, match="index 5 out of range"):
+            engine.slice_batch(0, [1, 5, 2])
+        with pytest.raises(QueryError, match="mode"):
+            engine.slice_batch(3, [0])
+
+
+NON_INTEGRAL = [1.5, 0.9, float("nan"), float("inf"), "1"]
+
+
+class TestNonIntegralIndices:
+    """A float index is rejected, never truncated to a nearby cell."""
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    def test_point(self, engine, bad):
+        with pytest.raises(QueryError, match="whole numbers"):
+            engine.point((1, bad, 0))
+        with pytest.raises(QueryError, match="whole numbers"):
+            engine.point_batch([[0, 0, 0], [1, bad, 0]])
+
+    @pytest.mark.parametrize("bad", NON_INTEGRAL)
+    def test_slice(self, engine, bad):
+        with pytest.raises(QueryError, match="whole numbers"):
+            engine.slice(0, bad)
+        with pytest.raises(QueryError, match="whole numbers"):
+            engine.slice(bad, 0)
+        with pytest.raises(QueryError, match="whole numbers"):
+            engine.slice_batch(0, [0, bad])
+
+    def test_integral_floats_are_accepted(self, engine, full):
+        assert engine.point((1.0, 2.0, 0.0)) == pytest.approx(
+            full[1, 2, 0], abs=1e-10
+        )
+        assert np.array_equal(engine.slice(0.0, 3.0), engine.slice(0, 3))
 
 
 class TestTopK:

@@ -17,6 +17,7 @@ from repro.exceptions import (
     ServingOverloadError,
     StudyNotFoundError,
 )
+from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.serving import ServingClient, ServingServer
 
@@ -112,6 +113,52 @@ class TestBatching:
             asyncio.run(serve())
         assert registry.histogram("serving.batch_size").max <= 8
 
+    def test_mixed_drain_groups_slices_by_mode(self, catalog):
+        """One drain: slices on two modes, a point, a top-k and an
+        out-of-range slice.  Each mode is one ``slice_batch``; the bad
+        slice fails alone."""
+        registry = MetricsRegistry()
+        slices = [(0, 2), (2, 1), (0, 5), (2, 3), (0, 2)]
+
+        async def serve():
+            async with ServingServer(catalog) as server:
+                results = await asyncio.gather(
+                    *(server.slice("alpha", m, i) for m, i in slices[:2]),
+                    server.point("alpha", (1, 2, 3)),
+                    server.slice("alpha", 1, 9),
+                    server.topk("alpha", 2),
+                    *(server.slice("alpha", m, i) for m, i in slices[2:]),
+                    return_exceptions=True,
+                )
+                return server.stats, results
+
+        with use_metrics(registry), use_tracer(Tracer()) as tracer:
+            stats, results = asyncio.run(serve())
+            assert registry.counter("tucker.reconstructs").value == 0
+        planes = results[:2] + results[5:]
+        point, bad, topk = results[2:5]
+        assert isinstance(bad, QueryError)
+        assert registry.counter("serving.errors.QueryError").value == 1
+        assert stats.errors == 1
+        assert stats.batches == 1
+        assert stats.slices == len(slices)
+        full = catalog.engine("alpha").tucker.reconstruct()
+        for (mode, index), plane in zip(slices, planes):
+            assert np.allclose(
+                plane, np.take(full, index, axis=mode), atol=1e-10
+            )
+        assert point == pytest.approx(full[1, 2, 3], abs=1e-10)
+        assert len(topk) == 2
+        spans = list(tracer.iter_spans())
+        groups = sorted(
+            (s.attrs["mode"], s.attrs["batch"])
+            for s in spans if s.name == "serving-slice"
+        )
+        assert groups == [(0, 3), (2, 2)]
+        (drain,) = [s for s in spans if s.name == "serving-batch"]
+        assert drain.attrs["slices"] == len(slices) + 1
+        assert drain.attrs["points"] == 1
+
     def test_point_many_matches_individual(self, catalog):
         async def serve():
             async with ServingServer(catalog) as server:
@@ -166,6 +213,20 @@ class TestErrors:
                 return await server.point("alpha", (0, 0, 0))
 
         assert isinstance(asyncio.run(serve()), float)
+
+    @pytest.mark.parametrize("bad", [1.5, 0.9, float("nan"), float("inf")])
+    def test_non_integral_index_rejected_at_submit(self, catalog, bad):
+        async def serve():
+            async with ServingServer(catalog) as server:
+                with pytest.raises(QueryError, match="whole numbers"):
+                    await server.point("alpha", (1, bad, 0))
+                with pytest.raises(QueryError, match="whole numbers"):
+                    await server.slice("alpha", 0, bad)
+                with pytest.raises(QueryError, match="whole numbers"):
+                    await server.slice("alpha", bad, 1)
+                return server.stats
+
+        assert asyncio.run(serve()).served == 0
 
     def test_not_started(self, catalog):
         server = ServingServer(catalog)
