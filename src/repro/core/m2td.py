@@ -29,13 +29,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 import scipy.sparse as sps
 
-from ..exceptions import RankError, ShapeError, StitchError
+from ..exceptions import RankError, StitchError
 from ..observability import span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
 from ..tensor.svd import leading_left_singular_vectors, truncated_svd
 from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
+from .evaluation import accuracy
 from .join_tensor import lazy_core, materialized_core
 from .row_select import average_factors, row_select
 from .stitch import dense_to_original_order, join_tensor, zero_join_tensor
@@ -88,17 +89,9 @@ class M2TDResult:
 
     def accuracy(self, truth: np.ndarray) -> float:
         """Paper Section VII-D accuracy against the full-space tensor."""
-        truth = np.asarray(truth)
-        approx = self.reconstruct_original()
-        if approx.shape != truth.shape:
-            raise ShapeError(
-                f"truth shape {truth.shape} != reconstruction shape "
-                f"{approx.shape}"
-            )
-        denom = np.linalg.norm(truth.ravel())
-        if denom == 0:
-            raise StitchError("ground-truth tensor has zero norm")
-        return 1.0 - np.linalg.norm((approx - truth).ravel()) / denom
+        return accuracy(
+            self.reconstruct_original(), truth, invalid_truth=StitchError
+        )
 
 
 def _matricize(tensor: TensorLike, mode: int):

@@ -30,13 +30,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import PartitionError, ShapeError, StitchError
+from ..exceptions import PartitionError, StitchError
 from ..sampling.partition import PFPartition
 from ..simulation.parameter_space import ParameterSpace
 from ..tensor.svd import truncated_svd, leading_left_singular_vectors
 from ..tensor.ttm import multi_ttm
 from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
+from .evaluation import accuracy
 from .row_select import align_columns
 
 
@@ -282,17 +283,9 @@ class MultiwayResult:
         )
 
     def accuracy(self, truth: np.ndarray) -> float:
-        truth = np.asarray(truth)
-        approx = self.reconstruct_original()
-        if approx.shape != truth.shape:
-            raise ShapeError(
-                f"truth shape {truth.shape} != reconstruction shape "
-                f"{approx.shape}"
-            )
-        denom = np.linalg.norm(truth.ravel())
-        if denom == 0:
-            raise StitchError("ground-truth tensor has zero norm")
-        return 1.0 - np.linalg.norm((approx - truth).ravel()) / denom
+        return accuracy(
+            self.reconstruct_original(), truth, invalid_truth=StitchError
+        )
 
 
 def m2td_multiway(

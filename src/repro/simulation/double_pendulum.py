@@ -58,28 +58,35 @@ class DoublePendulum(DynamicalSystem):
         m2 = params["m2"]
         g = self.gravity_of(params)
         length = self.length
+        # Parameter-only factors, bound once per batch.  Each keeps the
+        # association of the formula it came from (Python evaluates
+        # ``-g * (2 * m1 + m2) * x`` as ``(-g * (2 * m1 + m2)) * x``), so
+        # hoisting changes no bit.
+        two_m1_m2 = 2 * m1 + m2
+        neg_g_two_m1_m2 = -g * two_m1_m2
+        m2_g = m2 * g
+        m1_m2 = m1 + m2
+        g_m1_m2 = g * m1_m2
 
         def deriv(_t: float, state: np.ndarray) -> np.ndarray:
             theta1, omega1, theta2, omega2 = state
             delta = theta1 - theta2
             cos_d = np.cos(delta)
-            sin_d = np.sin(delta)
-            denom = length * (2 * m1 + m2 - m2 * np.cos(2 * delta))
+            two_sin_d = 2 * np.sin(delta)
+            omega1_sq_l = omega1**2 * length
+            omega2_sq_l = omega2**2 * length
+            denom = length * (two_m1_m2 - m2 * np.cos(2 * delta))
             alpha1 = (
-                -g * (2 * m1 + m2) * np.sin(theta1)
-                - m2 * g * np.sin(theta1 - 2 * theta2)
-                - 2
-                * sin_d
-                * m2
-                * (omega2**2 * length + omega1**2 * length * cos_d)
+                neg_g_two_m1_m2 * np.sin(theta1)
+                - m2_g * np.sin(theta1 - 2 * theta2)
+                - two_sin_d * m2 * (omega2_sq_l + omega1_sq_l * cos_d)
             ) / denom
             alpha2 = (
-                2
-                * sin_d
+                two_sin_d
                 * (
-                    omega1**2 * length * (m1 + m2)
-                    + g * (m1 + m2) * np.cos(theta1)
-                    + omega2**2 * length * m2 * cos_d
+                    omega1_sq_l * m1_m2
+                    + g_m1_m2 * np.cos(theta1)
+                    + omega2_sq_l * m2 * cos_d
                 )
             ) / denom
             return np.array([omega1, alpha1, omega2, alpha2])

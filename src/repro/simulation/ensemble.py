@@ -33,7 +33,7 @@ from ..exceptions import SimulationError
 from ..observability import get_metrics, span as _span
 from .integrators import rk4_sampled
 from .observation import Observation
-from .parameter_space import ParameterSpace
+from .parameter_space import ParameterSpace, index_rows
 
 if TYPE_CHECKING:
     from ..runtime import Runtime
@@ -81,8 +81,9 @@ def simulate_fibers(
     observation:
         The reference configuration distances are measured against.
     param_indices:
-        Integer array of shape ``(B, n_params)``; one row per
-        simulation run.
+        Index array of shape ``(B, n_params)``; one row per simulation
+        run.  Each entry must be an in-range whole number, else
+        :class:`SimulationError` (see :func:`index_rows`).
     meter:
         Optional accounting sink (charged ``B`` runs and ``B * T``
         cells).
@@ -92,12 +93,9 @@ def simulate_fibers(
     numpy.ndarray
         Distance fibers of shape ``(B, time_resolution)``.
     """
-    param_indices = np.asarray(param_indices, dtype=np.int64)
-    if param_indices.ndim != 2 or param_indices.shape[1] != space.n_param_modes:
-        raise SimulationError(
-            f"param_indices must have shape (B, {space.n_param_modes}), "
-            f"got {param_indices.shape}"
-        )
+    param_indices = index_rows(
+        param_indices, space.shape[:-1], "param_indices", SimulationError
+    )
     system = space.system
     params = space.batch_param_values(param_indices)
     started = time.perf_counter()
@@ -167,7 +165,8 @@ class SimulationOracle:
     at most once into a dense ``(n_runs, T)`` buffer, and every later
     read comes from there.  A request integrates all of its missing
     runs in one :func:`simulate_fibers` call, because the integrator's
-    per-step cost is mostly fixed (one pendulum run costs ~80% of 127).
+    per-step cost is mostly fixed (one pendulum run costs about 70% as
+    much as 127).
     Every fiber is checked finite on its way into the buffer, which is
     the one place simulated values enter a study.
 
@@ -217,7 +216,11 @@ class SimulationOracle:
 
     def fibers(self, param_indices: np.ndarray) -> np.ndarray:
         """Distance fibers ``(B, T)`` for ``(B, n_params)`` index rows."""
-        runs = self._runs(param_indices)
+        runs = self._runs(
+            index_rows(
+                param_indices, self._grid, "param_indices", SimulationError
+            )
+        )
         with self._lock:
             self._request(runs, None)
             return self._fibers[runs]
@@ -228,12 +231,7 @@ class SimulationOracle:
         """Values at full-tensor cell coordinates ``(nnz, n_modes)``
         (time mode last).  ``meter`` is charged the runs this call
         integrated, on top of the oracle's own meter."""
-        coords = np.asarray(coords, dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] != self.space.n_modes:
-            raise SimulationError(
-                f"coords must have shape (nnz, {self.space.n_modes}), "
-                f"got {coords.shape}"
-            )
+        coords = index_rows(coords, self.space.shape, "coords", SimulationError)
         runs = self._runs(coords[:, : self.space.n_param_modes])
         with self._lock:
             self._request(runs, meter)
@@ -254,18 +252,9 @@ class SimulationOracle:
             return self._fibers.reshape(self.space.shape)
 
     # ------------------------------------------------------------------
-    def _runs(self, param_indices: np.ndarray) -> np.ndarray:
-        """Flat run index of each parameter-index row."""
-        param_indices = np.asarray(param_indices, dtype=np.int64)
-        if (
-            param_indices.ndim != 2
-            or param_indices.shape[1] != self.space.n_param_modes
-        ):
-            raise SimulationError(
-                f"param_indices must have shape (B, "
-                f"{self.space.n_param_modes}), got {param_indices.shape}"
-            )
-        return np.ravel_multi_index(tuple(param_indices.T), self._grid)
+    def _runs(self, rows: np.ndarray) -> np.ndarray:
+        """Flat run index of each (validated) parameter-index row."""
+        return np.ravel_multi_index(tuple(rows.T), self._grid)
 
     def _request(
         self, runs: np.ndarray, meter: Optional[SimulationMeter]

@@ -72,12 +72,14 @@ class EpidemicSEIR(DynamicalSystem):
         def deriv(_t: float, state: np.ndarray) -> np.ndarray:
             s, e, i, _r = state
             new_infections = beta * s * i
+            incubated = sigma * e
+            recovered = gamma * i
             return np.array(
                 [
                     -new_infections,
-                    new_infections - sigma * e,
-                    sigma * e - gamma * i,
-                    gamma * i,
+                    new_infections - incubated,
+                    incubated - recovered,
+                    recovered,
                 ]
             )
 

@@ -10,7 +10,7 @@ owns the index <-> value mapping for those modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -19,6 +19,38 @@ from .systems import DynamicalSystem
 
 #: Name used for the trailing time mode in reports and pivot selection.
 TIME_MODE = "t"
+
+
+def index_rows(
+    values, sizes: Sequence[int], what: str, error: Type[Exception]
+) -> np.ndarray:
+    """``values`` as a ``(B, len(sizes))`` int64 array whose column
+    ``k`` lies in ``[0, sizes[k])``, or ``error`` naming the first bad
+    row.
+
+    A float index passes only as a finite whole number (``2.0``): it is
+    never truncated, and a negative index is never wrapped to the end of
+    its grid the way numpy indexing would.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 2 or arr.shape[1] != len(sizes):
+        raise error(
+            f"{what} must have shape (B, {len(sizes)}), got {arr.shape}"
+        )
+    if arr.dtype.kind == "f":
+        bad = ~np.isfinite(arr) | (arr != np.trunc(arr))
+        if bad.any():
+            row = arr[np.argmax(bad.any(axis=1))].tolist()
+            raise error(f"{what} must be finite whole numbers, got row {row}")
+    elif arr.dtype.kind not in "iu":
+        raise error(f"{what} must be whole numbers, got dtype {arr.dtype}")
+    bad = ((arr < 0) | (arr >= np.asarray(sizes))).any(axis=1)
+    if bad.any():
+        raise error(
+            f"{what} row {arr[np.argmax(bad)].tolist()} out of range for "
+            f"sizes {tuple(sizes)}"
+        )
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -125,14 +157,13 @@ class ParameterSpace:
 
     def params_from_indices(self, indices: Sequence[int]) -> Dict[str, float]:
         """Map parameter-mode indices to a concrete parameter dict."""
-        if len(indices) != self.n_param_modes:
-            raise ModeError(
-                f"need {self.n_param_modes} parameter indices, got {len(indices)}"
-            )
+        row = index_rows(
+            [indices], self.shape[:-1], "parameter index", ModeError
+        )[0]
         return {
-            name: float(self._grids[mode][int(index)])
+            name: float(self._grids[mode][index])
             for mode, (name, index) in enumerate(
-                zip(self.system.parameter_names, indices)
+                zip(self.system.parameter_names, row)
             )
         }
 
@@ -145,13 +176,12 @@ class ParameterSpace:
 
     def batch_param_values(self, index_array: np.ndarray) -> Dict[str, np.ndarray]:
         """Vectorized :meth:`params_from_indices` for a ``(B, n_params)``
-        integer index array — used by the batched simulator."""
-        index_array = np.asarray(index_array, dtype=np.int64)
-        if index_array.ndim != 2 or index_array.shape[1] != self.n_param_modes:
-            raise ModeError(
-                f"expected a (B, {self.n_param_modes}) index array, "
-                f"got shape {index_array.shape}"
-            )
+        index array — used by the batched simulator.  Rows that are not
+        in-range whole numbers raise :class:`ModeError` (see
+        :func:`index_rows`)."""
+        index_array = index_rows(
+            index_array, self.shape[:-1], "parameter index", ModeError
+        )
         return {
             name: self._grids[mode][index_array[:, mode]]
             for mode, name in enumerate(self.system.parameter_names)

@@ -14,6 +14,17 @@ reference run share one right-hand side and its arithmetic bit for bit
 (the triple pendulum's reference run is the one exception; see
 :mod:`.triple_pendulum`).  Adding a system means writing one subclass
 with one ``derivative`` and one ``initial_state``.
+
+A study's integration is bound by numpy call overhead (hundreds of
+right-hand-side calls on small arrays), so ``derivative`` binds every
+parameter-only factor once, outside the ``deriv`` closure it returns,
+and ``deriv`` computes each repeated state subexpression once.  Each
+hoisted factor keeps the association of the formula it came from
+(Python multiplies left to right, so ``-g * (2 * m1 + m2) * x`` may bind
+``-g * (2 * m1 + m2)``, but ``2 * s * m2`` may not fold ``2 * m2``):
+a re-associated product rounds differently and moves every cached and
+golden value.  ``tests/simulation/test_rhs_pins.py`` pins each
+right-hand side to its literal formula, bit for bit.
 """
 
 from __future__ import annotations

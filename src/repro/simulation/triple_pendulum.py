@@ -47,22 +47,25 @@ def chain_pendulum_derivative(
     tail_mass = np.cumsum(masses[::-1])[::-1]
     # coupling[i, j] = sum_{k >= max(i, j)} m_k
     coupling = np.minimum.outer(tail_mass, tail_mass)
+    # Parameter-only factors, bound once with the formula's association.
+    coupling_length = coupling[:, :, None] * length
+    gravity_tail = gravity * tail_mass[:, None]
 
     def deriv(_t: float, state: np.ndarray) -> np.ndarray:
         theta = state[:n]
         omega = state[n:]
         # diff[i, j] = theta_i - theta_j, one column per run.
         diff = theta[:, None] - theta[None, :]
-        pull = coupling[:, :, None] * length * np.sin(diff) * omega**2
+        pull = coupling_length * np.sin(diff) * omega**2
         # Summed over j in index order, like a plain matrix-vector loop,
         # so every batch size rounds alike (np.matmul takes the BLAS
         # route only for a contiguous operand, i.e. at B = 1).
         rhs = (
             -sum(pull[:, j] for j in range(n))
-            - gravity * tail_mass[:, None] * np.sin(theta)
+            - gravity_tail * np.sin(theta)
             - friction * omega
         )
-        mass_matrix = coupling[:, :, None] * length * np.cos(diff)
+        mass_matrix = coupling_length * np.cos(diff)
         alpha = np.linalg.solve(
             mass_matrix.transpose(2, 0, 1), rhs.T[:, :, None]
         )[:, :, 0]
@@ -131,17 +134,17 @@ class TriplePendulum(DynamicalSystem):
         friction = params["f"]
         tail_mass = np.cumsum(np.full(3, self.mass))[::-1]
         coupling = np.minimum.outer(tail_mass, tail_mass)
-        g = self.gravity
-        length = self.length
+        coupling_length = coupling * self.length
+        gravity_tail = self.gravity * tail_mass
 
         def deriv(_t: float, state: np.ndarray) -> np.ndarray:
             theta = state[:3]
             omega = state[3:]
             diff = theta[:, None] - theta[None, :]
-            mass_matrix = coupling * length * np.cos(diff)
+            mass_matrix = coupling_length * np.cos(diff)
             rhs = (
-                -(coupling * length * np.sin(diff)) @ (omega**2)
-                - g * tail_mass * np.sin(theta)
+                -(coupling_length * np.sin(diff)) @ (omega**2)
+                - gravity_tail * np.sin(theta)
                 - friction * omega
             )
             alpha = np.linalg.solve(mass_matrix, rhs)

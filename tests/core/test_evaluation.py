@@ -26,6 +26,13 @@ class TestAccuracy:
         with pytest.raises(ShapeError):
             accuracy(np.ones((2, 2)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_truth(self, rng, bad):
+        truth = rng.standard_normal((4, 4))
+        truth[1, 2] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            accuracy(np.zeros_like(truth), truth)
+
 
 class TestDecomposeSample:
     def test_full_sampling_of_low_rank_is_exact(self):

@@ -121,6 +121,15 @@ class TestEngine:
         with pytest.raises(StitchError):
             result.accuracy(np.zeros(SHAPE))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_accuracy_rejects_non_finite_truth(self, subs, rng, bad):
+        part, x1, x2 = subs
+        result = m2td_decompose(x1, x2, part, RANKS)
+        truth = rng.standard_normal(SHAPE) + 2.0
+        truth[0, 1, 2, 3, 0] = bad
+        with pytest.raises(StitchError, match="non-finite"):
+            result.accuracy(truth)
+
     def test_accuracy_rejects_mismatched_truth(self, subs, rng):
         """A truth that merely broadcasts against the reconstruction
         (here a trailing mode of size 1) must not score silently."""

@@ -160,3 +160,10 @@ class TestMultiwayStudy:
         # a truth that only broadcasts against the reconstruction
         with pytest.raises(ShapeError):
             result.accuracy(pendulum_study.truth[..., :1])
+        with pytest.raises(StitchError, match="zero norm"):
+            result.accuracy(np.zeros_like(pendulum_study.truth))
+        for bad in (np.nan, np.inf):
+            truth = pendulum_study.truth.copy()
+            truth[1, 2, 3, 0, 4] = bad
+            with pytest.raises(StitchError, match="non-finite"):
+                result.accuracy(truth)

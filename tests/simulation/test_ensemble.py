@@ -48,6 +48,28 @@ class TestSimulateFibers:
         with pytest.raises(SimulationError):
             simulate_fibers(space, obs, np.zeros((3, 2), dtype=int))
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (1.7, "whole numbers"),  # never truncated to run 1
+            (np.nan, "whole numbers"),
+            (np.inf, "whole numbers"),
+            (-1, "out of range"),  # never wrapped to the last grid value
+            (4, "out of range"),
+        ],
+    )
+    def test_rejects_bad_index(self, setup, bad, match):
+        space, obs, _truth = setup
+        meter = SimulationMeter()
+        with pytest.raises(SimulationError, match=match):
+            simulate_fibers(space, obs, [[0, 0, 0, bad]], meter=meter)
+        assert meter.runs == 0
+
+    def test_integral_floats_accepted(self, setup):
+        space, obs, truth = setup
+        fibers = simulate_fibers(space, obs, [[0.0, 1.0, 2.0, 3.0]])
+        assert np.array_equal(fibers[0], truth[0, 1, 2, 3])
+
 
 class TestFullSpaceTensor:
     def test_shape_and_chunking_invariance(self, setup):
@@ -96,6 +118,47 @@ class TestOracleCells:
         space, obs, _truth = setup
         with pytest.raises(SimulationError):
             SimulationOracle(space, obs).cells(np.zeros((2, 3), dtype=int))
+
+    @pytest.mark.parametrize("column", [0, 3, 4])  # 4 is the time mode
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (1.5, "whole numbers"),  # never truncated
+            (np.nan, "whole numbers"),
+            (-np.inf, "whole numbers"),
+            (-1, "out of range"),  # never wrapped to the last index
+            (4, "out of range"),
+        ],
+    )
+    def test_rejects_bad_cell_index(self, setup, column, bad, match):
+        space, obs, _truth = setup
+        coords = np.array([[0, 1, 2, 3, 0], [1, 1, 1, 1, 1]], dtype=float)
+        coords[1, column] = bad
+        meter = SimulationMeter()
+        oracle = SimulationOracle(space, obs, meter=meter)
+        with pytest.raises(SimulationError, match=match):
+            oracle.cells(coords)
+        assert meter.runs == 0 and oracle.n_simulated == 0
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [(2.5, "whole numbers"), (np.nan, "whole numbers"),
+         (-1, "out of range"), (4, "out of range")],
+    )
+    def test_fibers_reject_bad_index(self, setup, bad, match):
+        space, obs, _truth = setup
+        oracle = SimulationOracle(space, obs)
+        with pytest.raises(SimulationError, match=match):
+            oracle.fibers(np.array([[0, 0, bad, 0]], dtype=float))
+        assert oracle.n_simulated == 0
+
+    def test_integral_float_cells_accepted(self, setup):
+        space, obs, truth = setup
+        oracle = SimulationOracle(space, obs)
+        values = oracle.cells(np.array([[1.0, 2.0, 3.0, 0.0, 3.0]]))
+        assert values[0] == truth[1, 2, 3, 0, 3]
+        fibers = oracle.fibers(np.array([[1.0, 2.0, 3.0, 0.0]]))
+        assert np.array_equal(fibers[0], truth[1, 2, 3, 0])
 
 
 class TestSimulationMeter:

@@ -82,3 +82,29 @@ class TestMapping:
     def test_batch_values_rejects_bad_shape(self, space):
         with pytest.raises(ModeError):
             space.batch_param_values(np.zeros((3, 2), dtype=int))
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (1.7, "whole numbers"),  # never truncated to 1
+            (np.nan, "whole numbers"),
+            (np.inf, "whole numbers"),
+            (-1, "out of range"),  # never wrapped to the last grid value
+            (5, "out of range"),
+            (5.0, "out of range"),
+        ],
+    )
+    def test_batch_values_rejects_bad_index(self, space, bad, match):
+        indices = np.array([[0, 1, 2, 3], [0, 0, 0, 0]], dtype=np.float64)
+        indices[1, 3] = bad
+        with pytest.raises(ModeError, match=match):
+            space.batch_param_values(indices)
+        with pytest.raises(ModeError, match=match):
+            space.params_from_indices(indices[1])
+
+    def test_batch_values_accept_integral_floats(self, space):
+        indices = np.array([[0, 1, 2, 3], [4, 4, 4, 4]])
+        floats = space.batch_param_values(indices.astype(np.float64))
+        ints = space.batch_param_values(indices)
+        for name in ints:
+            assert np.array_equal(floats[name], ints[name])
