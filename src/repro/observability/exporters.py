@@ -116,9 +116,11 @@ def chrome_trace(tracer: Tracer) -> Dict[str, Any]:
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> None:
+    # json.dumps without indent runs the C encoder; json.dump and any
+    # indent fall back to the pure-Python one, several times slower.
+    text = json.dumps(chrome_trace(tracer))
     with open(path, "w") as handle:
-        json.dump(chrome_trace(tracer), handle, indent=1)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -93,19 +93,40 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        self.observe_many((value,))
+
+    def observe_many(self, values) -> None:
+        """Observe each value in turn, under one lock: the same count,
+        sum (added in order), min, max and retained samples as one
+        :meth:`observe` per value."""
+        values = [float(v) for v in values]
+        if not values:
+            return
         with self._lock:
-            self.count += 1
-            self.total += value
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
-            self._since_kept += 1
-            if self._since_kept >= self._stride:
-                self._since_kept = 0
-                self._samples.append(value)
-                if len(self._samples) >= self.max_samples:
-                    self._samples = self._samples[::2]
-                    self._stride *= 2
+            self.count += len(values)
+            total = self.total
+            for value in values:
+                total += value
+            self.total = total
+            # builtin min/max scan left to right, exactly as a fold of
+            # two-argument min/max does (NaN included)
+            if self.min is None:
+                self.min, self.max = min(values), max(values)
+            else:
+                self.min = min(self.min, *values)
+                self.max = max(self.max, *values)
+            samples = self._samples
+            stride, since = self._stride, self._since_kept
+            for value in values:
+                since += 1
+                if since >= stride:
+                    since = 0
+                    samples.append(value)
+                    if len(samples) >= self.max_samples:
+                        samples = samples[::2]
+                        stride *= 2
+            self._samples = samples
+            self._stride, self._since_kept = stride, since
 
     @property
     def mean(self) -> Optional[float]:

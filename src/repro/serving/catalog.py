@@ -13,6 +13,8 @@ The catalog hands out :class:`~repro.serving.engine.FactorEngine`\\ s
 via the two-tier bundle chain in :mod:`repro.serving.bundle`; a
 re-registration changes the stored tensor's content digest and thereby
 the bundle's address, so stale factors can never serve fresh data.
+The address is hashed once per registration and memoized on the
+identity of the two records it was computed from.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ..exceptions import ServingError, StudyNotFoundError
 from ..observability import get_metrics, span as _span
 from ..runtime import ResultCache
-from ..storage import BlockTensorStore
+from ..storage import BlockTensorStore, TensorEntry
 from ..tensor.sparse import SparseTensor
 from .bundle import (
     FactorBundle,
@@ -108,6 +110,8 @@ class StudyCatalog:
         self.hot_factors = hot_factors or HotFactorCache()
         self._entries: Dict[str, StudyEntry] = {}
         self._stores: Dict[str, BlockTensorStore] = {}
+        #: key -> (StudyEntry, TensorEntry, bundle address)
+        self._addresses: Dict[str, Tuple[StudyEntry, TensorEntry, str]] = {}
         if self.path.exists():
             self._load()
 
@@ -223,6 +227,7 @@ class StudyCatalog:
                 ranks=ranks,
             )
             self._entries[key] = entry
+            self._addresses.pop(key, None)
             self._save()
             get_metrics().counter("serving.studies_registered").inc()
         return entry
@@ -246,6 +251,7 @@ class StudyCatalog:
             store.delete(entry.tensor_name)
         del self._entries[key]
         self._stores.pop(key, None)
+        self._addresses.pop(key, None)
         self._save()
         return entry
 
@@ -275,7 +281,12 @@ class StudyCatalog:
         entry = self.entry(key)
         store = self.store_for(key)
         tensor_entry = store.catalog.get(entry.tensor_name)
-        address = bundle_fingerprint(key, tensor_entry, entry.ranks)
+        memo = self._addresses.get(key)
+        if memo is not None and memo[0] is entry and memo[1] is tensor_entry:
+            address = memo[2]
+        else:
+            address = bundle_fingerprint(key, tensor_entry, entry.ranks)
+            self._addresses[key] = (entry, tensor_entry, address)
         return self.hot_factors.get(
             address,
             lambda: load_bundle(

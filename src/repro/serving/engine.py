@@ -50,27 +50,77 @@ from ..tensor.ttm import multi_ttm
 
 def _as_indices(values, what: str) -> np.ndarray:
     """``values`` as int64, or :class:`QueryError` unless every entry is
-    a finite whole number (a float index is never truncated)."""
-    arr = np.asarray(values)
+    a finite whole number (a float index is never truncated, a bool is
+    never read as 0 or 1)."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(values, dtype=object)
     whole = arr.dtype.kind in "iu" or (
         arr.dtype.kind == "f"
         and np.isfinite(arr).all()
         and (arr == np.trunc(arr)).all()
     )
+    if whole and arr.dtype.kind in "iu" and not isinstance(values, np.ndarray):
+        # numpy promotes a bool mixed with ints to an int: look at the
+        # entries themselves (rectangular here, since the cast passed).
+        whole = not any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(values, dtype=object).flat
+        )
     if not whole:
         raise QueryError(f"{what} must be whole numbers, got {values!r}")
     return arr.astype(np.int64, copy=False)
 
 
 def _as_index(value, what: str) -> int:
-    """One finite whole number as an int (see :func:`_as_indices`)."""
-    arr = _as_indices(value, what)
-    if arr.ndim != 0:
+    """One finite whole number as an int, checked in plain Python.
+
+    Accepts an ``int``, an ``np.integer``, an integral finite float and
+    a 0-d array of those; rejects ``bool``, strings, NaN, ±inf and
+    fractional floats with :class:`QueryError` (a float index is never
+    truncated), and any sequence as not a single number.
+    """
+    if type(value) is int:
+        return value
+    if (
+        isinstance(value, np.ndarray) and value.ndim == 0
+        and value.dtype.kind in "biuf"
+    ):
+        value = value.item()
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if isinstance(value, (list, tuple, np.ndarray)):
         raise QueryError(f"{what} must be a single number, got {value!r}")
-    return int(arr)
+    raise QueryError(f"{what} must be whole numbers, got {value!r}")
 
 
-def _check_coords(shape: Tuple[int, ...], coords: np.ndarray) -> np.ndarray:
+def _check_point(shape: Tuple[int, ...], index) -> Tuple[int, ...]:
+    """One cell index as a tuple of ints inside ``shape``, checked
+    coordinate by coordinate with :func:`_as_index` (no array built)."""
+    try:
+        coords = tuple([
+            i if type(i) is int else _as_index(i, "point index")
+            for i in index
+        ])
+    except TypeError:  # not iterable
+        coords = None
+    if coords is None or len(coords) != len(shape):
+        raise QueryError(
+            f"point index needs {len(shape)} coordinates, got {index!r}"
+        )
+    for coord, size in zip(coords, shape):
+        if coord < 0 or coord >= size:
+            raise QueryError(
+                f"index {coords} out of bounds for shape {shape}"
+            )
+    return coords
+
+
+def _check_coords(shape: Tuple[int, ...], coords) -> np.ndarray:
+    """A ``(B, N)`` array of cell indices as int64 inside ``shape``."""
     coords = np.atleast_2d(_as_indices(coords, "point index"))
     if coords.ndim != 2 or coords.shape[1] != len(shape):
         raise QueryError(
@@ -193,7 +243,8 @@ class FactorEngine:
 
     def point(self, index: Sequence[int]) -> float:
         """One cell value, ``G`` contracted with one row per factor."""
-        return float(self.point_batch(np.asarray(index)[None, :])[0])
+        coords = _check_point(self.shape, index)
+        return float(self.point_batch(np.array([coords], dtype=np.int64))[0])
 
     # ------------------------------------------------------------------
     # slice queries
@@ -201,14 +252,18 @@ class FactorEngine:
     def _check_slice(self, mode, index) -> Tuple[int, int]:
         mode = self._check_mode(mode)
         index = _as_index(index, "index")
-        self._check_indices(mode, index)
+        size = self.tucker.factors[mode].shape[0]
+        if index < 0 or index >= size:
+            raise QueryError(
+                f"index {index} out of range for mode {mode} (size {size})"
+            )
         return mode, index
 
     def _check_mode(self, mode) -> int:
         mode = _as_index(mode, "mode")
-        if not 0 <= mode < len(self.shape):
+        if not 0 <= mode < self.tucker.ndim:
             raise QueryError(
-                f"mode {mode} out of range for {len(self.shape)} modes"
+                f"mode {mode} out of range for {self.tucker.ndim} modes"
             )
         return mode
 
@@ -234,7 +289,7 @@ class FactorEngine:
         """
         t = self.tucker
         mode = self._check_mode(mode)
-        rows = self._check_indices(mode, np.ravel(indices))
+        rows = np.ravel(self._check_indices(mode, indices))
         others = [size for m, size in enumerate(self.shape) if m != mode]
         with _span(
             "serving-slice", "serving", study=self.study, mode=mode,
@@ -294,6 +349,7 @@ class FactorEngine:
         Returns ``[(index, stored, predicted, residual), ...]`` sorted
         by residual, largest first.
         """
+        k = _as_index(k, "k")
         if k < 1:
             raise QueryError(f"top-k needs k >= 1, got {k}")
         restricted = mode is not None and index is not None

@@ -15,6 +15,17 @@ concurrent clients this turns N event-loop round-trips into
 N/``max_batch`` numpy calls — the batched-vs-unbatched benchmark in
 ``BENCH_serving.json`` measures exactly this win.
 
+Queries are validated at submit, in plain Python: a point's
+coordinates, a slice's mode/index and top-k's k/mode/index each go
+through :func:`~repro.serving.engine._as_index` (a bool, a string, a
+non-finite or fractional float, or a sequence is a
+:class:`~repro.exceptions.QueryError`), and a point is queued as a
+tuple of ints; the drain builds one ``(B, N)`` array of them.  After its
+numpy work a drain *settles* once: one latency observation list, one
+served increment, then every answer in request order.  Latency is thus
+observed when the drain settles, which is when the waiting clients can
+resume; a failed request is failed on its own, at once.
+
 Overload is shed, not queued: a request arriving at a full study queue
 fails immediately with the typed
 :class:`~repro.exceptions.ServingOverloadError`, keeping admitted
@@ -41,19 +52,23 @@ from ..exceptions import (
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span as _span
 from .catalog import StudyCatalog
-from .engine import _as_index, _check_coords
+from .engine import _as_index, _check_coords, _check_point
 
 _SHUTDOWN = object()
+#: A request's ``value`` until its drain has answered it.
+_UNSET = object()
 
 
 @dataclass
 class _Request:
-    """One queued query; ``future`` carries the answer back."""
+    """One queued query; ``future`` carries the answer back.  The drain
+    parks a successful answer in ``value`` until it settles."""
 
     kind: str                      # "point" | "slice" | "topk"
     args: Tuple
     future: "asyncio.Future[Any]"
     enqueued_at: float = 0.0
+    value: Any = _UNSET
 
 
 @dataclass
@@ -158,10 +173,8 @@ class ServingServer:
     # ------------------------------------------------------------------
     async def point(self, study: str, index: Sequence[int]) -> float:
         """One cell value from the study's factors."""
-        coords = _check_coords(
-            self.catalog.entry(study).shape, np.asarray(index)[None, :]
-        )
-        return float(await self._submit(study, "point", (coords[0],)))
+        coords = _check_point(self.catalog.entry(study).shape, index)
+        return await self._submit(study, "point", (coords,))
 
     async def point_many(
         self, study: str, indices
@@ -189,7 +202,11 @@ class ServingServer:
         index: Optional[int] = None,
     ) -> List[Tuple[Tuple[int, ...], float, float, float]]:
         """The study's k worst-explained simulated cells."""
-        return await self._submit(study, "topk", (int(k), mode, index))
+        return await self._submit(study, "topk", (
+            _as_index(k, "k"),
+            None if mode is None else _as_index(mode, "mode"),
+            None if index is None else _as_index(index, "index"),
+        ))
 
     # ------------------------------------------------------------------
     # queue plumbing
@@ -230,9 +247,9 @@ class ServingServer:
         return await request.future
 
     async def _drain(self, study: str, queue: "asyncio.Queue[Any]") -> None:
-        """The per-study worker loop: block, greedily drain, serve."""
+        """The per-study worker loop: block, greedily drain, serve,
+        settle."""
         loop = asyncio.get_running_loop()
-        metrics = get_metrics()
         while True:
             first = await queue.get()
             if first is _SHUTDOWN:
@@ -250,20 +267,21 @@ class ServingServer:
                         shutdown = True
                         break
                     batch.append(item)
+            metrics = get_metrics()
             now = loop.time()
-            for request in batch:
-                metrics.histogram("serving.queue_wait_seconds").observe(
-                    now - request.enqueued_at
-                )
+            metrics.histogram("serving.queue_wait_seconds").observe_many(
+                [now - request.enqueued_at for request in batch]
+            )
             try:
-                self._serve_batch(study, batch, loop)
+                self._serve_batch(study, batch, loop, metrics)
+                self._settle(batch, loop, metrics)
             except Exception as exc:  # noqa: BLE001 — a worker must
                 # never die with futures in flight: clients would hang.
                 failure = ServingError(f"internal serving failure: {exc}")
                 failure.__cause__ = exc
                 for request in batch:
                     if not request.future.done():
-                        self._resolve(request, error=failure, loop=loop)
+                        self._fail(request, failure, loop, metrics)
             # Let the clients whose futures just resolved run before
             # the next drain — keeps latency flat under a full queue.
             await asyncio.sleep(0)
@@ -284,14 +302,16 @@ class ServingServer:
     # evaluation
     # ------------------------------------------------------------------
     def _serve_batch(
-        self, study: str, batch: List[_Request], loop
+        self, study: str, batch: List[_Request], loop, metrics
     ) -> None:
+        """Answer one drain: each success is parked in its request's
+        ``value`` for :meth:`_settle`; each failure fails its request
+        now."""
         worker = self._workers.get(study)
         if worker is not None:
             worker.batches += 1
             worker.served += len(batch)
         self.stats.batches += 1
-        metrics = get_metrics()
         metrics.histogram("serving.batch_size").observe(len(batch))
         points = [r for r in batch if r.kind == "point"]
         slices = [r for r in batch if r.kind == "slice"]
@@ -311,29 +331,29 @@ class ServingServer:
                 engine = self.catalog.engine(study)
             except ReproError as exc:
                 for request in batch:
-                    self._resolve(request, error=exc, loop=loop)
+                    self._fail(request, exc, loop, metrics)
                 return
             if points:
-                coords = np.stack([r.args[0] for r in points])
+                coords = np.array([r.args[0] for r in points], dtype=np.int64)
                 try:
                     values = engine.point_batch(coords)
                 except ReproError as exc:
                     for request in points:
-                        self._resolve(request, error=exc, loop=loop)
+                        self._fail(request, exc, loop, metrics)
                 else:
                     self.stats.points += len(points)
-                    for request, value in zip(points, values):
-                        self._resolve(request, value=float(value), loop=loop)
-            self._serve_slices(engine, slices, loop)
+                    for request, value in zip(points, values.tolist()):
+                        request.value = value
+            self._serve_slices(engine, slices, loop, metrics)
             for request in others:
                 try:
-                    value = self._serve_one(study, engine, request)
+                    request.value = self._serve_one(study, engine, request)
                 except ReproError as exc:
-                    self._resolve(request, error=exc, loop=loop)
-                else:
-                    self._resolve(request, value=value, loop=loop)
+                    self._fail(request, exc, loop, metrics)
 
-    def _serve_slices(self, engine, slices: List[_Request], loop) -> None:
+    def _serve_slices(
+        self, engine, slices: List[_Request], loop, metrics
+    ) -> None:
         """One :meth:`slice_batch` per sliced mode; a request that fails
         validation gets its own error and leaves its group intact."""
         groups: Dict[int, List[Tuple[_Request, int]]] = {}
@@ -341,7 +361,7 @@ class ServingServer:
             try:
                 mode, index = engine._check_slice(*request.args)
             except ReproError as exc:
-                self._resolve(request, error=exc, loop=loop)
+                self._fail(request, exc, loop, metrics)
             else:
                 groups.setdefault(mode, []).append((request, index))
         for mode, group in groups.items():
@@ -349,11 +369,11 @@ class ServingServer:
                 planes = engine.slice_batch(mode, [i for _r, i in group])
             except ReproError as exc:
                 for request, _index in group:
-                    self._resolve(request, error=exc, loop=loop)
+                    self._fail(request, exc, loop, metrics)
             else:
                 self.stats.slices += len(group)
                 for (request, _index), plane in zip(group, planes):
-                    self._resolve(request, value=plane, loop=loop)
+                    request.value = plane
 
     def _serve_one(self, study: str, engine, request: _Request) -> Any:
         if request.kind == "topk":
@@ -366,30 +386,40 @@ class ServingServer:
             )
         raise ServingError(f"unknown request kind {request.kind!r}")
 
-    def _resolve(
-        self, request: _Request, loop, value: Any = None,
-        error: Optional[BaseException] = None,
+    def _settle(self, batch: List[_Request], loop, metrics) -> None:
+        """Hand a drain's answers back at once: one latency observation
+        per answer, stamped now (the clients resume when this drain
+        yields), one served count, then the results in request order."""
+        answered = [r for r in batch if r.value is not _UNSET]
+        if not answered:
+            return
+        now = loop.time()
+        metrics.histogram("serving.latency_seconds").observe_many(
+            [now - r.enqueued_at for r in answered]
+        )
+        # a cancelled client's future is already done: not served
+        live = [r for r in answered if not r.future.done()]
+        if live:
+            self.stats.served += len(live)
+            metrics.counter("serving.served").inc(len(live))
+            for request in live:
+                request.future.set_result(request.value)
+
+    def _fail(
+        self, request: _Request, error: BaseException, loop, metrics
     ) -> None:
-        metrics = get_metrics()
         metrics.histogram("serving.latency_seconds").observe(
             loop.time() - request.enqueued_at
         )
         if request.future.done():  # pragma: no cover - cancelled client
             return
-        if error is not None:
-            self.stats.errors += 1
-            metrics.counter("serving.errors").inc()
-            # Labelled twin: break errors out by exception type so
-            # dashboards (and SLO objectives) can tell an overload
-            # from a corrupt bundle from a bad query.
-            metrics.counter(
-                f"serving.errors.{type(error).__name__}"
-            ).inc()
-            request.future.set_exception(error)
-        else:
-            self.stats.served += 1
-            metrics.counter("serving.served").inc()
-            request.future.set_result(value)
+        self.stats.errors += 1
+        metrics.counter("serving.errors").inc()
+        # Labelled twin: break errors out by exception type so
+        # dashboards (and SLO objectives) can tell an overload
+        # from a corrupt bundle from a bad query.
+        metrics.counter(f"serving.errors.{type(error).__name__}").inc()
+        request.future.set_exception(error)
 
     # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Any]:

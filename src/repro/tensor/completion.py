@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import RankError, ShapeError
+from .ops import accuracy
 from .sparse import SparseTensor
 from .tucker import TuckerTensor, hosvd, validate_ranks
 
@@ -104,14 +105,4 @@ def completion_accuracy(
     result: CompletionResult, truth: np.ndarray
 ) -> float:
     """The paper's accuracy measure for the *completed* tensor."""
-    truth = np.asarray(truth, dtype=np.float64)
-    if truth.shape != result.completed.shape:
-        raise ShapeError(
-            f"truth shape {truth.shape} != completion shape "
-            f"{result.completed.shape}"
-        )
-    denom = np.linalg.norm(truth.ravel())
-    if denom == 0:
-        raise ShapeError("ground-truth tensor has zero norm")
-    diff = np.linalg.norm((result.completed - truth).ravel())
-    return 1.0 - diff / denom
+    return accuracy(result.completed, truth)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..exceptions import RankError, ShapeError
 from ..observability import get_metrics, span as _span
-from .ops import frobenius_norm, relative_error
+from .ops import accuracy, frobenius_norm, relative_error
 from .sparse import SparseTensor
 from .svd import leading_left_singular_vectors
 from .ttm import multi_ttm, ttm
@@ -85,8 +85,10 @@ class TuckerTensor:
         return relative_error(self.reconstruct(), np.asarray(reference))
 
     def accuracy(self, reference: np.ndarray) -> float:
-        """The paper's accuracy measure ``1 - rel_err`` (Section VII-D)."""
-        return 1.0 - self.relative_error(reference)
+        """The paper's accuracy measure ``1 - rel_err`` (Section VII-D);
+        a zero-norm or non-finite reference raises :class:`ShapeError`
+        (see :func:`~repro.tensor.ops.accuracy`)."""
+        return accuracy(self.reconstruct(), reference)
 
     def compression_ratio(self) -> float:
         """Stored parameters of the decomposition / dense tensor size."""

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.observability import (
+    Histogram,
     MetricsRegistry,
     diff_snapshots,
     get_metrics,
@@ -100,6 +101,51 @@ class TestHistogram:
         assert hist.count == 10_000
         # The decimated percentile still tracks the true distribution.
         assert abs(hist.percentile(50) - 5_000) < 1_000
+
+    @staticmethod
+    def _state(hist):
+        return (
+            hist.count, hist.total, hist.min, hist.max,
+            list(hist._samples), hist._stride, hist._since_kept,
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_observe_many_is_repeated_observe(self, chunk):
+        """One locked call per list leaves exactly the state one
+        ``observe`` per value does, past several decimations."""
+        values = [((v * 7919) % 1009) / 13.0 - 20.0 for v in range(1000)]
+        one = Histogram("one")
+        many = Histogram("many")
+        one.max_samples = many.max_samples = 16
+        for value in values:
+            one.observe(value)
+        for start in range(0, len(values), chunk):
+            many.observe_many(values[start:start + chunk])
+        assert self._state(many) == self._state(one)
+        assert one._stride > 1  # decimation ran
+        # and the fold is the plain in-order one
+        total = 0.0
+        for value in values:
+            total += value
+        assert one.count == len(values) and one.total == total
+        assert (one.min, one.max) == (min(values), max(values))
+        # keep every stride-th value; halve the buffer when it fills
+        samples, stride, since = [], 1, 0
+        for value in values:
+            since += 1
+            if since >= stride:
+                since = 0
+                samples.append(value)
+                if len(samples) >= 16:
+                    samples, stride = samples[::2], stride * 2
+        assert (one._samples, one._stride, one._since_kept) == (
+            samples, stride, since
+        )
+
+    def test_observe_many_of_nothing_is_a_no_op(self):
+        hist = Histogram("empty")
+        hist.observe_many([])
+        assert hist.count == 0 and hist.min is None
 
 
 class TestSnapshotDiff:

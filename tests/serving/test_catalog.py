@@ -148,6 +148,33 @@ class TestBundleLifecycle:
         assert catalog.hot_factors.stats.misses == before
         assert catalog.hot_factors.stats.hits >= 1
 
+    def test_bundle_address_is_hashed_once_per_registration(
+        self, catalog, monkeypatch
+    ):
+        import repro.serving.catalog as catalog_module
+
+        calls = []
+        real = catalog_module.bundle_fingerprint
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(catalog_module, "bundle_fingerprint", counting)
+        hits = catalog.hot_factors.stats.hits
+        for _ in range(3):
+            catalog.engine("alpha")
+        assert calls == ["alpha"]
+        # the hot tier is still consulted on every call
+        assert catalog.hot_factors.stats.hits - hits >= 2
+        catalog.register(
+            "alpha", make_sparse((6, 5, 4), seed=5), ranks=[3, 3, 3],
+            overwrite=True,
+        )
+        catalog.engine("alpha")
+        catalog.engine("alpha")
+        assert calls.count("alpha") == 3  # drop old bundle + new address
+
     def test_reregistration_invalidates_stale_factors(self, catalog):
         index = (0, 0, 0)
         old_value = catalog.engine("alpha").point(index)

@@ -121,11 +121,12 @@ class TestSliceBatch:
             engine.slice_batch(3, [0])
 
 
-NON_INTEGRAL = [1.5, 0.9, float("nan"), float("inf"), "1"]
+NON_INTEGRAL = [1.5, 0.9, float("nan"), float("inf"), "1", True]
 
 
 class TestNonIntegralIndices:
-    """A float index is rejected, never truncated to a nearby cell."""
+    """A float index is rejected, never truncated to a nearby cell; a
+    bool is never read as 0 or 1."""
 
     @pytest.mark.parametrize("bad", NON_INTEGRAL)
     def test_point(self, engine, bad):

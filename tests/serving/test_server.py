@@ -214,7 +214,9 @@ class TestErrors:
 
         assert isinstance(asyncio.run(serve()), float)
 
-    @pytest.mark.parametrize("bad", [1.5, 0.9, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "bad", [1.5, 0.9, float("nan"), float("inf"), True]
+    )
     def test_non_integral_index_rejected_at_submit(self, catalog, bad):
         async def serve():
             async with ServingServer(catalog) as server:
@@ -227,6 +229,40 @@ class TestErrors:
                 return server.stats
 
         assert asyncio.run(serve()).served == 0
+
+    @pytest.mark.parametrize(
+        "index", [5, (1, (2, 3), 0), (0, 0), (0, 0, 0, 0)]
+    )
+    def test_malformed_point_is_a_query_error(self, catalog, index):
+        """A scalar, a nested coordinate or the wrong arity is a typed
+        error, never a numpy exception."""
+        async def serve():
+            async with ServingServer(catalog) as server:
+                with pytest.raises(QueryError):
+                    await server.point("alpha", index)
+                with pytest.raises(QueryError):
+                    await server.point_many("alpha", [(0, 0, 0), index])
+                return server.stats
+
+        assert asyncio.run(serve()).served == 0
+        with pytest.raises(QueryError):
+            catalog.engine("alpha").point(index)
+
+    @pytest.mark.parametrize("k", [2.7, "x", True, float("nan"), (2,)])
+    def test_malformed_topk_k_is_a_query_error(self, catalog, k):
+        """``k`` is never truncated (2.7 is not 2) nor read from a
+        string or a bool."""
+        async def serve():
+            async with ServingServer(catalog) as server:
+                with pytest.raises(QueryError):
+                    await server.topk("alpha", k)
+                with pytest.raises(QueryError):
+                    await server.topk("alpha", 2, mode=0, index=k)
+                with pytest.raises(QueryError):
+                    await server.topk("alpha", 2, mode=k, index=0)
+                return await server.topk("alpha", 2.0)
+
+        assert len(asyncio.run(serve())) == 2
 
     def test_not_started(self, catalog):
         server = ServingServer(catalog)

@@ -1,5 +1,6 @@
 """Serving-layer telemetry: labelled error counters, shed accounting
-in the queue-wait histogram, and typed shed errors.
+in the queue-wait histogram, typed shed errors, and the once-per-drain
+settle of served answers.
 """
 
 import asyncio
@@ -84,3 +85,43 @@ class TestShedAccounting:
         # count as a serving error (the client got a clean overload
         # signal, not a failed computation).
         assert "serving.errors" not in registry.names()
+
+
+class TestSettleAccounting:
+    """A drain settles its answers in one go; every request must still
+    be counted exactly once."""
+
+    def test_mixed_session_accounts_every_request(self, catalog):
+        async def go():
+            async with ServingServer(catalog) as server:
+                results = await asyncio.gather(
+                    *(
+                        server.point("alpha", (i % 6, i % 5, i % 4))
+                        for i in range(20)
+                    ),
+                    *(server.slice("alpha", 0, i % 6) for i in range(4)),
+                    *(server.slice("alpha", 2, i % 4) for i in range(3)),
+                    server.slice("alpha", 1, 9),  # fails in the drain
+                    server.topk("alpha", 2),
+                    return_exceptions=True,
+                )
+                # and a few one-request drains
+                for i in range(3):
+                    results.append(await server.point("alpha", (i, 0, 0)))
+                return server.stats, results
+
+        with use_metrics(MetricsRegistry()) as registry:
+            stats, results = run(go())
+            state = registry.as_dict()
+        errors = [r for r in results if isinstance(r, BaseException)]
+        assert len(errors) == 1 and isinstance(errors[0], QueryError)
+        assert stats.shed == 0 and stats.errors == 1
+        assert stats.served == len(results) - 1
+        assert state["serving.served"]["value"] == stats.served
+        assert state["serving.errors"]["value"] == stats.errors
+        assert (
+            state["serving.latency_seconds"]["count"]
+            == stats.served + stats.errors
+        )
+        assert state["serving.queue_wait_seconds"]["count"] == len(results)
+        assert state["serving.batch_size"]["sum"] == len(results)

@@ -50,6 +50,19 @@ class TestTuckerTensor:
             1 - tucker.relative_error(tensor)
         )
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zero"])
+    def test_accuracy_rejects_a_truth_with_no_score(self, bad):
+        """The same typed error as ``core.evaluation.accuracy``, never a
+        ``nan`` or ``-inf`` score."""
+        tensor = random_low_rank((5, 6, 4), (2, 2, 2), seed=1)
+        tucker = hosvd(tensor, (2, 2, 2))
+        truth = np.zeros_like(tensor)
+        if bad != "zero":
+            truth = tensor.copy()
+            truth[1, 2, 3] = float(bad)
+        with pytest.raises(ShapeError, match="non-finite|zero norm"):
+            tucker.accuracy(truth)
+
 
 class TestRankValidation:
     def test_validate_ok(self):
