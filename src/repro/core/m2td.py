@@ -39,7 +39,7 @@ from ..tensor.unfold import unfold
 from .evaluation import accuracy
 from .join_tensor import lazy_core, materialized_core
 from .row_select import average_factors, row_select
-from .stitch import dense_to_original_order, join_tensor, zero_join_tensor
+from .stitch import dense_join, dense_to_original_order
 
 TensorLike = Union[np.ndarray, SparseTensor]
 
@@ -151,12 +151,6 @@ def _sub_dense(tensor: TensorLike) -> np.ndarray:
     return np.asarray(tensor, dtype=np.float64)
 
 
-def _sub_sparse(tensor: TensorLike) -> SparseTensor:
-    if isinstance(tensor, SparseTensor):
-        return tensor
-    return SparseTensor.from_dense(np.asarray(tensor), keep_zeros=True)
-
-
 def m2td_decompose(
     x1: TensorLike,
     x2: TensorLike,
@@ -262,10 +256,11 @@ def m2td_decompose(
             subs = (_sub_dense(x1), _sub_dense(x2))
             join_nnz = int(np.prod(partition.join_shape))
         else:
-            stitch = join_tensor if join_kind == "join" else zero_join_tensor
-            join = stitch(_sub_sparse(x1), _sub_sparse(x2), partition)
-            join_nnz = join.nnz
-            join_dense = join.to_dense()
+            # Broadcast the two (values, observed) layouts straight into
+            # the dense J and its stored-cell mask; no COO tensor.
+            join_dense, _stored, join_nnz = dense_join(
+                x1, x2, partition, join_kind
+            )
         stitch_span.set(join_nnz=join_nnz)
     stitch_seconds = time.perf_counter() - started
 

@@ -274,7 +274,7 @@ class ServingServer:
             )
             try:
                 self._serve_batch(study, batch, loop, metrics)
-                self._settle(batch, loop, metrics)
+                self._settle(study, batch, loop, metrics)
             except Exception as exc:  # noqa: BLE001 — a worker must
                 # never die with futures in flight: clients would hang.
                 failure = ServingError(f"internal serving failure: {exc}")
@@ -310,7 +310,6 @@ class ServingServer:
         worker = self._workers.get(study)
         if worker is not None:
             worker.batches += 1
-            worker.served += len(batch)
         self.stats.batches += 1
         metrics.histogram("serving.batch_size").observe(len(batch))
         points = [r for r in batch if r.kind == "point"]
@@ -386,10 +385,13 @@ class ServingServer:
             )
         raise ServingError(f"unknown request kind {request.kind!r}")
 
-    def _settle(self, batch: List[_Request], loop, metrics) -> None:
+    def _settle(
+        self, study: str, batch: List[_Request], loop, metrics
+    ) -> None:
         """Hand a drain's answers back at once: one latency observation
         per answer, stamped now (the clients resume when this drain
-        yields), one served count, then the results in request order."""
+        yields), one served count (server-wide and for the study), then
+        the results in request order."""
         answered = [r for r in batch if r.value is not _UNSET]
         if not answered:
             return
@@ -401,6 +403,9 @@ class ServingServer:
         live = [r for r in answered if not r.future.done()]
         if live:
             self.stats.served += len(live)
+            worker = self._workers.get(study)
+            if worker is not None:
+                worker.served += len(live)
             metrics.counter("serving.served").inc(len(live))
             for request in live:
                 request.future.set_result(request.value)

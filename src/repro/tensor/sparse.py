@@ -140,40 +140,6 @@ class SparseTensor:
         values = dense[mask]
         return cls(dense.shape, coords, values)
 
-    @classmethod
-    def from_canonical(
-        cls, shape: Tuple[int, ...], coords: np.ndarray, values: np.ndarray
-    ) -> "SparseTensor":
-        """Build from coords already in canonical form, skipping dedup.
-
-        Canonical means what :meth:`__init__` would produce: unique
-        rows in C-order lexicographic order.  The invariant is checked
-        in O(nnz) (a strictly increasing flat encoding, which also
-        bounds-checks via :func:`numpy.ravel_multi_index`); inputs that
-        fail it fall back to the full constructor, so this is always
-        safe — just fast when the producer (e.g. JE-stitch assembly)
-        already emits sorted unique cells.
-        """
-        shape = tuple(int(s) for s in shape)
-        coords = np.asarray(coords, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if coords.ndim != 2 or coords.shape[0] != values.shape[0]:
-            return cls(shape, coords, values)
-        if coords.shape[0] == 0:
-            return cls(shape)
-        try:
-            flat = np.ravel_multi_index(tuple(coords.T), shape)
-        except ValueError:
-            return cls(shape, coords, values)
-        if coords.shape[0] > 1 and not (np.diff(flat) > 0).all():
-            return cls(shape, coords, values)
-        tensor = cls.__new__(cls)
-        tensor.shape = shape
-        tensor.coords = coords
-        tensor.values = values
-        tensor._layout = None
-        return tensor
-
     # ------------------------------------------------------------------
     # basic protocol
     # ------------------------------------------------------------------

@@ -214,6 +214,27 @@ class TestErrors:
 
         assert isinstance(asyncio.run(serve()), float)
 
+    def test_failed_request_is_not_served_for_its_study(self, catalog):
+        """The per-study served count agrees with ``stats.served``: an
+        out-of-range slice fails in the drain and is counted as an
+        error, not as served."""
+
+        async def serve():
+            async with ServingServer(catalog) as server:
+                results = await asyncio.gather(
+                    server.point("alpha", (1, 2, 3)),
+                    server.slice("alpha", 1, 9),
+                    return_exceptions=True,
+                )
+                return results, server.summary()
+
+        (point, bad), summary = asyncio.run(serve())
+        assert isinstance(point, float)
+        assert isinstance(bad, QueryError)
+        assert summary["stats"]["errors"] == 1
+        assert summary["stats"]["served"] == 1
+        assert summary["studies"]["alpha"]["served"] == 1
+
     @pytest.mark.parametrize(
         "bad", [1.5, 0.9, float("nan"), float("inf"), True]
     )
