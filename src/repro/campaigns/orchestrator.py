@@ -204,6 +204,7 @@ class CampaignOrchestrator:
             )
             for which in (1, 2)
         }
+        self._pivot_orders: Dict[Tuple[int, int], np.ndarray] = {}
         self._records: List[RoundRecord] = []
         self._reports: List[RuntimeReport] = []
         self._model: Optional[M2TDResult] = None
@@ -280,13 +281,11 @@ class CampaignOrchestrator:
             self._mask[which][f, p] = True
 
     def _observed_tensor(self, which: int) -> SparseTensor:
-        free_flat, pivot_flat = np.nonzero(self._mask[which])
-        cells = list(zip(free_flat.tolist(), pivot_flat.tolist()))
-        coords = self._sub_coords(which, cells)
-        values = self._values[which][free_flat, pivot_flat]
-        return SparseTensor(
-            self.partition.sub_shape(which), coords, values
-        )
+        # (pivot, free) coverage in C order is the sub-space layout
+        shape = self.partition.sub_shape(which)
+        mask = self._mask[which].T.reshape(shape)
+        values = self._values[which].T.reshape(shape)[mask]
+        return SparseTensor(shape, np.argwhere(mask), values)
 
     def _fit(self) -> M2TDResult:
         ranks = [self.spec.rank] * self.partition.n_modes
@@ -565,15 +564,17 @@ class CampaignOrchestrator:
                     if count <= 0:
                         continue
                     # Stable per-config pivot order: seeded by (side,
-                    # config) only, so it never shifts across rounds.
-                    order = self._rng(which, int(config), 4).permutation(
-                        self._pivot_size
-                    )
-                    fresh = [
-                        int(p) for p in order
-                        if not self._mask[which][int(config), int(p)]
-                    ][: int(count)]
-                    cells.extend((int(config), p) for p in fresh)
+                    # config) only, so it never shifts across rounds
+                    # and is drawn once.
+                    config = int(config)
+                    order = self._pivot_orders.get((which, config))
+                    if order is None:
+                        order = self._rng(which, config, 4).permutation(
+                            self._pivot_size
+                        )
+                        self._pivot_orders[which, config] = order
+                    fresh = order[~self._mask[which][config, order]]
+                    cells.extend((config, p) for p in fresh[: int(count)].tolist())
                 confirm_cells[which] = cells
             return {
                 "metric": self._metric(residuals),

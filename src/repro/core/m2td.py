@@ -1,8 +1,10 @@
 """The Multi-Task Tensor Decomposition engine (paper Section VI).
 
-All three variants share one skeleton (Algorithms 2-4):
+All three variants share one skeleton (Algorithms 2-4), run on one
+dense ``(values, observed)`` layout per sub-ensemble
+(:func:`~repro.core.stitch.observed_layout`):
 
-1. matricize each sub-ensemble tensor along each of its modes;
+1. unfold each sub-ensemble's dense layout along each of its modes;
 2. for each shared *pivot* mode, derive factor matrices from both
    sub-tensors and combine them (this is where the variants differ:
    AVG averages, CONCAT concatenates matricizations before the SVD,
@@ -27,19 +29,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.sparse as sps
 
 from ..exceptions import RankError, StitchError
 from ..observability import span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
-from ..tensor.svd import leading_left_singular_vectors, truncated_svd
+from ..tensor.svd import truncated_svd
 from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
 from .evaluation import accuracy
 from .join_tensor import lazy_core, materialized_core
 from .row_select import average_factors, row_select
-from .stitch import dense_join, dense_to_original_order
+from .stitch import dense_join, dense_to_original_order, observed_layout
 
 TensorLike = Union[np.ndarray, SparseTensor]
 
@@ -94,34 +95,18 @@ class M2TDResult:
         )
 
 
-def _matricize(tensor: TensorLike, mode: int):
-    if isinstance(tensor, SparseTensor):
-        return tensor.unfold_csr(mode)
-    return unfold(np.asarray(tensor), mode)
-
-
-def _concat_matricizations(m1, m2):
-    if sps.issparse(m1) or sps.issparse(m2):
-        return sps.hstack(
-            [sps.csr_matrix(m1), sps.csr_matrix(m2)], format="csr"
-        )
-    return np.hstack([np.asarray(m1), np.asarray(m2)])
-
-
 def _clip_rank(rank: int, shape: Tuple[int, int]) -> int:
     return max(1, min(int(rank), min(int(shape[0]), int(shape[1]))))
 
 
-def _factor_pair(matrix, rank: int):
-    """``(U, s)``: leading left singular vectors and singular values."""
+def factor_pair(matrix: np.ndarray, rank: int):
+    """``(U, s)``: leading left singular vectors and singular values.
+
+    The one factor route of M2TD and D-M2TD: a LAPACK SVD of a dense
+    unfolding of a sub-ensemble, never the Gram route.
+    """
     u, s, _vt = truncated_svd(matrix, _clip_rank(rank, matrix.shape))
     return u, s
-
-
-def _leading_factor(matrix, rank: int) -> np.ndarray:
-    return leading_left_singular_vectors(
-        matrix, _clip_rank(rank, matrix.shape)
-    )
 
 
 def map_ranks_to_join(
@@ -136,19 +121,6 @@ def map_ranks_to_join(
     if any(r < 1 for r in ranks):
         raise RankError(f"ranks must be >= 1, got {ranks}")
     return tuple(ranks[m] for m in partition.join_modes)
-
-
-def _is_complete(tensor: TensorLike) -> bool:
-    """Every cell observed: always for a dense array; for a sparse
-    tensor when each cell is stored (duplicates are already averaged
-    away, and stored zeros count)."""
-    return not isinstance(tensor, SparseTensor) or tensor.nnz == tensor.size
-
-
-def _sub_dense(tensor: TensorLike) -> np.ndarray:
-    if isinstance(tensor, SparseTensor):
-        return tensor.to_dense()
-    return np.asarray(tensor, dtype=np.float64)
 
 
 def m2td_decompose(
@@ -195,33 +167,37 @@ def m2td_decompose(
         raise StitchError(f"unknown M2TD variant {variant!r}")
     if join_kind not in ("join", "zero"):
         raise StitchError(f"unknown join kind {join_kind!r}")
-    for label, sub in (("x1", x1), ("x2", x2)):
-        values = sub.values if isinstance(sub, SparseTensor) else sub
+    started = time.perf_counter()
+    # One dense layout per sub-ensemble, (values, observed) shaped
+    # (pivot cells, free cells), feeds all three phases.
+    layouts = [observed_layout(x, partition, w) for w, x in ((1, x1), (2, x2))]
+    subs = []
+    for which, (values, _observed) in enumerate(layouts, 1):
         if not np.isfinite(values).all():
             # fail typed here, not as an untyped SVD non-convergence
-            raise StitchError(
-                f"sub-ensemble {label} has non-finite values"
-            )
+            raise StitchError(f"sub-ensemble x{which} has non-finite values")
+        subs.append(values.reshape(partition.sub_shape(which)))
     join_ranks = map_ranks_to_join(partition, ranks)
     k = partition.k
     f1 = len(partition.s1_free)
 
     # ------------------------------------------------------- phase 1
-    started = time.perf_counter()
+    # Factors read a stored -0.0 as the observation 0.0: LAPACK's
+    # Householder reflections tell the two apart.
+    sub1, sub2 = (sub + 0.0 for sub in subs)
     factors: List[Optional[np.ndarray]] = [None] * partition.n_modes
     for axis in range(k):
         with _span(
             "pivot-factor", "stitch-factor", mode=axis, variant=variant
         ):
-            m1 = _matricize(x1, axis)
-            m2 = _matricize(x2, axis)
+            m1 = unfold(sub1, axis)
+            m2 = unfold(sub2, axis)
             rank = join_ranks[axis]
             if variant == "concat":
-                combined = _concat_matricizations(m1, m2)
-                factors[axis] = _leading_factor(combined, rank)
+                factors[axis] = factor_pair(np.hstack([m1, m2]), rank)[0]
             else:
-                u1, s1 = _factor_pair(m1, rank)
-                u2, s2 = _factor_pair(m2, rank)
+                u1, s1 = factor_pair(m1, rank)
+                u2, s2 = factor_pair(m2, rank)
                 width = min(u1.shape[1], u2.shape[1])
                 u1, u2 = u1[:, :width], u2[:, :width]
                 s1, s2 = s1[:width], s2[:width]
@@ -232,19 +208,19 @@ def m2td_decompose(
     with _span("free-factors", "decompose", variant=variant):
         for offset in range(f1):
             axis = k + offset
-            factors[axis] = _leading_factor(
-                _matricize(x1, axis), join_ranks[axis]
-            )
+            factors[axis] = factor_pair(
+                unfold(sub1, axis), join_ranks[axis]
+            )[0]
         for offset in range(len(partition.s2_free)):
             axis = k + f1 + offset
-            factors[axis] = _leading_factor(
-                _matricize(x2, k + offset), join_ranks[axis]
-            )
+            factors[axis] = factor_pair(
+                unfold(sub2, k + offset), join_ranks[axis]
+            )[0]
     sub_decompose_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------- phase 2
-    closed_form = (
-        join_kind == "join" and _is_complete(x1) and _is_complete(x2)
+    closed_form = join_kind == "join" and all(
+        observed.all() for _values, observed in layouts
     )
     started = time.perf_counter()
     with _span(
@@ -253,13 +229,12 @@ def m2td_decompose(
         if closed_form:
             # J(p, a, b) = (X1(p, a) + X2(p, b)) / 2 fills every cell;
             # the core needs only X1 and X2, never J itself.
-            subs = (_sub_dense(x1), _sub_dense(x2))
             join_nnz = int(np.prod(partition.join_shape))
         else:
-            # Broadcast the two (values, observed) layouts straight into
-            # the dense J and its stored-cell mask; no COO tensor.
+            # Broadcast the two layouts straight into the dense J and
+            # its stored-cell mask; no COO tensor.
             join_dense, _stored, join_nnz = dense_join(
-                x1, x2, partition, join_kind
+                *layouts, partition, join_kind
             )
         stitch_span.set(join_nnz=join_nnz)
     stitch_seconds = time.perf_counter() - started

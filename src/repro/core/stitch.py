@@ -14,10 +14,10 @@ tensor ``J`` whose modes are ``pivot + S1-free + S2-free``:
   are partial (Section V-C2).  A side's candidates are the distinct
   free configurations observed anywhere in that sub-ensemble.
 
-:func:`dense_join` is the one stitch.  It lays each sub-ensemble out
-as a ``(pivot cells, free cells)`` value array plus a boolean observed
-mask ``m``, then forms both kinds by broadcasting over
-``(pivot, a, b)``:
+:func:`dense_join` is the one stitch.  It takes each sub-ensemble's
+:func:`observed_layout` (a ``(pivot cells, free cells)`` value array
+plus a boolean observed mask ``m``), then forms both kinds by
+broadcasting over ``(pivot, a, b)``:
 
 * join: ``stored = m1 & m2``;
 * zero-join: ``stored = (m1 & cand2) | (m2 & cand1)`` with
@@ -48,12 +48,14 @@ TensorLike = Union[np.ndarray, SparseTensor]
 _SPAN_NAMES = {"join": "join-tensor", "zero": "zero-join-tensor"}
 
 
-def _observed_layout(
+def observed_layout(
     tensor: TensorLike, partition: PFPartition, which: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(values, observed)``, each shaped ``(pivot cells, free cells)``.
 
     Unobserved cells hold ``0.0``; a dense input is observed everywhere.
+    :func:`~repro.core.m2td.m2td_decompose` builds one per sub-ensemble
+    and feeds it to the factors, the stitch and the closed-form core.
     """
     expected = partition.sub_shape(which)
     sparse = isinstance(tensor, SparseTensor)
@@ -76,16 +78,17 @@ def _observed_layout(
 
 
 def dense_join(
-    x1: TensorLike, x2: TensorLike, partition: PFPartition, kind: str
+    layout1: Tuple[np.ndarray, np.ndarray],
+    layout2: Tuple[np.ndarray, np.ndarray],
+    partition: PFPartition,
+    kind: str,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Stitch two sub-ensembles into the dense join tensor.
 
     Parameters
     ----------
-    x1, x2:
-        Sub-ensembles in sub-space mode order (pivots first): a
-        :class:`SparseTensor` (stored cells are the observations) or a
-        dense array (every cell observed).
+    layout1, layout2:
+        Each sub-ensemble's :func:`observed_layout`.
     partition:
         The PF-partition relating them to the full space.
     kind:
@@ -103,8 +106,7 @@ def dense_join(
     with _span(
         _SPAN_NAMES[kind], "stitch", join_shape=partition.join_shape
     ) as sp:
-        v1, m1 = _observed_layout(x1, partition, 1)
-        v2, m2 = _observed_layout(x2, partition, 2)
+        (v1, m1), (v2, m2) = layout1, layout2
         sp.set(
             nnz1=int(np.count_nonzero(m1)), nnz2=int(np.count_nonzero(m2))
         )
@@ -136,7 +138,8 @@ def dense_join(
 def _sparse_view(
     x1: TensorLike, x2: TensorLike, partition: PFPartition, kind: str
 ) -> SparseTensor:
-    dense, stored, _nnz = dense_join(x1, x2, partition, kind)
+    layouts = [observed_layout(x, partition, w) for w, x in ((1, x1), (2, x2))]
+    dense, stored, _nnz = dense_join(*layouts, partition, kind)
     return SparseTensor(
         partition.join_shape, np.argwhere(stored), dense[stored]
     )

@@ -25,11 +25,12 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.m2td import factor_pair
 from ..exceptions import MapReduceError
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
-from ..tensor.svd import truncated_svd
 from ..tensor.ttm import multi_ttm
+from ..tensor.unfold import unfold
 from ..tensor.ops import outer
 from .mapreduce import MapReduceJob, Record
 
@@ -38,7 +39,8 @@ from .mapreduce import MapReduceJob, Record
 # phase 1: parallel sub-tensor decomposition
 # ----------------------------------------------------------------------
 class Phase1Reduce:
-    """Decompose one sub-tensor: per-mode truncated SVDs.
+    """Decompose one sub-tensor: per-mode truncated SVDs of its dense
+    unfoldings, the single-node M2TD factor route.
 
     ``ranks_per_mode[kappa]`` holds the target rank for each mode of
     sub-tensor ``kappa``.
@@ -51,11 +53,12 @@ class Phase1Reduce:
         (tensor,) = values
         if not isinstance(tensor, SparseTensor):
             raise MapReduceError("phase 1 expects SparseTensor payloads")
-        ranks = self.ranks_per_mode[kappa]
-        for mode, rank in enumerate(ranks):
-            matricized = tensor.unfold_csr(mode)
-            clipped = max(1, min(int(rank), min(matricized.shape)))
-            u, s, _vt = truncated_svd(matricized, clipped)
+        # Unobserved cells and a stored -0.0 read as 0.0, as in
+        # m2td_decompose.
+        dense = np.zeros(tensor.shape)
+        dense[tuple(tensor.coords.T)] = tensor.values + 0.0
+        for mode, rank in enumerate(self.ranks_per_mode[kappa]):
+            u, s = factor_pair(unfold(dense, mode), rank)
             yield ("factor", (kappa, mode, u, s))
 
 

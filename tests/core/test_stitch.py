@@ -10,7 +10,11 @@ from hypothesis import strategies as st
 
 from repro.core import join_tensor, to_original_order, zero_join_tensor
 from repro.core.m2td import m2td_decompose
-from repro.core.stitch import dense_join, dense_to_original_order
+from repro.core.stitch import (
+    dense_join,
+    dense_to_original_order,
+    observed_layout,
+)
 from repro.core.join_tensor import dense_join_from_subs
 from repro.exceptions import StitchError
 from repro.observability import Tracer, use_tracer
@@ -193,6 +197,13 @@ def reference_join(x1, x2, part, kind):
     return dense, stored
 
 
+def stitch(x1, x2, part, kind):
+    """:func:`dense_join` of two sub-ensembles' layouts."""
+    return dense_join(
+        observed_layout(x1, part, 1), observed_layout(x2, part, 2), part, kind
+    )
+
+
 def sha(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
@@ -238,7 +249,7 @@ class TestBroadcastStitch:
     @settings(max_examples=200, deadline=None)
     def test_bit_identical_to_per_cell_reference(self, case):
         part, x1, x2, kind = case
-        dense, stored, nnz = dense_join(x1, x2, part, kind)
+        dense, stored, nnz = stitch(x1, x2, part, kind)
         want_dense, want_stored = reference_join(x1, x2, part, kind)
         assert sha(dense) == sha(want_dense)
         assert sha(stored) == sha(want_stored)
@@ -255,7 +266,7 @@ class TestBroadcastStitch:
         x2 = SparseTensor(
             part.sub_shape(2), [[0, 1, 1], [1, 2, 2]], [4.0, -0.0]
         )
-        dense, _stored, _nnz = dense_join(x1, x2, part, "zero")
+        dense, _stored, _nnz = stitch(x1, x2, part, "zero")
         # X2 alone at pivot 1: -0.0 / 2, not (0.0 + -0.0) / 2
         assert np.signbit(dense[1, 0, 0, 2, 2])
 
@@ -276,8 +287,8 @@ class TestBroadcastStitch:
             part.sub_shape(2), [[1, 0, 0], [0, 1, 1]], [3.0, -1.0]
         )
         for kind in ("join", "zero"):
-            got = dense_join(x1, x2, part, kind)
-            want = dense_join(twin, x2, part, kind)
+            got = stitch(x1, x2, part, kind)
+            want = stitch(twin, x2, part, kind)
             assert sha(got[0]) == sha(want[0])
             assert sha(got[1]) == sha(want[1])
             assert got[2] == want[2]
@@ -303,7 +314,7 @@ class TestBroadcastStitch:
         assert registry.counter("stitch.joins").value == 1
         assert registry.counter("stitch.join_nnz").value == result.join_nnz
         with use_metrics() as registry:
-            dense_join(*subs, part, kind)
+            stitch(*subs, part, kind)
         assert registry.counter("tensor.dense_unfolds").value == 0
         view = join_tensor if kind == "join" else zero_join_tensor
         with use_metrics() as registry, use_tracer(Tracer()) as tracer:
@@ -316,4 +327,4 @@ class TestBroadcastStitch:
         part = partition()
         x1, x2 = full_subs(rng, part)
         with pytest.raises(StitchError, match="join kind"):
-            dense_join(x1, x2, part, "outer")
+            stitch(x1, x2, part, "outer")
