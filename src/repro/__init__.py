@@ -12,7 +12,7 @@ True
 Package map
 -----------
 ``repro.tensor``
-    Tensor algebra substrate (dense/sparse, Tucker, CP).
+    Tensor algebra substrate (dense/sparse, Tucker).
 ``repro.simulation``
     Dynamical systems, integrators, ensemble construction.
 ``repro.sampling``
@@ -86,12 +86,9 @@ from .simulation import (
 )
 from .storage import BlockTensorStore
 from .tensor import (
-    CPTensor,
     SparseTensor,
     TuckerTensor,
-    cp_als,
     em_tucker,
-    energy_threshold_ranks,
     hooi,
     hosvd,
     st_hosvd,
@@ -143,12 +140,9 @@ __all__ = [
     "make_observation",
     "make_system",
     "BlockTensorStore",
-    "CPTensor",
     "SparseTensor",
     "TuckerTensor",
-    "cp_als",
     "em_tucker",
-    "energy_threshold_ranks",
     "hooi",
     "hosvd",
     "st_hosvd",

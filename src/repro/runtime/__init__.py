@@ -36,7 +36,6 @@ from .scheduler import (
     RunOutcome,
     Runtime,
     TaskGraphRunner,
-    reset_session_runtime,
     session_runtime,
 )
 
@@ -58,6 +57,5 @@ __all__ = [
     "RunOutcome",
     "Runtime",
     "TaskGraphRunner",
-    "reset_session_runtime",
     "session_runtime",
 ]

@@ -1,10 +1,10 @@
 """Retry policies: bounded exponential backoff plus per-task timeouts.
 
 Transient failures (a flaky subprocess, an I/O hiccup in the on-disk
-cache, a numerically unlucky Lanczos start) should not kill a
-multi-hour study graph.  A :class:`RetryPolicy` says how many times a
-task may be attempted, how long to sleep between attempts, and how
-long a single attempt may run before it is declared timed out.
+cache) should not kill a multi-hour study graph.  A
+:class:`RetryPolicy` says how many times a task may be attempted, how
+long to sleep between attempts, and how long a single attempt may run
+before it is declared timed out.
 
 Exhaustion is surfaced as
 :class:`repro.exceptions.RetryExhaustedError`, which names the failing

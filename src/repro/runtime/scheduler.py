@@ -447,11 +447,3 @@ def session_runtime() -> Runtime:
             cache_dir=os.environ.get("M2TD_CACHE_DIR") or None,
         )
     return _session_runtime
-
-
-def reset_session_runtime() -> None:
-    """Drop the shared runtime (tests use this for isolation)."""
-    global _session_runtime
-    if _session_runtime is not None:
-        _session_runtime.shutdown()
-    _session_runtime = None

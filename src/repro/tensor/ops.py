@@ -1,5 +1,5 @@
-"""Elementary multilinear operations: Kronecker, Khatri-Rao, outer
-products, and norm/inner-product helpers shared across the library.
+"""Elementary multilinear operations: the outer product, and the norm,
+accuracy and relative-error helpers shared across the library.
 """
 
 from __future__ import annotations
@@ -9,44 +9,6 @@ from typing import Sequence, Type
 import numpy as np
 
 from ..exceptions import ReproError, ShapeError
-
-
-def kron(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    if not matrices:
-        raise ShapeError("kron needs at least one matrix")
-    result = np.asarray(matrices[0])
-    for matrix in matrices[1:]:
-        result = np.kron(result, np.asarray(matrix))
-    return result
-
-
-def khatri_rao(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-wise Khatri-Rao product.
-
-    All matrices must share the same number of columns ``R``; the
-    result has ``prod(rows)`` rows and ``R`` columns, with the *first*
-    matrix's row index varying slowest (standard CP convention).
-    """
-    if not matrices:
-        raise ShapeError("khatri_rao needs at least one matrix")
-    arrays = [np.asarray(m) for m in matrices]
-    for matrix in arrays:
-        if matrix.ndim != 2:
-            raise ShapeError("khatri_rao operands must be matrices")
-    n_cols = arrays[0].shape[1]
-    for matrix in arrays:
-        if matrix.shape[1] != n_cols:
-            raise ShapeError(
-                "khatri_rao operands must share the same column count"
-            )
-    result = arrays[0]
-    for matrix in arrays[1:]:
-        # (I, R) ⊙ (J, R) -> (I*J, R): broadcast then reshape.
-        result = (result[:, None, :] * matrix[None, :, :]).reshape(
-            -1, n_cols
-        )
-    return result
 
 
 def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
@@ -62,15 +24,6 @@ def outer(vectors: Sequence[np.ndarray]) -> np.ndarray:
 def frobenius_norm(tensor: np.ndarray) -> float:
     """Frobenius norm of a dense tensor."""
     return float(np.linalg.norm(np.asarray(tensor).ravel()))
-
-
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product of two equally shaped tensors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"inner product needs equal shapes, {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def accuracy(

@@ -1,9 +1,9 @@
-"""Deterministic truncated SVD for dense and sparse matricizations.
+"""Deterministic truncated SVD of a matricization.
 
 Every factor matrix in this library (HOSVD, HOOI, all three M2TD
-variants) comes out of :func:`leading_left_singular_vectors`, so the
-sign convention and the dense/sparse dispatch live in exactly one
-place.
+variants) comes out of :func:`truncated_svd` or
+:func:`leading_left_singular_vectors`, so the sign convention and the
+LAPACK/Gram dispatch live in exactly one place.
 
 Determinism matters more here than in a generic linear-algebra
 library: M2TD-AVG *averages* factor matrices from two independent
@@ -19,7 +19,6 @@ from typing import Tuple, Union
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from ..exceptions import RankError
 from ..observability import get_metrics, span as _span
@@ -68,14 +67,11 @@ def truncated_svd(
     Returns ``(U, s, Vt)`` with ``U`` of shape ``(m, rank)``, singular
     values sorted in decreasing order, and signs normalized jointly on
     ``U``/``Vt`` so that ``U @ diag(s) @ Vt`` still reconstructs the
-    input.  Sparse inputs use ``scipy.sparse.linalg.svds`` when the
-    requested rank is strictly below ``min(shape)``; otherwise (or for
-    small matrices) the input is densified and LAPACK is used —
-    ``svds`` cannot compute a full spectrum.
+    input.  Every input takes LAPACK's full SVD; a sparse (CSR) input
+    is densified first.
     """
     rank = _validate_rank(matrix.shape, rank)
     is_sparse = sps.issparse(matrix)
-    small = min(matrix.shape) <= 32
     metrics = get_metrics()
     metrics.counter("svd.calls").inc()
     metrics.histogram("svd.rank").observe(rank)
@@ -86,22 +82,15 @@ def truncated_svd(
         rank=rank,
         sparse=bool(is_sparse),
     ):
-        if is_sparse and not small and rank < min(matrix.shape):
-            # v0 fixed for determinism of the underlying Lanczos iteration.
-            v0 = np.ones(min(matrix.shape), dtype=np.float64)
-            u, s, vt = spla.svds(matrix.astype(np.float64), k=rank, v0=v0)
-            order = np.argsort(s)[::-1]
-            u, s, vt = u[:, order], s[order], vt[order]
+        if is_sparse:
+            # A sparse matricization is being materialized densely;
+            # the Gram kernels exist to keep this counter at zero.
+            metrics.counter("tensor.dense_unfolds").inc()
+            dense = matrix.toarray()
         else:
-            if is_sparse:
-                # A sparse matricization is being materialized densely;
-                # the Gram kernels exist to keep this counter at zero.
-                metrics.counter("tensor.dense_unfolds").inc()
-                dense = matrix.toarray()
-            else:
-                dense = np.asarray(matrix, dtype=np.float64)
-            u, s, vt = np.linalg.svd(dense, full_matrices=False)
-            u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+            dense = np.asarray(matrix, dtype=np.float64)
+        u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
         u = np.array(u, dtype=np.float64, copy=True)
         vt = np.array(vt, dtype=np.float64, copy=True)
         flip = sign_flip_mask(u)
@@ -157,13 +146,3 @@ def leading_left_singular_vectors(matrix: MatrixLike, rank: int) -> np.ndarray:
             return gram_left_singular_vectors(dense @ dense.T, rank)
     u, _s, _vt = truncated_svd(matrix, rank)
     return u
-
-
-def spectral_energy(matrix: MatrixLike, rank: int) -> float:
-    """Sum of squared leading ``rank`` singular values.
-
-    Used by tests to check that factor subspaces capture the energy
-    they are supposed to.
-    """
-    _u, s, _vt = truncated_svd(matrix, rank)
-    return float(np.sum(s**2))

@@ -95,20 +95,3 @@ def multi_ttm(
             operand = np.asarray(matrix).T if transpose else np.asarray(matrix)
             result = ttm(result, operand, mode)
         return result
-
-
-def ttv(tensor: np.ndarray, vector: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` product with a vector (drops the mode).
-
-    Equivalent to ``ttm`` with a ``(1, I_mode)`` matrix followed by a
-    squeeze of that mode.
-    """
-    tensor = np.asarray(tensor)
-    vector = np.asarray(vector).ravel()
-    mode = check_mode(tensor.ndim, mode)
-    if vector.shape[0] != tensor.shape[mode]:
-        raise ShapeError(
-            f"vector has length {vector.shape[0]} but mode {mode} has "
-            f"size {tensor.shape[mode]}"
-        )
-    return np.tensordot(tensor, vector, axes=([mode], [0]))

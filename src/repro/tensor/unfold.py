@@ -99,28 +99,3 @@ def fold(matrix: np.ndarray, mode: int, shape: tuple) -> np.ndarray:
         return np.moveaxis(
             matrix.reshape(moved_shape, order="F"), 0, mode
         )
-
-
-def unfold_row_index(multi_index: tuple, shape: tuple, mode: int) -> tuple:
-    """Map a tensor multi-index to its (row, col) position in the
-    mode-``mode`` unfolding.
-
-    Useful for sparse matricization: a non-zero at ``multi_index`` lands
-    at row ``multi_index[mode]`` and a column computed Fortran-style
-    over the remaining modes.
-    """
-    shape = tuple(int(s) for s in shape)
-    mode = check_mode(len(shape), mode)
-    if len(multi_index) != len(shape):
-        raise ShapeError(
-            f"multi-index length {len(multi_index)} != tensor order {len(shape)}"
-        )
-    row = int(multi_index[mode])
-    col = 0
-    stride = 1
-    for axis, size in enumerate(shape):
-        if axis == mode:
-            continue
-        col += int(multi_index[axis]) * stride
-        stride *= size
-    return row, col

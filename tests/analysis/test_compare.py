@@ -10,7 +10,9 @@ from repro.analysis import (
     truth_decomposition,
 )
 from repro.exceptions import ShapeError
-from repro.tensor import hosvd, random_low_rank, random_orthonormal
+from repro.tensor import hosvd
+
+from ..generators import random_low_rank, random_orthonormal
 
 
 class TestPrincipalAngles:

@@ -10,7 +10,9 @@ from repro.analysis import (
     energy_rank,
 )
 from repro.exceptions import ShapeError
-from repro.tensor import TuckerTensor, hosvd, random_low_rank
+from repro.tensor import TuckerTensor, hosvd
+
+from ..generators import random_low_rank
 
 
 @pytest.fixture()

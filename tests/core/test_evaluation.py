@@ -6,7 +6,8 @@ import pytest
 from repro.core import accuracy, decompose_sample
 from repro.exceptions import ShapeError
 from repro.sampling import RandomSampler, SampleSet
-from repro.tensor import random_low_rank
+
+from ..generators import random_low_rank
 
 
 class TestAccuracy:

@@ -100,7 +100,7 @@ class TestStreaming:
     def test_truncated_streaming_tight_on_low_rank_data(self, rng):
         """On genuinely low-rank streams truncation loses (almost)
         nothing and the streamed fit matches the batch fit closely."""
-        from repro.tensor import random_low_rank
+        from ..generators import random_low_rank
 
         full1 = np.moveaxis(
             random_low_rank(FREE_SHAPE + (8,), (2, 2, 2), seed=5), -1, 0

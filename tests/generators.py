@@ -1,0 +1,88 @@
+"""Seeded test inputs: low-rank, sparse and orthonormal generators, and
+the spectral energy of a matricization."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.exceptions import RankError, ShapeError
+from repro.tensor import SparseTensor, multi_ttm, truncated_svd
+from repro.tensor.random import SeedLike, make_rng
+from repro.tensor.svd import MatrixLike
+
+
+def random_low_rank(
+    shape: Sequence[int],
+    ranks: Sequence[int],
+    noise: float = 0.0,
+    seed: SeedLike = None,
+) -> np.ndarray:
+    """A dense tensor with exact multilinear rank ``ranks`` plus
+    optional Gaussian noise — the canonical recovery test input.
+    """
+    shape = tuple(int(s) for s in shape)
+    ranks = tuple(int(r) for r in ranks)
+    if len(ranks) != len(shape):
+        raise RankError("need one rank per mode")
+    for size, rank in zip(shape, ranks):
+        if not 1 <= rank <= size:
+            raise RankError(f"rank {rank} invalid for mode of size {size}")
+    rng = make_rng(seed)
+    core = rng.standard_normal(ranks)
+    factors = []
+    for size, rank in zip(shape, ranks):
+        raw = rng.standard_normal((size, rank))
+        q, _r = np.linalg.qr(raw)
+        factors.append(q[:, :rank])
+    tensor = multi_ttm(core, factors)
+    if noise > 0:
+        tensor = tensor + noise * rng.standard_normal(shape)
+    return tensor
+
+
+def random_sparse(
+    shape: Sequence[int],
+    density: float,
+    seed: SeedLike = None,
+    value_scale: float = 1.0,
+) -> SparseTensor:
+    """A sparse tensor with approximately ``density`` of cells stored.
+
+    Cells are drawn without replacement from the flattened index space;
+    values are standard normal times ``value_scale``.
+    """
+    shape = tuple(int(s) for s in shape)
+    if not 0.0 < density <= 1.0:
+        raise ShapeError(f"density must be in (0, 1], got {density}")
+    rng = make_rng(seed)
+    size = int(np.prod(shape))
+    nnz = max(1, int(round(density * size)))
+    flat = rng.choice(size, size=nnz, replace=False)
+    coords = np.stack(np.unravel_index(flat, shape), axis=1)
+    values = value_scale * rng.standard_normal(nnz)
+    return SparseTensor(shape, coords, values)
+
+
+def random_orthonormal(
+    rows: int, cols: int, seed: SeedLike = None
+) -> np.ndarray:
+    """A ``rows x cols`` matrix with orthonormal columns."""
+    if cols > rows:
+        raise ShapeError(
+            f"cannot build {cols} orthonormal columns in dimension {rows}"
+        )
+    rng = make_rng(seed)
+    q, _r = np.linalg.qr(rng.standard_normal((rows, cols)))
+    return q[:, :cols]
+
+
+def spectral_energy(matrix: MatrixLike, rank: int) -> float:
+    """Sum of squared leading ``rank`` singular values.
+
+    Used by tests to check that factor subspaces capture the energy
+    they are supposed to.
+    """
+    _u, s, _vt = truncated_svd(matrix, rank)
+    return float(np.sum(s**2))

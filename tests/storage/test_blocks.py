@@ -9,7 +9,8 @@ from repro.storage import (
     assemble_from_blocks,
     split_into_blocks,
 )
-from repro.tensor import random_sparse
+
+from ..generators import random_sparse
 
 
 class TestBlockedLayout:

@@ -5,7 +5,9 @@ import pytest
 
 from repro.exceptions import StorageError
 from repro.storage import load_tucker, save_tucker
-from repro.tensor import hosvd, random_low_rank
+from repro.tensor import hosvd
+
+from ..generators import random_low_rank
 
 
 @pytest.fixture()

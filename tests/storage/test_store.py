@@ -6,7 +6,9 @@ import pytest
 from repro.exceptions import StorageError
 from repro.storage import BlockTensorStore
 from repro.storage.store import MIN_BLOCK_CELLS
-from repro.tensor import SparseTensor, random_sparse
+from repro.tensor import SparseTensor
+
+from ..generators import random_sparse
 
 
 @pytest.fixture()

@@ -8,8 +8,9 @@ from repro.tensor import (
     SparseTensor,
     completion_accuracy,
     em_tucker,
-    random_low_rank,
 )
+
+from ..generators import random_low_rank
 
 
 def observed_subset(truth, fraction, seed):

@@ -1,56 +1,9 @@
-"""Kronecker/Khatri-Rao/outer products and norm helpers."""
+"""Outer products and norm helpers."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import ShapeError
-from repro.tensor import (
-    frobenius_norm,
-    inner,
-    khatri_rao,
-    kron,
-    outer,
-    relative_error,
-)
-
-
-class TestKron:
-    def test_matches_numpy(self, rng):
-        a = rng.standard_normal((2, 3))
-        b = rng.standard_normal((4, 5))
-        assert np.allclose(kron([a, b]), np.kron(a, b))
-
-    def test_three_way(self, rng):
-        a, b, c = (rng.standard_normal((2, 2)) for _ in range(3))
-        assert np.allclose(kron([a, b, c]), np.kron(np.kron(a, b), c))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            kron([])
-
-
-class TestKhatriRao:
-    def test_columns_are_krons(self, rng):
-        a = rng.standard_normal((3, 4))
-        b = rng.standard_normal((5, 4))
-        result = khatri_rao([a, b])
-        assert result.shape == (15, 4)
-        for col in range(4):
-            assert np.allclose(result[:, col], np.kron(a[:, col], b[:, col]))
-
-    def test_last_operand_varies_fastest(self, rng):
-        a = rng.standard_normal((2, 1))
-        b = rng.standard_normal((3, 1))
-        result = khatri_rao([a, b])
-        assert np.allclose(result[:3, 0], a[0, 0] * b[:, 0])
-
-    def test_rejects_column_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            khatri_rao([rng.standard_normal((2, 3)), rng.standard_normal((2, 4))])
-
-    def test_rejects_vectors(self):
-        with pytest.raises(ShapeError):
-            khatri_rao([np.ones(3), np.ones(3)])
+from repro.tensor import frobenius_norm, outer, relative_error
 
 
 class TestOuter:
@@ -70,16 +23,6 @@ class TestNorms:
         assert frobenius_norm(tensor) == pytest.approx(
             np.sqrt((tensor**2).sum())
         )
-
-    def test_inner_self_is_norm_squared(self, rng):
-        tensor = rng.standard_normal((3, 4))
-        assert inner(tensor, tensor) == pytest.approx(
-            frobenius_norm(tensor) ** 2
-        )
-
-    def test_inner_rejects_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            inner(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_relative_error_zero_for_equal(self, rng):
         tensor = rng.standard_normal((3, 3))

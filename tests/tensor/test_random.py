@@ -1,18 +1,12 @@
-"""Seeded random tensor generators."""
+"""Seed normalization and the seeded test-input generators."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import RankError, ShapeError
-from repro.tensor import (
-    hosvd,
-    make_rng,
-    random_dense,
-    random_low_rank,
-    random_orthonormal,
-    random_sparse,
-    spawn_seeds,
-)
+from repro.tensor import hosvd, make_rng
+
+from ..generators import random_low_rank, random_orthonormal, random_sparse
 
 
 class TestMakeRng:
@@ -22,18 +16,6 @@ class TestMakeRng:
 
     def test_seed_reproducible(self):
         assert make_rng(5).integers(1000) == make_rng(5).integers(1000)
-
-
-class TestRandomDense:
-    def test_shape_and_seed(self):
-        a = random_dense((3, 4), seed=1)
-        b = random_dense((3, 4), seed=1)
-        assert a.shape == (3, 4)
-        assert np.array_equal(a, b)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ShapeError):
-            random_dense((0, 3))
 
 
 class TestRandomLowRank:
@@ -80,12 +62,3 @@ class TestRandomOrthonormal:
     def test_rejects_too_many_columns(self):
         with pytest.raises(ShapeError):
             random_orthonormal(3, 5)
-
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        seeds_a = spawn_seeds(42, 4)
-        seeds_b = spawn_seeds(42, 4)
-        assert len(seeds_a) == 4
-        assert seeds_a == seeds_b
-        assert len(set(seeds_a)) == 4

@@ -7,9 +7,10 @@ from repro.exceptions import RankError
 from repro.tensor import (
     SparseTensor,
     hosvd,
-    random_low_rank,
     st_hosvd,
 )
+
+from ..generators import random_low_rank
 
 
 class TestStHosvd:

@@ -8,9 +8,10 @@ from repro.exceptions import RankError
 from repro.tensor import (
     deterministic_signs,
     leading_left_singular_vectors,
-    spectral_energy,
     truncated_svd,
 )
+
+from ..generators import spectral_energy
 
 
 class TestDeterministicSigns:
@@ -48,22 +49,19 @@ class TestTruncatedSvd:
         _u, s, _vt = truncated_svd(rng.standard_normal((10, 8)), 5)
         assert np.all(np.diff(s) <= 1e-12)
 
-    def test_sparse_and_dense_agree(self, rng):
-        dense = rng.standard_normal((40, 35))
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [((6, 5), 5), ((40, 35), 4)],
+        ids=["6x5-rank5", "40x35-rank4"],
+    )
+    def test_sparse_and_dense_agree(self, rng, shape, rank):
+        dense = rng.standard_normal(shape)
         dense[np.abs(dense) < 1.0] = 0.0
         sparse = sps.csr_matrix(dense)
-        u_dense, s_dense, _ = truncated_svd(dense, 4)
-        u_sparse, s_sparse, _ = truncated_svd(sparse, 4)
-        assert np.allclose(s_dense, s_sparse, atol=1e-8)
-        assert np.allclose(np.abs(u_dense), np.abs(u_sparse), atol=1e-6)
-
-    def test_sparse_small_falls_back_to_dense(self, rng):
-        dense = rng.standard_normal((6, 5))
-        sparse = sps.csr_matrix(dense)
-        u1, s1, _ = truncated_svd(dense, 5)
-        u2, s2, _ = truncated_svd(sparse, 5)
-        assert np.allclose(u1, u2)
-        assert np.allclose(s1, s2)
+        for expected, got in zip(
+            truncated_svd(dense, rank), truncated_svd(sparse, rank)
+        ):
+            assert np.array_equal(expected, got)
 
     def test_deterministic_across_calls(self, rng):
         matrix = rng.standard_normal((50, 40))

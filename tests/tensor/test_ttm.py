@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShapeError
-from repro.tensor import fold, multi_ttm, ttm, ttv, unfold
+from repro.tensor import multi_ttm, ttm, unfold
 
 
 class TestTtm:
@@ -80,19 +80,3 @@ class TestMultiTtm:
     def test_rejects_wrong_count(self, rng):
         with pytest.raises(ShapeError):
             multi_ttm(rng.standard_normal((3, 4)), [np.eye(3)])
-
-
-class TestTtv:
-    def test_drops_mode(self, rng):
-        tensor = rng.standard_normal((3, 4, 5))
-        vector = rng.standard_normal(4)
-        result = ttv(tensor, vector, 1)
-        assert result.shape == (3, 5)
-        expected = fold(
-            (vector[None, :] @ unfold(tensor, 1)), 0, (1, 3, 5)
-        )[0]
-        assert np.allclose(result, expected)
-
-    def test_rejects_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            ttv(rng.standard_normal((3, 4)), np.ones(5), 1)

@@ -11,9 +11,10 @@ from repro.tensor import (
     clip_ranks,
     hooi,
     hosvd,
-    random_low_rank,
     validate_ranks,
 )
+
+from ..generators import random_low_rank
 
 
 class TestTuckerTensor:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModeError, ShapeError
-from repro.tensor import fold, unfold, unfold_row_index
+from repro.tensor import fold, unfold
 
 
 class TestUnfold:
@@ -61,18 +61,3 @@ class TestFold:
     def test_rejects_non_matrix(self):
         with pytest.raises(ShapeError):
             fold(np.zeros((3, 4, 2)), 0, (3, 8))
-
-
-class TestUnfoldRowIndex:
-    def test_matches_dense_unfold(self, rng):
-        shape = (3, 4, 5)
-        tensor = rng.standard_normal(shape)
-        for mode in range(3):
-            matrix = unfold(tensor, mode)
-            for multi_index in [(0, 0, 0), (2, 3, 4), (1, 2, 3)]:
-                row, col = unfold_row_index(multi_index, shape, mode)
-                assert matrix[row, col] == tensor[multi_index]
-
-    def test_rejects_bad_index_length(self):
-        with pytest.raises(ShapeError):
-            unfold_row_index((0, 0), (2, 3, 4), 0)

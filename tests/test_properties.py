@@ -20,7 +20,6 @@ from repro.tensor import (
     deterministic_signs,
     fold,
     hosvd,
-    khatri_rao,
     ttm,
     unfold,
 )
@@ -124,24 +123,6 @@ class TestHosvdProperties:
         assert tucker.relative_error(tensor) < 1e-8 or (
             np.linalg.norm(tensor) == 0
         )
-
-
-class TestKhatriRaoProperties:
-    @given(
-        cols=st.integers(1, 4),
-        rows_a=st.integers(1, 5),
-        rows_b=st.integers(1, 5),
-        data=st.data(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_shape(self, cols, rows_a, rows_b, data):
-        a = data.draw(
-            hnp.arrays(np.float64, (rows_a, cols), elements=st.floats(-3, 3))
-        )
-        b = data.draw(
-            hnp.arrays(np.float64, (rows_b, cols), elements=st.floats(-3, 3))
-        )
-        assert khatri_rao([a, b]).shape == (rows_a * rows_b, cols)
 
 
 class TestSamplerProperties:

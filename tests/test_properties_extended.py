@@ -10,8 +10,10 @@ from hypothesis.extra import numpy as hnp
 from repro.core.multiway import MWPartition, multiway_join_dense
 from repro.sampling import LatinHypercubeSampler
 from repro.storage import BlockedLayout, assemble_from_blocks, split_into_blocks
-from repro.tensor import SparseTensor, random_sparse
+from repro.tensor import SparseTensor
 from repro.tensor.incremental_svd import append_cols, append_rows, exact_svd
+
+from .generators import random_sparse
 
 
 def matrices(max_dim=10):
