@@ -35,6 +35,9 @@ def main() -> None:
     study = EnsembleStudy.create(
         system, resolution=RESOLUTION, runtime=session_runtime()
     )
+    # Budget-limited ensemble + M2TD vs conventional sampling.  Its
+    # first batch also integrates the observation read below.
+    m2td = study.run_m2td(RANKS, variant="select", seed=SEED)
     print(
         "observed outbreak parameters (hidden from the analyst): "
         + ", ".join(
@@ -44,8 +47,6 @@ def main() -> None:
     r0 = system.basic_reproduction_number(study.observation.true_params)
     print(f"observed R0 = {r0:.2f}\n")
 
-    # Budget-limited ensemble + M2TD vs conventional sampling.
-    m2td = study.run_m2td(RANKS, variant="select", seed=SEED)
     random_baseline = study.run_conventional(
         RandomSampler(SEED), m2td.cells, RANKS
     )

@@ -32,7 +32,7 @@ from ..sampling.budget import PartitionBudget, budget_for_fractions
 from ..sampling.partition import PFPartition
 from ..sampling.sub_ensemble import select_sub_ensembles
 from ..simulation.ensemble import SimulationMeter, SimulationOracle
-from ..simulation.observation import Observation, make_observation
+from ..simulation.observation import Observation, true_parameters
 from ..simulation.parameter_space import ParameterSpace
 from ..simulation.systems import DynamicalSystem
 from ..tensor.random import SeedLike, make_rng
@@ -82,15 +82,23 @@ def _count_runs(coords: np.ndarray, time_mode: int) -> int:
 
 @dataclass
 class EnsembleStudy:
-    """A simulation space, its observation and the oracle that
-    simulates it, plus helpers for running competing schemes on it.
+    """A simulation space and the oracle that simulates it against the
+    study's observation, plus helpers for running competing schemes on
+    it.
 
     Samples read their cells through :attr:`oracle`, which integrates
-    only the runs they touch; :attr:`truth` is for evaluation and is
-    built on first use."""
+    only the runs they touch, and the observation's reference run as
+    one more column of the first such batch; :attr:`truth` is for
+    evaluation and is built on first use."""
+
+    #: Version of what the oracle's cache tasks hold: bump it whenever
+    #: a cached value would change, in its bits or in its format, so an
+    #: older on-disk cache is a miss instead of a wrong hit.  Version 1:
+    #: ``(reference states, fibers)`` values, the triple pendulum's
+    #: reference run on its batched right-hand side.
+    _CACHE_VERSION = 1
 
     space: ParameterSpace
-    observation: Observation
     oracle: SimulationOracle
 
     @classmethod
@@ -103,26 +111,35 @@ class EnsembleStudy:
         runtime: Optional[Runtime] = None,
         meter: Optional[SimulationMeter] = None,
     ) -> "EnsembleStudy":
-        """Set up the study: discretize the space and observe the true
-        parameters.  No ensemble run is simulated here.
+        """Set up the study: discretize the space and validate the true
+        parameters.  Nothing is integrated here, neither an ensemble
+        run nor the reference run: the oracle integrates the reference
+        as one more column of its first batch.
 
         The study's oracle integrates runs as schemes sample them and
-        charges ``meter`` for exactly those.  With a ``runtime`` its
-        batches and the evaluation-only ground truth are
-        content-addressed cache tasks keyed by (system, resolution,
-        time_resolution, true_params): the same study built again
-        reuses them -- across processes, with the runtime's
+        charges ``meter`` for exactly those (never for the reference
+        column).  With a ``runtime`` its batches and the
+        evaluation-only ground truth are content-addressed cache tasks
+        keyed by (system, resolution, time_resolution, true_params):
+        the same study built again reuses them, and the observation
+        with them -- across processes, with the runtime's
         ``cache_dir`` -- and the ``meter`` is charged zero runs.
         """
         space = ParameterSpace(
             system, resolution, time_resolution=time_resolution
         )
-        observation = make_observation(space, true_params=true_params)
+        observation = Observation(true_parameters(space, true_params))
         oracle = SimulationOracle(
             space, observation, meter=meter, runtime=runtime,
             cache_key=cls._truth_cache_key(space, true_params),
         )
-        return cls(space=space, observation=observation, oracle=oracle)
+        return cls(space=space, oracle=oracle)
+
+    @property
+    def observation(self) -> Observation:
+        """The observation, with its states (integrated alone, under a
+        ``reference-run`` span, if read before any batch ran)."""
+        return self.oracle.observation
 
     @property
     def truth(self) -> np.ndarray:
@@ -131,15 +148,16 @@ class EnsembleStudy:
         use)."""
         return self.oracle.truth()
 
-    @staticmethod
+    @classmethod
     def _truth_cache_key(
-        space: ParameterSpace, true_params: Optional[Dict[str, float]]
+        cls, space: ParameterSpace, true_params: Optional[Dict[str, float]]
     ) -> Tuple:
         """Content key for the ground-truth tensor (and, with a digest
         of the runs, for each oracle batch).
 
         Parameter ranges are included so two systems sharing a name
-        but differing in grids never collide.
+        but differing in grids never collide, and the cache version so
+        that values of older code never match.
         """
         system = space.system
         param_defs = tuple(
@@ -147,6 +165,7 @@ class EnsembleStudy:
             for p in system.parameters
         )
         return (
+            cls._CACHE_VERSION,
             system.name,
             tuple(space.shape),
             int(space.time_resolution),

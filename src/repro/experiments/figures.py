@@ -4,8 +4,6 @@ simulation-cost amortisation argument of Section VII-E1.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..core.stitch import join_tensor
@@ -140,8 +138,7 @@ def run_cost_amortisation(
     partitioned_runs = meter.runs
     partitioned_seconds = meter.wall_seconds
 
-    # Full-space scheme: measure a slice and extrapolate (simulating
-    # everything again would just repeat EnsembleStudy.create).
+    # Full-space scheme: measure a slice and extrapolate.
     probe = min(256, space.n_simulations_full)
     probe_indices = np.stack(
         np.unravel_index(
@@ -150,9 +147,7 @@ def run_cost_amortisation(
         axis=1,
     )
     probe_meter = SimulationMeter()
-    started = time.perf_counter()
     simulate_fibers(space, study.observation, probe_indices, meter=probe_meter)
-    del started
     full_runs = space.n_simulations_full
     full_seconds = probe_meter.wall_seconds * (full_runs / probe)
 

@@ -139,20 +139,25 @@ def _aggregate(
     by_name: Dict[Tuple[str, str], Dict[str, float]] = {}
 
     def visit(span: Span, ancestor_categories: frozenset) -> None:
-        cat = by_category.setdefault(
-            span.category, {"calls": 0, "self": 0.0, "cum": 0.0, "cpu": 0.0}
-        )
+        cat = by_category.get(span.category)
+        if cat is None:
+            cat = by_category[span.category] = {
+                "calls": 0, "self": 0.0, "cum": 0.0, "cpu": 0.0
+            }
+        own = span.self_seconds
         cat["calls"] += 1
-        cat["self"] += span.self_seconds
+        cat["self"] += own
         cat["cpu"] += span.cpu_seconds
+        nested = ancestor_categories
         if span.category not in ancestor_categories:
             cat["cum"] += span.wall_seconds
-        name = by_name.setdefault(
-            (span.category, span.name), {"calls": 0, "self": 0.0}
-        )
+            nested = ancestor_categories | {span.category}
+        key = (span.category, span.name)
+        name = by_name.get(key)
+        if name is None:
+            name = by_name[key] = {"calls": 0, "self": 0.0}
         name["calls"] += 1
-        name["self"] += span.self_seconds
-        nested = ancestor_categories | {span.category}
+        name["self"] += own
         for child in span.children:
             visit(child, nested)
 
@@ -173,8 +178,9 @@ def flat_profile(tracer: Tracer, top: Optional[int] = None) -> str:
     by_category, by_name = _aggregate(tracer)
     total = tracer.total_wall_seconds()
     total_self = sum(agg["self"] for agg in by_category.values())
+    n_spans = sum(int(agg["calls"]) for agg in by_category.values())
     lines = [
-        f"flat profile — {tracer.n_spans} spans, "
+        f"flat profile — {n_spans} spans, "
         f"{total:.3f}s total top-level wall time",
         "",
         f"{'category':<16} {'calls':>7} {'self(s)':>10} "

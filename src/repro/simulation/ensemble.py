@@ -14,10 +14,13 @@ conflated:
 its samples touch: :class:`SimulationOracle` integrates a run the first
 time any of its cells is asked for (all of a request's missing runs in
 one batched integrator call) and serves every later read from memory.
-The full ground-truth tensor ``Y`` is for evaluation only; the oracle
-builds it on first use from the same memo, so sampled cells and ``Y``
-always agree bit for bit.  :func:`full_space_tensor` is the plain
-chunked construction of ``Y``, kept as the oracle's reference.
+The observation the distances are measured against is no separate run:
+until its states are known, the true parameters ride each integration
+as one more column, charged to nothing.  The full ground-truth tensor
+``Y`` is for evaluation only; the oracle builds it on first use from the
+same memo, so sampled cells and ``Y`` always agree bit for bit.
+:func:`full_space_tensor` is the plain chunked construction of ``Y``,
+kept as the oracle's reference.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +83,9 @@ def simulate_fibers(
         The discretized simulation space.
     observation:
         The reference configuration distances are measured against.
+        One without states yet (``Observation(true_params)``) is
+        integrated as one more column of this batch, and its states are
+        recorded on it unchecked; that column is charged to nothing.
     param_indices:
         Index array of shape ``(B, n_params)``; one row per simulation
         run.  Each entry must be an in-range whole number, else
@@ -97,27 +103,32 @@ def simulate_fibers(
         param_indices, space.shape[:-1], "param_indices", SimulationError
     )
     system = space.system
+    batch = param_indices.shape[0]
     params = space.batch_param_values(param_indices)
+    pending = observation.states is None
+    if pending:
+        params = {
+            name: np.append(values, observation.true_params[name])
+            for name, values in params.items()
+        }
     started = time.perf_counter()
-    with _span(
-        "simulate-fibers", "simulate",
-        system=system.name, batch=param_indices.shape[0],
-    ):
+    with _span("simulate-fibers", "simulate", system=system.name, batch=batch):
         sampled = rk4_sampled(
             system.derivative(params), system.initial_state(params),
             0.0, system.t_end, system.n_steps, space.time_indices,
-        )  # (T, state_dim, B)
+        )  # (T, state_dim, B), plus the reference column if pending
     elapsed = time.perf_counter() - started
+    if pending:
+        observation.states = sampled[:, :, batch].copy()
+        sampled = sampled[:, :, :batch]
     distances = observation.distances(sampled.transpose(0, 2, 1))  # (T, B)
     metrics = get_metrics()
-    metrics.counter("simulate.runs").inc(param_indices.shape[0])
-    metrics.counter("simulate.cells").inc(
-        param_indices.shape[0] * space.time_resolution
-    )
+    metrics.counter("simulate.runs").inc(batch)
+    metrics.counter("simulate.cells").inc(batch * space.time_resolution)
     if meter is not None:
         meter.charge(
-            runs=param_indices.shape[0],
-            cells=param_indices.shape[0] * space.time_resolution,
+            runs=batch,
+            cells=batch * space.time_resolution,
             wall_seconds=elapsed,
         )
     return distances.T
@@ -170,6 +181,14 @@ class SimulationOracle:
     Every fiber is checked finite on its way into the buffer, which is
     the one place simulated values enter a study.
 
+    An observation given without states (``Observation(true_params)``)
+    costs no run of its own: each integration carries the true
+    parameters as one more column until the observation's states are
+    known, and that column is charged to nothing (the budget buys
+    ensemble runs only).  The column is checked finite before any
+    fiber, so a diverging reference fails as such, naming the system
+    and the true parameters.
+
     Parameters
     ----------
     space, observation:
@@ -184,7 +203,9 @@ class SimulationOracle:
         a resumed campaign re-reading its cells) integrates nothing.
         The full tensor is the ``ground-truth`` task keyed by
         ``cache_key`` alone; without a ``cache_key`` nothing is cached.
-        Tasks run inline on the calling thread.
+        A task's value is ``(reference states, fibers)``, so a cache
+        hit also brings the observation's states.  Tasks run inline on
+        the calling thread.
 
     Requests hold a lock, since campaign round graphs share one oracle
     across runtime threads.
@@ -199,15 +220,31 @@ class SimulationOracle:
         cache_key: Any = None,
     ):
         self.space = space
-        self.observation = observation
         self.meter = meter
         self.runtime = runtime
         self.cache_key = cache_key
+        self._observation = observation
         self._grid = (space.resolution,) * space.n_param_modes
         n_runs = space.n_simulations_full
         self._fibers = np.empty((n_runs, space.time_resolution))
         self._simulated = np.zeros(n_runs, dtype=bool)
         self._lock = threading.Lock()
+
+    @property
+    def observation(self) -> Observation:
+        """The observation with its states.  If no integration has
+        carried them yet, the reference run is integrated alone (a
+        batch of no runs, under a ``reference-run`` span)."""
+        with self._lock:
+            if self._observation.states is None:
+                system = self.space.system
+                runs = np.empty(0, dtype=np.int64)
+                with _span("reference-run", "simulate", system=system.name):
+                    self._fill(
+                        runs, None, f"reference:{system.name}",
+                        "simulation", self._batch_key(runs),
+                    )
+            return self._observation
 
     @property
     def n_simulated(self) -> int:
@@ -256,39 +293,51 @@ class SimulationOracle:
         """Flat run index of each (validated) parameter-index row."""
         return np.ravel_multi_index(tuple(rows.T), self._grid)
 
+    def _batch_key(self, runs: np.ndarray) -> Any:
+        # the cache fingerprints the run array itself (its digest)
+        return None if self.cache_key is None else (self.cache_key, runs)
+
     def _request(
         self, runs: np.ndarray, meter: Optional[SimulationMeter]
     ) -> None:
         if self._simulated[runs].all():
             return
         runs = np.unique(runs)
-        # the cache fingerprints the run array itself (its digest)
         self._fill(
             runs, meter, f"simulate:{self.space.system.name}", "simulation",
-            None if self.cache_key is None else (self.cache_key, runs),
+            self._batch_key(runs),
         )
 
     def _fill(
         self, runs: np.ndarray, meter: Optional[SimulationMeter],
         name: str, cache_scope: str, cache_key: Any,
     ) -> None:
-        """Bring ``runs`` into the buffer, through the runtime's cache
-        when there is one.  The caller holds the lock."""
+        """Bring ``runs`` into the buffer, and the reference states into
+        the observation, through the runtime's cache when there is one.
+        The caller holds the lock."""
         if self.runtime is None:
-            fibers = self._simulate(runs, meter)
+            states, fibers = self._simulate(runs, meter)
         else:
-            fibers = self.runtime.call(
+            states, fibers = self.runtime.call(
                 name, self._simulate, runs, meter,
                 cache_scope=cache_scope, cache_key=cache_key,
                 affinity="inline",
             )
+        system = self.space.system
+        if not np.isfinite(states).all():
+            raise SimulationError(
+                f"{system.name}: reference run diverged (non-finite state) "
+                f"at {self._observation.true_params}"
+            )
+        if self._observation.states is None:
+            self._observation.states = states
         fibers = np.reshape(fibers, (runs.size, self.space.time_resolution))
         bad = ~np.isfinite(fibers).all(axis=1)
         if bad.any():
             run = int(runs[np.argmax(bad)])
             row = tuple(int(i) for i in np.unravel_index(run, self._grid))
             raise SimulationError(
-                f"{self.space.system.name}: non-finite fiber for parameter "
+                f"{system.name}: non-finite fiber for parameter "
                 f"row {row} ({self.space.params_from_indices(row)})"
             )
         self._fibers[runs] = fibers
@@ -296,19 +345,25 @@ class SimulationOracle:
 
     def _simulate(
         self, runs: np.ndarray, meter: Optional[SimulationMeter]
-    ) -> np.ndarray:
-        """Fibers of ``runs``: buffered ones copied, the rest integrated
-        in one batch.  Leaves the buffer untouched (a cached result is
-        checked and stored by :meth:`_fill`)."""
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(reference states, fibers)`` of ``runs``: buffered fibers
+        copied, the rest integrated in one batch, which carries the
+        reference column while the observation has no states.  Leaves
+        the oracle untouched (a cached result is checked and stored by
+        :meth:`_fill`)."""
         fibers = self._fibers[runs]
         missing = ~self._simulated[runs]
+        observation = self._observation
+        if observation.states is None:
+            # a copy: only a checked reference may settle the oracle's
+            observation = Observation(observation.true_params)
         sink = SimulationMeter()
         rows = np.stack(np.unravel_index(runs[missing], self._grid), axis=1)
         fibers[missing] = simulate_fibers(
-            self.space, self.observation, rows, meter=sink
+            self.space, observation, rows, meter=sink
         )
         if self.meter is not None:
             self.meter.merge(sink)
         if meter is not None and meter is not self.meter:
             meter.merge(sink)
-        return fibers
+        return observation.states, fibers

@@ -5,7 +5,9 @@ tensor encodes the Euclidean distance between the states of the
 resulting simulated system and the observed system parameters at a
 given time stamp."  The paper's observation comes from the real world;
 our synthetic stand-in is a designated reference simulation at a
-"true" parameter vector (see DESIGN.md substitution table).
+"true" parameter vector (see DESIGN.md substitution table).  A study
+does not run it on its own: its oracle integrates it as one more column
+of a batch it integrates anyway (:mod:`.ensemble`).
 
 By default the true vector sits at 60% of each parameter's range —
 deliberately *not* at the PF-partitioning fixing constants, so the
@@ -25,7 +27,7 @@ from ..exceptions import SimulationError
 from .parameter_space import ParameterSpace
 
 
-@dataclass(frozen=True)
+@dataclass
 class Observation:
     """Reference states sampled on the ensemble's time grid.
 
@@ -34,11 +36,14 @@ class Observation:
     true_params:
         The parameter assignment that generated the reference run.
     states:
-        Array of shape ``(time_resolution, state_dim)``.
+        Array of shape ``(time_resolution, state_dim)``; ``None`` until
+        the reference run is integrated.  It is set once, by the first
+        batch that carries the run (see
+        :func:`~repro.simulation.ensemble.simulate_fibers`).
     """
 
     true_params: Dict[str, float]
-    states: np.ndarray
+    states: Optional[np.ndarray] = None
 
     def distances(self, trajectory_samples: np.ndarray) -> np.ndarray:
         """Euclidean state distance per time sample.
@@ -74,12 +79,12 @@ class Observation:
         return np.linalg.norm(samples - reference, axis=-1)
 
 
-def make_observation(
+def true_parameters(
     space: ParameterSpace,
     true_params: Optional[Dict[str, float]] = None,
     offset: float = 0.6,
-) -> Observation:
-    """Build the reference observation for a parameter space.
+) -> Dict[str, float]:
+    """The observation's true parameter assignment, validated.
 
     Parameters
     ----------
@@ -95,19 +100,26 @@ def make_observation(
     if true_params is None:
         if not 0.0 <= offset <= 1.0:
             raise SimulationError(f"offset must be in [0, 1], got {offset}")
-        true_params = {
+        return {
             p.name: p.low + offset * (p.high - p.low)
             for p in system.parameters
         }
-    else:
-        missing = set(system.parameter_names) - set(true_params)
-        if missing:
-            raise SimulationError(
-                f"true_params missing {sorted(missing)} for {system.name}"
-            )
-        true_params = {
-            name: float(true_params[name]) for name in system.parameter_names
-        }
-    trajectory = system.simulate(true_params)
-    states = trajectory[space.time_indices]
-    return Observation(true_params=true_params, states=states)
+    missing = set(system.parameter_names) - set(true_params)
+    if missing:
+        raise SimulationError(
+            f"true_params missing {sorted(missing)} for {system.name}"
+        )
+    return {name: float(true_params[name]) for name in system.parameter_names}
+
+
+def make_observation(
+    space: ParameterSpace,
+    true_params: Optional[Dict[str, float]] = None,
+    offset: float = 0.6,
+) -> Observation:
+    """The reference observation for a parameter space, its reference
+    run integrated now, for callers without a study.  Arguments as in
+    :func:`true_parameters`."""
+    true_params = true_parameters(space, true_params, offset)
+    trajectory = space.system.simulate(true_params)
+    return Observation(true_params, trajectory[space.time_indices])

@@ -6,14 +6,11 @@ right-hand side for a batch of parameter assignments, and (c) the
 batch's initial states.  Both work on one layout: parameters are
 length-``B`` arrays and the state is ``(state_dim, B)``, one column per
 run, so ``theta, omega = state`` unpacks rows and the body reads like
-the scalar formula.  The reference run (:meth:`DynamicalSystem.simulate`)
-feeds the same body one run: float parameters and a ``(state_dim,)``
-state, which elementwise numpy broadcasts exactly like a column, only
-without per-call array overhead.  So the ensemble runs and the
-reference run share one right-hand side and its arithmetic bit for bit
-(the triple pendulum's reference run is the one exception; see
-:mod:`.triple_pendulum`).  Adding a system means writing one subclass
-with one ``derivative`` and one ``initial_state``.
+the scalar formula.  A lone run (:meth:`DynamicalSystem.simulate`) is a
+batch of one column, so every run of every system goes through one
+right-hand side and rounds alike at every batch size.  Adding a system
+means writing one subclass with one ``derivative`` and one
+``initial_state``.
 
 A study's integration is bound by numpy call overhead (hundreds of
 right-hand-side calls on small arrays), so ``derivative`` binds every
@@ -100,14 +97,12 @@ class DynamicalSystem(ABC):
 
         ``params`` maps each parameter name to a length-``B`` array;
         the returned function maps a ``(state_dim, B)`` state to its
-        ``(state_dim, B)`` time derivative.  Given float parameters it
-        maps one ``(state_dim,)`` state (see :meth:`simulate`).
+        ``(state_dim, B)`` time derivative.
         """
 
     @abstractmethod
     def initial_state(self, params: Dict[str, np.ndarray]) -> np.ndarray:
-        """``(state_dim, B)`` initial states for a batch of assignments
-        (``(state_dim,)`` for float parameters)."""
+        """``(state_dim, B)`` initial states for a batch of assignments."""
 
     # ------------------------------------------------------------------
     @property
@@ -135,36 +130,31 @@ class DynamicalSystem(ABC):
         """Run one simulation; returns states of shape
         ``(n_steps + 1, state_dim)`` on the uniform time grid.
 
-        This is the reference run behind :func:`make_observation`.  It
-        integrates the ensemble's right-hand side on float parameters,
-        so numpy does scalar arithmetic, which rounds exactly as a batch
-        column does; 1-element arrays would cost 2-4x as much per step
-        in numpy call overhead.
+        The run is a one-column batch of :meth:`derivative`, so its
+        states equal that run's column in any ensemble batch bit for
+        bit.  It backs :func:`make_observation`, for callers without a
+        study; a study's observation is one more column of a batch its
+        oracle integrates anyway (see :mod:`.ensemble`).
         """
         missing = set(self.parameter_names) - set(params)
         if missing:
             raise SimulationError(
                 f"{self.name}: missing parameters {sorted(missing)}"
             )
-        run = {name: float(params[name]) for name in self.parameter_names}
+        run = {
+            name: np.array([float(params[name])])
+            for name in self.parameter_names
+        }
         states = rk4_sampled(
-            self._reference_derivative(run), self.initial_state(run),
+            self.derivative(run), self.initial_state(run),
             0.0, self.t_end, self.n_steps, np.arange(self.n_steps + 1),
-        )
+        )[:, :, 0]
         if not np.isfinite(states).all():
             raise SimulationError(
                 f"{self.name}: integration diverged (non-finite state) "
                 f"at {dict(params)}"
             )
         return states
-
-    def _reference_derivative(
-        self, params: Dict[str, np.ndarray]
-    ) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Right-hand side of :meth:`simulate`'s one run: the ensemble's
-        own :meth:`derivative`, except where a system keeps an
-        unbatched formula to hold its reference run's bits."""
-        return self.derivative(params)
 
     def time_grid(self, resolution: int) -> np.ndarray:
         """Indices into the trajectory for ``resolution`` time samples.

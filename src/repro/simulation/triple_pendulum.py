@@ -118,36 +118,3 @@ class TriplePendulum(DynamicalSystem):
             gravity=self.gravity,
             friction=params["f"],
         )
-
-    def _reference_derivative(
-        self, params: Dict[str, np.ndarray]
-    ) -> Callable[[float, np.ndarray], np.ndarray]:
-        """The reference run keeps the unbatched chain formula.
-
-        Its coupling term is a BLAS matrix-vector product, which rounds
-        differently from :func:`chain_pendulum_derivative`'s in-order
-        sum (by up to 5.3e-15 over a run).  Running the reference on
-        the batched formula would move every triple-pendulum
-        observation, and with it every cached ground truth, so the two
-        stay apart until that shift is taken on purpose.
-        """
-        friction = params["f"]
-        tail_mass = np.cumsum(np.full(3, self.mass))[::-1]
-        coupling = np.minimum.outer(tail_mass, tail_mass)
-        coupling_length = coupling * self.length
-        gravity_tail = self.gravity * tail_mass
-
-        def deriv(_t: float, state: np.ndarray) -> np.ndarray:
-            theta = state[:3]
-            omega = state[3:]
-            diff = theta[:, None] - theta[None, :]
-            mass_matrix = coupling_length * np.cos(diff)
-            rhs = (
-                -(coupling_length * np.sin(diff)) @ (omega**2)
-                - gravity_tail * np.sin(theta)
-                - friction * omega
-            )
-            alpha = np.linalg.solve(mass_matrix, rhs)
-            return np.concatenate([omega, alpha])
-
-        return deriv

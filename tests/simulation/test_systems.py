@@ -103,22 +103,7 @@ class TestSystemInterface:
             assert np.array_equal(batched[:, i], alone[:, 0])
 
 
-_KEPT_SCALAR_PATH = pytest.mark.xfail(
-    strict=True,
-    reason="the triple pendulum's reference run keeps its unbatched "
-    "BLAS formula, which rounds differently (by up to 5.3e-15) so that "
-    "its observation does not move",
-)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        pytest.param(name, marks=_KEPT_SCALAR_PATH)
-        if name == "triple_pendulum" else name
-        for name in sorted(SYSTEMS)
-    ],
-)
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_reference_run_matches_its_ensemble_column(name):
     """The reference run and the ensemble run at the same parameters
     use the same arithmetic, so their states agree bit for bit."""
