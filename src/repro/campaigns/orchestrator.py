@@ -47,7 +47,7 @@ from ..core.pipeline import EnsembleStudy
 from ..exceptions import CampaignSpecError, CampaignStateError
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span
-from ..runtime import Runtime, TaskGraph, output
+from ..runtime import Runtime, TaskGraph, fingerprint, output
 from ..runtime.report import RuntimeReport
 from ..runtime.retry import RetryPolicy
 from ..simulation import SimulationMeter, make_system
@@ -112,7 +112,10 @@ class CampaignOrchestrator:
         Pre-built study (tests and benches share one, and runs it has
         already simulated cost the campaign nothing); it must be of the
         spec's scenario and resolution, since the spec fingerprint keys
-        the cache and the journal.  By default the scenario study is
+        the journal.  The simulation cache tasks are keyed by the spec
+        fingerprint and the study's own cache key (true parameters,
+        time resolution, cache version), so two studies of one spec
+        never share cells.  By default the scenario study is
         built on the runtime, so its simulation batches are cached
         tasks.
     truth_metrics:
@@ -166,6 +169,9 @@ class CampaignOrchestrator:
         self.study = study
         self.partition = study.default_partition(pivot=spec.pivot)
         self._fingerprint = spec.fingerprint()
+        self._sim_key = fingerprint(
+            "campaign-study", (self._fingerprint, study.oracle.cache_key)
+        )
         self.journal = CampaignJournal(journal_path(workdir), spec.name)
 
         self._pivot_size = self.partition.pivot_space_size
@@ -381,7 +387,7 @@ class CampaignOrchestrator:
                 self._simulate_cells,
                 which,
                 cells,
-                cache_key=(self._fingerprint, prefix, 0, which, cells),
+                cache_key=(self._sim_key, prefix, 0, which, cells),
                 cache_scope="campaign-sim",
             )
 
@@ -521,8 +527,7 @@ class CampaignOrchestrator:
                 which,
                 probe_new[which],
                 cache_key=(
-                    self._fingerprint, prefix, index, which,
-                    probe_new[which],
+                    self._sim_key, prefix, index, which, probe_new[which],
                 ),
                 cache_scope="campaign-sim",
             )
@@ -599,7 +604,7 @@ class CampaignOrchestrator:
                 confirm_side(which),
                 output(f"round-{index}:plan"),
                 cache_key=(
-                    self._fingerprint, prefix, index, which, "confirm",
+                    self._sim_key, prefix, index, which, "confirm",
                 ),
                 cache_scope="campaign-sim",
             )

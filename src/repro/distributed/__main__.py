@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool width (default 4)",
     )
     parser.add_argument(
-        "--variant", default="select", choices=("avg", "concat", "select"),
+        "--variant", default="select", choices=("avg", "select"),
         help="M2TD factor-stitching variant (default select)",
     )
     parser.add_argument(

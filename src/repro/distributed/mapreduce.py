@@ -18,6 +18,12 @@ armed effect rides into the task as a picklable
 :class:`~repro.faults.directive.FaultDirective` — so the injector's
 ordinal bookkeeping and recovery accounting stay in one process no
 matter where the task lands.
+
+The engine runs each task once and retries nothing: a failed task fails
+its job.  D-M2TD runs each job as one task of a runtime
+:class:`~repro.runtime.TaskGraph`, so the runtime's
+:class:`~repro.runtime.RetryPolicy` retries the whole phase, and a
+supervised pool replaces dead workers on its own.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import os
 import threading
 import time
 import weakref
+from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
 
@@ -95,10 +102,6 @@ class JobStats:
     map_tasks: List[TaskStats] = field(default_factory=list)
     reduce_tasks: List[TaskStats] = field(default_factory=list)
     shuffle_bytes: int = 0
-    #: Tasks that failed at least once and succeeded on re-execution.
-    retried_tasks: int = 0
-    #: Stragglers re-executed speculatively (fresh result taken).
-    speculative_tasks: int = 0
 
     @property
     def total_compute_seconds(self) -> float:
@@ -138,9 +141,9 @@ class _MapTaskBody:
     Carries only its own slice of the input (not the full record
     list), so shipping it to an external worker moves exactly the
     bytes the task needs.  ``directive`` is the engine-armed fault
-    effect for the current attempt: raise/crash/delay fire before the
-    work *inside the timed section* (a delayed task shows up as a
-    straggler), drop-output discards the finished output.
+    effect: raise/crash/delay fire before the work *inside the timed
+    section* (a delayed task shows up in its compute time),
+    drop-output discards the finished output.
     """
 
     def __init__(
@@ -183,8 +186,8 @@ class _MapTaskBody:
                     task.bytes_out += payload_bytes(out_value)
                     emitted_records.append((out_key, out_value))
             if drop:
-                # The work happened; its output is lost — the fault the
-                # engine's re-execution budget must absorb.
+                # The work happened; its output is lost — the fault a
+                # retry of the enclosing phase must absorb.
                 raise FaultInjectionError(
                     "mapreduce.map",
                     self.task_id,
@@ -266,13 +269,15 @@ class LocalMapReduceEngine:
     complete in sorted key order, so output records and statistics
     ordering are byte-identical to the sequential engine on every
     venue (tests assert it).
+
+    Each task runs once; the first failed task (in submission order)
+    fails :meth:`run`.  Retrying is the caller's job — D-M2TD's phases
+    retry under the runtime's :class:`~repro.runtime.RetryPolicy`.
     """
 
     def __init__(
         self,
         n_workers: int = 1,
-        task_attempts: int = 1,
-        straggler_seconds: Optional[float] = None,
         transport: Optional[str] = None,
         supervisor: Optional[Any] = None,
         heartbeat_seconds: float = 0.25,
@@ -285,23 +290,7 @@ class LocalMapReduceEngine:
             raise MapReduceError(
                 f"n_workers must be >= 1, got {n_workers}"
             )
-        task_attempts = int(task_attempts)
-        if task_attempts < 1:
-            raise MapReduceError(
-                f"task_attempts must be >= 1, got {task_attempts}"
-            )
-        if straggler_seconds is not None and straggler_seconds <= 0:
-            raise MapReduceError(
-                f"straggler_seconds must be > 0, got {straggler_seconds}"
-            )
         self.n_workers = n_workers
-        #: Attempts per map/reduce task (1 = fail fast, Hadoop-style
-        #: re-execution when > 1).
-        self.task_attempts = task_attempts
-        #: Tasks slower than this are speculatively re-executed once
-        #: and the fresh copy's result is taken (``None`` disables).
-        self.straggler_seconds = straggler_seconds
-        self._stats_lock = threading.Lock()
         self.executor = (
             InlineExecutor() if n_workers == 1 else ThreadExecutor(n_workers)
         )
@@ -360,7 +349,7 @@ class LocalMapReduceEngine:
             )
             for index, chunk in enumerate(chunks)
         ]
-        map_results = self._execute(map_bodies, "mapreduce.map", stats)
+        map_results = self._execute(map_bodies, "mapreduce.map")
         intermediate: List[Record] = []
         for task, emitted_records in map_results:
             stats.map_tasks.append(task)
@@ -396,128 +385,55 @@ class LocalMapReduceEngine:
             _ReduceTaskBody(job.name, key, groups[key], job.reduce_fn)
             for key in ordered_keys
         ]
-        results = self._execute(reduce_bodies, "mapreduce.reduce", stats)
+        results = self._execute(reduce_bodies, "mapreduce.reduce")
         for task, emitted in results:
             stats.reduce_tasks.append(task)
             output.extend(emitted)
         return output, stats
 
     # ------------------------------------------------------------------
-    def _run_task(self, body, site, stats):
-        """One task with Hadoop-style fault tolerance: up to
-        ``task_attempts`` executions on (injected or genuine) task
-        failure, then one speculative re-execution if the surviving
-        attempt ran longer than ``straggler_seconds``.  Tasks are
-        deterministic, so the rerun's records are identical and taking
-        the fresh copy never changes job output."""
+    def _run_task(self, body, site):
+        """One task, run once under its armed fault directive.  A
+        success heals any fault pending for the task (a no-op unless an
+        earlier attempt of the enclosing phase injected one), so the
+        recovery is credited whichever layer retried it."""
         injector = get_injector()
-        attempts = self.task_attempts
-        for attempt in range(1, attempts + 1):
-            body.directive = directive_for(injector, site, body.task_id)
-            try:
-                task, emitted = body()
-            except (MapReduceError, FaultInjectionError):
-                if attempt >= attempts:
-                    raise
-                continue
-            if attempt > 1:
-                with self._stats_lock:
-                    stats.retried_tasks += 1
-                if injector.enabled:
-                    injector.note_recovery(site, task.task_id)
-            if (
-                self.straggler_seconds is not None
-                and task.compute_seconds > self.straggler_seconds
-            ):
-                body.directive = directive_for(
-                    injector, site, body.task_id
-                )
-                task, emitted = body()
-                with self._stats_lock:
-                    stats.speculative_tasks += 1
-                if injector.enabled:
-                    injector.note_recovery(site, task.task_id)
-            return task, emitted
-        raise AssertionError("unreachable")  # pragma: no cover
+        body.directive = directive_for(injector, site, body.task_id)
+        result = body()
+        injector.note_recovery(site, body.task_id)
+        return result
 
-    def _execute(self, bodies, site, stats):
-        """Run every task body, returning results in submission order
-        (concurrent execution, sequential collection — hence
-        deterministic output/statistics ordering)."""
+    def _execute(self, bodies, site):
+        """Run every task body once, returning results in submission
+        order (concurrent execution, sequential collection — hence
+        deterministic output/statistics ordering).  The first failure in
+        that order propagates once every task has settled, so no task of
+        a failed job is still running when its phase is retried."""
         if self.supervisor is not None:
-            return self._execute_supervised(bodies, site, stats)
+            return self._execute_supervised(bodies, site)
         if len(bodies) <= 1 or isinstance(self.executor, InlineExecutor):
-            return [self._run_task(body, site, stats) for body in bodies]
+            return [self._run_task(body, site) for body in bodies]
         futures = [
-            self.executor.submit(self._run_task, body, site, stats)
+            self.executor.submit(self._run_task, body, site)
             for body in bodies
         ]
+        futures_wait(futures)
         return [future.result() for future in futures]
 
-    def _execute_supervised(self, bodies, site, stats):
-        """Round-based dispatch through the worker supervisor.
-
-        Each round arms fresh fault directives (one injector decision
-        per task per attempt — the same cadence as in-process
-        execution) and submits the still-unfinished bodies as one
-        batch; task-level failures consume the engine's attempt
-        budget, while worker-level failures were already absorbed by
-        the supervisor's own crash budget and never surface here.
-        """
+    def _execute_supervised(self, bodies, site):
+        """One batch through the worker supervisor.  Directives are
+        armed here, one injector decision per task, so the fault
+        bookkeeping stays in this process; worker-level failures were
+        already absorbed by the supervisor's crash budget, and a task's
+        own failure comes back as its outcome."""
         injector = get_injector()
-        results: List[Any] = [None] * len(bodies)
-        pending = list(range(len(bodies)))
-        attempt = 0
-        while pending:
-            attempt += 1
-            for index in pending:
-                bodies[index].directive = directive_for(
-                    injector, site, bodies[index].task_id
-                )
-            outcomes = self.supervisor.run_tasks(
-                [(bodies[index].task_id, bodies[index]) for index in pending]
-            )
-            still_pending: List[int] = []
-            for index, outcome in zip(pending, outcomes):
-                if outcome.ok:
-                    results[index] = outcome.value
-                    if attempt > 1:
-                        with self._stats_lock:
-                            stats.retried_tasks += 1
-                        if injector.enabled:
-                            injector.note_recovery(
-                                site, bodies[index].task_id
-                            )
-                    continue
-                error = outcome.error
-                if (
-                    isinstance(error, (MapReduceError, FaultInjectionError))
-                    and attempt < self.task_attempts
-                ):
-                    still_pending.append(index)
-                else:
-                    raise error
-            pending = still_pending
-        if self.straggler_seconds is not None:
-            slow = [
-                index
-                for index, (task, _emitted) in enumerate(results)
-                if task.compute_seconds > self.straggler_seconds
-            ]
-            if slow:
-                for index in slow:
-                    bodies[index].directive = directive_for(
-                        injector, site, bodies[index].task_id
-                    )
-                outcomes = self.supervisor.run_tasks(
-                    [(bodies[index].task_id, bodies[index]) for index in slow]
-                )
-                for index, outcome in zip(slow, outcomes):
-                    if not outcome.ok:
-                        raise outcome.error
-                    results[index] = outcome.value
-                    with self._stats_lock:
-                        stats.speculative_tasks += 1
-                    if injector.enabled:
-                        injector.note_recovery(site, bodies[index].task_id)
-        return results
+        for body in bodies:
+            body.directive = directive_for(injector, site, body.task_id)
+        outcomes = self.supervisor.run_tasks(
+            [(body.task_id, body) for body in bodies]
+        )
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise outcome.error
+            injector.note_recovery(site, outcome.task_id)
+        return [outcome.value for outcome in outcomes]

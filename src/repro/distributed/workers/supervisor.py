@@ -19,8 +19,9 @@ Failure taxonomy the supervisor distinguishes:
   crash budget dies trying.
 * **Task failures** (the task's own exception, arriving as an error
   envelope) are *caller-owned*: surfaced per-task in the returned
-  :class:`TaskOutcome` so the MapReduce engine's existing attempt
-  budget — not the supervisor — decides on retries.
+  :class:`TaskOutcome`.  The MapReduce engine raises the first one, and
+  the runtime's :class:`~repro.runtime.RetryPolicy` on the enclosing
+  D-M2TD phase — not the supervisor — decides on retries.
 * **Poison tasks** (``poison_lease_expiries`` expired leases on the
   same task) are quarantined off the worker pool and run once inline,
   which separates "this task kills workers" from "this task is simply
@@ -73,7 +74,6 @@ logger = logging.getLogger("repro.workers")
 DEFAULT_RESPAWN_POLICY = RetryPolicy(
     max_attempts=1,  # unused here; the crash budget bounds respawns
     backoff_seconds=0.05,
-    backoff_factor=2.0,
     max_backoff_seconds=1.0,
     jitter=0.5,
 )
@@ -266,7 +266,7 @@ class WorkerSupervisor:
 
         Worker-level failures are absorbed here (within the crash
         budget); task-level exceptions come back per-outcome for the
-        caller's own retry policy.  Thread-safe but serialised — one
+        caller to raise or retry.  Thread-safe but serialised — one
         batch owns the pool at a time.
         """
         entries = [

@@ -102,10 +102,6 @@ class TaskFailedError(RuntimeExecutionError):
     """A task raised; the original exception is chained as ``__cause__``."""
 
 
-class TaskTimeoutError(RuntimeExecutionError):
-    """A task exceeded its per-attempt timeout."""
-
-
 class RetryExhaustedError(RuntimeExecutionError):
     """A task kept failing after every attempt its retry policy allows."""
 

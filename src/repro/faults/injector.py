@@ -75,7 +75,7 @@ class _FaultedCall:
 
     Module-level and built from plain data so it survives pickling to
     a worker process; the effect fires where the task runs, which lets
-    the scheduler's retry/timeout machinery treat it like any other
+    the scheduler's retry machinery treat it like any other
     task failure.
     """
 

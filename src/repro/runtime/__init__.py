@@ -21,7 +21,7 @@ Pieces
 :class:`ResultCache` / :func:`fingerprint`
     Content-addressed LRU cache with optional on-disk ``.npz`` tier.
 :class:`RetryPolicy`
-    Bounded backoff and per-task timeouts for transient failures.
+    Bounded, jittered backoff for transient task failures.
 :class:`Runtime` / :func:`session_runtime`
     The facade everything else threads through (``--workers``,
     ``--cache-dir``).

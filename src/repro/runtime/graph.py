@@ -66,7 +66,7 @@ class Task:
         task name — override when graph-unique names should share
         cache entries, e.g. ``"ground-truth"``).
     retry:
-        Per-task retry/timeout policy (scheduler default when ``None``).
+        Per-task retry policy (scheduler default when ``None``).
     """
 
     name: str

@@ -15,10 +15,9 @@ submitted, and each cache lookup under a ``cache:<name>`` span.
 into the object the rest of the library passes around (``runtime=``
 parameters, ``--workers`` / ``--cache-dir`` CLI flags).
 
-Timeout semantics: thread attempts are abandoned once their
-deadline passes (the worker cannot be force-killed, but its result is
-discarded and the task is retried or failed); inline attempts can only
-be measured after the fact, so their timeout is detected post-hoc.
+Attempts are not time-boxed: a running attempt is waited for until it
+returns or raises.  Work that can hang (an external worker process)
+sits behind the worker supervisor's leases and heartbeats instead.
 """
 
 from __future__ import annotations
@@ -29,14 +28,13 @@ import time
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from ..exceptions import (
     RetryExhaustedError,
     RuntimeExecutionError,
     TaskFailedError,
     TaskGraphError,
-    TaskTimeoutError,
 )
 from ..faults.injector import get_injector
 from ..observability import get_metrics, get_tracer, span
@@ -65,7 +63,6 @@ class _Attempt:
     task: Task
     attempt: int
     started: float
-    deadline: Optional[float]
 
 
 def _traced_attempt(
@@ -138,7 +135,6 @@ class TaskGraphRunner:
         indegree = {name: len(graph.task(name).deps) for name in names}
         ready: List[str] = [name for name in names if indegree[name] == 0]
         running: Dict[Future, _Attempt] = {}
-        abandoned: Set[Future] = set()
 
         def finish(name: str, value: Any) -> None:
             results[name] = value
@@ -156,7 +152,6 @@ class TaskGraphRunner:
                     ready.append(dependent)
 
         def submit(task: Task, attempt: int) -> None:
-            policy = self._policy_for(task)
             executor = self._executor_for(task)
             m = metrics[task.name]
             m.executor = executor.kind
@@ -180,13 +175,8 @@ class TaskGraphRunner:
                     executor.kind, attempt,
                 )
             started = time.monotonic()
-            deadline = (
-                started + policy.timeout_seconds
-                if policy.timeout_seconds is not None
-                else None
-            )
             future = executor.submit(fn, *args, **kwargs)
-            running[future] = _Attempt(task, attempt, started, deadline)
+            running[future] = _Attempt(task, attempt, started)
 
         def fail(task: Task, attempt: int, error: BaseException) -> None:
             policy = self._policy_for(task)
@@ -238,78 +228,28 @@ class TaskGraphRunner:
                     launch(ready.pop(0))
                 if not running:
                     continue
-                now = time.monotonic()
-                deadlines = [
-                    a.deadline - now
-                    for a in running.values()
-                    if a.deadline is not None
-                ]
-                wait_timeout = max(0.0, min(deadlines)) if deadlines else None
                 done, _pending = futures_wait(
-                    set(running), timeout=wait_timeout,
-                    return_when=FIRST_COMPLETED,
+                    set(running), return_when=FIRST_COMPLETED
                 )
                 now = time.monotonic()
                 for future in done:
                     attempt_info = running.pop(future)
                     task = attempt_info.task
-                    m = metrics[task.name]
-                    elapsed = now - attempt_info.started
-                    m.wall_seconds += elapsed
-                    error = future.exception()
-                    if error is None:
-                        policy = self._policy_for(task)
-                        if (
-                            policy.timeout_seconds is not None
-                            and elapsed > policy.timeout_seconds
-                            and isinstance(
-                                self._executor_for(task), InlineExecutor
-                            )
-                        ):
-                            # inline attempts cannot be pre-empted; the
-                            # overrun is only detectable after the call.
-                            fail(
-                                task,
-                                attempt_info.attempt,
-                                TaskTimeoutError(
-                                    task.name,
-                                    f"attempt {attempt_info.attempt} took "
-                                    f"{elapsed:.3f}s (budget "
-                                    f"{policy.timeout_seconds}s)",
-                                ),
-                            )
-                        else:
-                            if attempt_info.attempt > 1:
-                                # A retry healed the task: credit the
-                                # fault accounting (no-op unless an
-                                # injected fault is pending for it).
-                                get_injector().note_recovery(
-                                    "runtime.task", task.name
-                                )
-                            finish(task.name, future.result())
-                    else:
-                        fail(task, attempt_info.attempt, error)
-                # expire attempts whose deadline passed without a result
-                for future in [
-                    f
-                    for f, a in running.items()
-                    if a.deadline is not None and now >= a.deadline
-                ]:
-                    attempt_info = running.pop(future)
-                    future.cancel()
-                    abandoned.add(future)
-                    task = attempt_info.task
-                    m = metrics[task.name]
-                    m.wall_seconds += now - attempt_info.started
-                    fail(
-                        task,
-                        attempt_info.attempt,
-                        TaskTimeoutError(
-                            task.name,
-                            f"attempt {attempt_info.attempt} exceeded "
-                            f"{self._policy_for(task).timeout_seconds}s",
-                        ),
+                    metrics[task.name].wall_seconds += (
+                        now - attempt_info.started
                     )
+                    error = future.exception()
+                    if error is not None:
+                        fail(task, attempt_info.attempt, error)
+                        continue
+                    if attempt_info.attempt > 1:
+                        # A retry healed the task: credit the fault
+                        # accounting (no-op unless an injected fault
+                        # is pending for it).
+                        get_injector().note_recovery(
+                            "runtime.task", task.name
+                        )
+                    finish(task.name, future.result())
         except BaseException:
             for future in running:
                 future.cancel()

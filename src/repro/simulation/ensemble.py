@@ -104,7 +104,7 @@ def simulate_fibers(
     )
     system = space.system
     batch = param_indices.shape[0]
-    params = space.batch_param_values(param_indices)
+    params = space.row_values(param_indices)
     pending = observation.states is None
     if pending:
         params = {

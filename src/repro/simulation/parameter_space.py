@@ -179,10 +179,16 @@ class ParameterSpace:
         index array — used by the batched simulator.  Rows that are not
         in-range whole numbers raise :class:`ModeError` (see
         :func:`index_rows`)."""
-        index_array = index_rows(
-            index_array, self.shape[:-1], "parameter index", ModeError
+        return self.row_values(
+            index_rows(
+                index_array, self.shape[:-1], "parameter index", ModeError
+            )
         )
+
+    def row_values(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
+        """:meth:`batch_param_values` for rows :func:`index_rows` has
+        already checked (in-range int64); it checks nothing itself."""
         return {
-            name: self._grids[mode][index_array[:, mode]]
+            name: self._grids[mode][rows[:, mode]]
             for mode, name in enumerate(self.system.parameter_names)
         }

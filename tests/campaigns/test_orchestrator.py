@@ -14,6 +14,7 @@ from repro.core import EnsembleStudy
 from repro.exceptions import CampaignSpecError, CampaignStateError
 from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.runtime import Runtime
 from repro.sampling import budget_for_fractions
 from repro.simulation import SimulationMeter, make_system
 
@@ -227,6 +228,33 @@ class TestTruthMetrics:
     def test_truth_rmse_off_by_default(self, epidemic_study):
         outcome = run_campaign(spec_with(), epidemic_study)
         assert all(r.truth_rmse is None for r in outcome.rounds)
+
+
+class TestSimulationCacheKeys:
+    def test_studies_of_one_spec_share_no_cells(self):
+        """Two campaigns of one spec on one runtime, over studies whose
+        true parameters differ: the second campaign's cells are its own
+        study's, exactly what it gets on a fresh runtime."""
+        system = make_system("epidemic_seir")
+        other = {"beta": 0.3, "sigma": 0.3, "gamma": 0.2, "i0": 0.02}
+        spec = spec_with()
+
+        def payload(runtime, true_params=None):
+            study = EnsembleStudy.create(
+                system, 6, true_params=true_params, runtime=runtime
+            )
+            with CampaignOrchestrator(
+                spec, runtime=runtime, study=study
+            ) as orchestrator:
+                return orchestrator.run().payload()
+
+        with Runtime() as shared:
+            first = payload(shared)
+            second = payload(shared, other)
+        with Runtime() as fresh:
+            alone = payload(fresh, other)
+        assert second == alone
+        assert alone != first
 
 
 class TestSimulationMetering:

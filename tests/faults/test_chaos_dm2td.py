@@ -18,33 +18,33 @@ from repro.runtime import RetryPolicy, Runtime
 
 RETRY_ONCE = RetryPolicy(max_attempts=2, backoff_seconds=0.0)
 
-#: (spec, straggler_seconds) — one fault per case, all within the
-#: engine's task_attempts=2 budget.
+#: One fault per case, all within RETRY_ONCE's budget: the engine runs
+#: each task once, and the runtime re-runs the failed phase.
 ENGINE_FAULTS = [
     pytest.param(
         FaultSpec(site="mapreduce.map", kind="raise", target="map-0",
                   times=1),
-        None, id="map-raise",
+        id="map-raise",
     ),
     pytest.param(
         FaultSpec(site="mapreduce.map", kind="crash-worker",
                   target="map-0", times=1),
-        None, id="map-crash",
+        id="map-crash",
     ),
     pytest.param(
         FaultSpec(site="mapreduce.map", kind="drop-output",
                   target="map-0", times=1),
-        None, id="map-drop-output",
+        id="map-drop-output",
     ),
     pytest.param(
         FaultSpec(site="mapreduce.reduce", kind="raise",
                   target="reduce-1", times=1),
-        None, id="reduce-raise",
+        id="reduce-raise",
     ),
     pytest.param(
         FaultSpec(site="mapreduce.map", kind="delay", target="map-0",
                   times=1, delay_seconds=0.25),
-        0.05, id="map-straggler-speculation",
+        id="map-delay",
     ),
 ]
 
@@ -72,9 +72,9 @@ RUNTIME_FAULTS = [
 ]
 
 
-@pytest.mark.parametrize("spec,straggler_seconds", ENGINE_FAULTS)
+@pytest.mark.parametrize("spec", ENGINE_FAULTS)
 def test_single_engine_fault_output_byte_identical(
-    spec, straggler_seconds, dm2td_inputs, fault_free_payload,
+    spec, dm2td_inputs, fault_free_payload,
     assert_identical_across_workers, chaos_seed,
 ):
     x1, x2, part, ranks = dm2td_inputs
@@ -82,13 +82,14 @@ def test_single_engine_fault_output_byte_identical(
     summaries = {}
 
     def run(workers):
-        engine = LocalMapReduceEngine(
-            workers, task_attempts=2,
-            straggler_seconds=straggler_seconds,
-        )
+        engine = LocalMapReduceEngine(workers)
         injector = FaultInjector(plan)  # fresh injector = replay
         with use_injector(injector):
-            result = distributed_m2td(x1, x2, part, ranks, engine=engine)
+            with Runtime(workers=workers, default_retry=RETRY_ONCE) as rt:
+                result = distributed_m2td(
+                    x1, x2, part, ranks, engine=engine, runtime=rt
+                )
+        engine.close()
         summaries[workers] = injector.summary()
         return result
 
@@ -131,42 +132,38 @@ def test_single_runtime_fault_output_byte_identical(
         )
 
 
-def test_straggler_speculation_is_metered(dm2td_inputs, chaos_seed):
+def test_phase_retry_credits_the_engine_fault_it_healed(
+    dm2td_inputs, fault_free_payload, dm2td_payload_fn, chaos_seed,
+):
+    """An engine fault fails its task once; the runtime re-runs the
+    phase, and the re-run task credits the healed fault.  The retry
+    costs exactly one runtime task attempt."""
     x1, x2, part, ranks = dm2td_inputs
-    plan = plan_of(
-        [FaultSpec(site="mapreduce.map", kind="delay", target="map-0",
-                   times=1, delay_seconds=0.25)],
-        seed=chaos_seed,
-    )
-    engine = LocalMapReduceEngine(2, straggler_seconds=0.05)
-    with use_injector(FaultInjector(plan)):
-        result = distributed_m2td(x1, x2, part, ranks, engine=engine)
-    assert sum(
-        stats.speculative_tasks for stats in result.job_stats.values()
-    ) >= 1
 
+    def run(specs):
+        injector = FaultInjector(plan_of(specs, seed=chaos_seed))
+        with use_injector(injector):
+            with Runtime(default_retry=RETRY_ONCE) as rt:
+                result = distributed_m2td(x1, x2, part, ranks, runtime=rt)
+        attempts = sum(task.attempts for task in rt.report.tasks)
+        return result, injector.summary(), attempts
 
-def test_retried_engine_tasks_are_metered(dm2td_inputs, chaos_seed):
-    x1, x2, part, ranks = dm2td_inputs
-    plan = plan_of(
+    _clean, _summary, clean_attempts = run([])
+    result, summary, attempts = run(
         [FaultSpec(site="mapreduce.map", kind="raise", target="map-0",
-                   times=1)],
-        seed=chaos_seed,
+                   times=1)]
     )
-    engine = LocalMapReduceEngine(2, task_attempts=2)
-    with use_injector(FaultInjector(plan)):
-        result = distributed_m2td(x1, x2, part, ranks, engine=engine)
-    assert sum(
-        stats.retried_tasks for stats in result.job_stats.values()
-    ) >= 1
+    assert dm2td_payload_fn(result) == fault_free_payload
+    assert summary == {"injected": 1, "recovered": 1}
+    assert attempts == clean_attempts + 1
 
 
 class TestExhaustedBudget:
     def test_engine_budget_exhaustion_keeps_provenance(
         self, dm2td_inputs, chaos_seed
     ):
-        """A fault outliving task_attempts propagates through the task
-        graph as the existing family (TaskFailedError) with the
+        """A fault outliving the phase's attempts propagates through the
+        task graph as the existing family (TaskFailedError) with the
         injected fault in its cause chain."""
         x1, x2, part, ranks = dm2td_inputs
         plan = plan_of(
@@ -174,7 +171,7 @@ class TestExhaustedBudget:
                        target="map-0", times=None, message="unhealable")],
             seed=chaos_seed,
         )
-        engine = LocalMapReduceEngine(2, task_attempts=2)
+        engine = LocalMapReduceEngine(2)
         with use_injector(FaultInjector(plan)):
             with pytest.raises(TaskFailedError) as excinfo:
                 distributed_m2td(x1, x2, part, ranks, engine=engine)
@@ -196,7 +193,7 @@ class TestExhaustedBudget:
         job = MapReduceJob(
             name="sum", reduce_fn=lambda k, vs: [(k, sum(vs))]
         )
-        engine = LocalMapReduceEngine(task_attempts=3)
+        engine = LocalMapReduceEngine()
         with use_injector(FaultInjector(plan)):
             with pytest.raises(FaultInjectionError):
                 engine.run(job, [("k", 1), ("k", 2)])

@@ -18,6 +18,7 @@ import pytest
 from repro.distributed import LocalMapReduceEngine, distributed_m2td
 from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
 from repro.observability import Tracer, get_metrics, span, use_tracer
+from repro.runtime import RetryPolicy, Runtime
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
@@ -57,7 +58,8 @@ WORKER_FAULTS = [
 ]
 
 
-def run_external(x1, x2, part, ranks, workers, **engine_kwargs):
+def run_external(x1, x2, part, ranks, workers, runtime=None,
+                 **engine_kwargs):
     engine = LocalMapReduceEngine(
         workers,
         transport="process",
@@ -66,7 +68,9 @@ def run_external(x1, x2, part, ranks, workers, **engine_kwargs):
         **engine_kwargs,
     )
     try:
-        return distributed_m2td(x1, x2, part, ranks, engine=engine)
+        return distributed_m2td(
+            x1, x2, part, ranks, engine=engine, runtime=runtime
+        )
     finally:
         engine.close()
 
@@ -167,8 +171,8 @@ def test_engine_fault_recovers_on_external_workers(
     dm2td_inputs, fault_free_payload, dm2td_payload_fn, chaos_seed,
 ):
     """A mapreduce-level fault ships to the worker as a directive,
-    raises there with full provenance, and the engine's attempt budget
-    absorbs it — same contract as in-process execution."""
+    raises there with full provenance, and the runtime's retry of the
+    phase absorbs it — same contract as in-process execution."""
     x1, x2, part, ranks = dm2td_inputs
     plan = plan_of(
         [FaultSpec(site="mapreduce.map", kind="raise", target="map-0",
@@ -176,15 +180,12 @@ def test_engine_fault_recovers_on_external_workers(
         seed=chaos_seed,
     )
     injector = FaultInjector(plan)
+    retry_once = RetryPolicy(max_attempts=2, backoff_seconds=0.0)
     with use_injector(injector):
-        result = run_external(
-            x1, x2, part, ranks, 2, task_attempts=2,
-        )
+        with Runtime(default_retry=retry_once) as rt:
+            result = run_external(x1, x2, part, ranks, 2, runtime=rt)
     assert dm2td_payload_fn(result) == fault_free_payload
     assert injector.summary() == {"injected": 1, "recovered": 1}
-    assert sum(
-        stats.retried_tasks for stats in result.job_stats.values()
-    ) >= 1
 
 
 def test_respawns_and_recoveries_are_metered(dm2td_inputs, chaos_seed):

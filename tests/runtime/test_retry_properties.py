@@ -1,19 +1,14 @@
 """Property-based tests for :class:`repro.runtime.retry.RetryPolicy`.
 
-The backoff schedule has three contracts the scheduler leans on:
+The backoff schedule has two contracts the scheduler leans on:
 
 * the per-attempt delay sequence is non-decreasing (geometric growth)
   until the ``max_backoff_seconds`` plateau, and never exceeds it;
-* with a ``backoff_budget_seconds``, the *cumulative* sleep across all
-  retries never exceeds the budget, no matter how many attempts the
-  policy allows;
 * ``should_retry`` never authorises an attempt beyond ``max_attempts``.
 
 Example-based tests pin a handful of schedules; these properties pin
 every schedule Hypothesis can dream up.
 """
-
-import math
 
 import pytest
 
@@ -29,15 +24,8 @@ policies = st.builds(
     backoff_seconds=st.floats(
         min_value=0.0, max_value=10.0, allow_nan=False
     ),
-    backoff_factor=st.floats(
-        min_value=1.0, max_value=4.0, allow_nan=False
-    ),
     max_backoff_seconds=st.floats(
         min_value=0.0, max_value=30.0, allow_nan=False
-    ),
-    backoff_budget_seconds=st.one_of(
-        st.none(),
-        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
     ),
 )
 
@@ -58,21 +46,6 @@ def test_raw_backoff_sequence_is_non_decreasing(policy):
     assert all(b >= a - 1e-12 for a, b in zip(raw, raw[1:]))
 
 
-@given(policy=policies)
-@settings(max_examples=200)
-def test_total_sleep_never_exceeds_budget(policy):
-    total = sum(
-        policy.delay(attempt)
-        for attempt in range(1, policy.max_attempts + 1)
-    )
-    assert math.isclose(
-        total, policy.total_backoff(policy.max_attempts),
-        rel_tol=1e-9, abs_tol=1e-9,
-    )
-    if policy.backoff_budget_seconds is not None:
-        assert total <= policy.backoff_budget_seconds + 1e-9
-
-
 @given(policy=policies, attempt=st.integers(min_value=1, max_value=20))
 @settings(max_examples=200)
 def test_should_retry_never_exceeds_max_attempts(policy, attempt):
@@ -87,4 +60,3 @@ def test_should_retry_never_exceeds_max_attempts(policy, attempt):
 @settings(max_examples=100)
 def test_first_attempt_never_sleeps(policy):
     assert policy.delay(1) == 0.0
-    assert policy.total_backoff(1) == 0.0
