@@ -217,19 +217,6 @@ for _fn, _desc in (
     workload(f"kernel.{_fn}", "kernels", _desc)(_kernel(_fn))
 
 
-@workload(
-    "kernel.gram.hosvd",
-    "kernels",
-    "HOSVD of a 30%-dense sparse sample: the Gram route, no densification",
-)
-def _build_gram_hosvd(size: SizeSpec) -> PreparedWorkload:
-    from ..tensor import hosvd
-
-    tensor = _sparse_sample(size).compile()
-    ranks = _ranks(size, tensor.ndim)
-    return PreparedWorkload(lambda: hosvd(tensor, ranks))
-
-
 # ----------------------------------------------------------------------
 # suite: distributed — D-M2TD through MapReduce at 1/2/4 workers
 # ----------------------------------------------------------------------
@@ -372,7 +359,7 @@ def _serving_catalog(size: SizeSpec):
             key, _sparse_sample(size, density=density),
             ranks=_ranks(size, n_modes),
         )
-        catalog.engine(key)  # warm both cache tiers
+        catalog.engine(key)  # warm the hot factor tier
     return catalog, directory
 
 

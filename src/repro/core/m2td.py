@@ -103,7 +103,8 @@ def factor_pair(matrix: np.ndarray, rank: int):
     """``(U, s)``: leading left singular vectors and singular values.
 
     The one factor route of M2TD and D-M2TD: a LAPACK SVD of a dense
-    unfolding of a sub-ensemble, never the Gram route.
+    unfolding of a sub-ensemble, never the Gram fast path of
+    :func:`~repro.tensor.svd.leading_left_singular_vectors`.
     """
     u, s, _vt = truncated_svd(matrix, _clip_rank(rank, matrix.shape))
     return u, s

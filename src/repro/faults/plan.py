@@ -35,7 +35,6 @@ SITES: Tuple[str, ...] = (
     "cache.read",         # result-cache disk reads; target = fingerprint
     "storage.block-read",  # block store reads; target = "tensor/(i, j)"
     "serving.query",       # serving requests; target = "study/kind"
-    "serving.factor-load",  # factor-bundle loads; target = study key
     "worker.spawn",        # worker (re)spawns; target = e.g. "worker-0"
     "worker.heartbeat",    # worker heartbeat loops; target = worker id
     "worker.result",       # worker task replies; target = task id
@@ -76,8 +75,7 @@ _KIND_SITES: Dict[str, Tuple[str, ...]] = {
         "campaign.round",
     ),
     "corrupt": (
-        "cache.read", "storage.block-read", "serving.factor-load",
-        "worker.result", "observability.telemetry", "campaign.state",
+        "cache.read", "storage.block-read", "worker.result", "observability.telemetry", "campaign.state",
     ),
     "drop-output": (
         "mapreduce.map", "worker.result", "observability.telemetry",

@@ -15,6 +15,8 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -135,17 +137,30 @@ class Histogram:
     def percentile(self, q: float) -> Optional[float]:
         """The q-th percentile (0-100) of the retained samples, with
         linear interpolation; ``None`` while empty."""
+        return self.percentiles(q)[0]
+
+    def percentiles(self, *qs: float) -> List[Optional[float]]:
+        """:meth:`percentile` for each of ``qs``, from one sort of the
+        retained samples (a full buffer is 8192 floats; numpy sorts it
+        in a fraction of ``sorted``'s time)."""
         with self._lock:
-            samples = sorted(self._samples)
-        if not samples:
-            return None
-        position = (len(samples) - 1) * (float(q) / 100.0)
-        lower = math.floor(position)
-        upper = math.ceil(position)
-        weight = position - lower
-        return samples[lower] * (1.0 - weight) + samples[upper] * weight
+            samples = np.sort(np.asarray(self._samples, dtype=np.float64))
+        if not samples.size:
+            return [None] * len(qs)
+        values = []
+        for q in qs:
+            position = (samples.size - 1) * (float(q) / 100.0)
+            lower = math.floor(position)
+            upper = math.ceil(position)
+            weight = position - lower
+            values.append(
+                float(samples[lower]) * (1.0 - weight)
+                + float(samples[upper]) * weight
+            )
+        return values
 
     def as_dict(self) -> Dict[str, Any]:
+        p50, p90, p99 = self.percentiles(50, 90, 99)
         return {
             "kind": self.kind,
             "count": self.count,
@@ -153,9 +168,9 @@ class Histogram:
             "min": self.min,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
+            "p50": p50,
+            "p90": p90,
+            "p99": p99,
         }
 
     def export_state(self) -> Dict[str, Any]:

@@ -15,11 +15,10 @@ The stack, bottom-up:
   factors, and a top-k anomaly
   query takes the head of a :class:`ResidualRanking` of the stored
   cells.
-- :mod:`repro.serving.bundle` — :class:`FactorBundle` (factors plus
-  that ranking, computed once per bundle) loading through
-  two cache tiers: an admission-controlled in-memory
-  :class:`HotFactorCache` over the runtime's content-addressed,
-  checksummed :class:`~repro.runtime.ResultCache` on disk.
+- :mod:`repro.serving.bundle` — :class:`FactorBundle` (factors from
+  one dense HOSVD of the stored ensemble, plus that ranking, computed
+  once per bundle) kept in one in-memory tier, the
+  admission-controlled :class:`HotFactorCache`.
 - :class:`~repro.serving.catalog.StudyCatalog` — multi-tenant registry;
   every study shards into its own
   :class:`~repro.storage.BlockTensorStore` directory.
@@ -38,9 +37,7 @@ from .bundle import (
     FactorBundle,
     HotFactorCache,
     HotFactorStats,
-    bundle_fingerprint,
     compute_bundle,
-    load_bundle,
 )
 from .catalog import StudyCatalog, StudyEntry
 from .engine import FactorEngine, ResidualRanking
@@ -57,8 +54,6 @@ __all__ = [
     "ServingServer",
     "StudyCatalog",
     "StudyEntry",
-    "bundle_fingerprint",
     "compute_bundle",
-    "load_bundle",
     "run_load",
 ]

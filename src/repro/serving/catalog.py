@@ -10,11 +10,13 @@ keys to their shard + decomposition request, written atomically the
 same way the storage catalog is.
 
 The catalog hands out :class:`~repro.serving.engine.FactorEngine`\\ s
-via the two-tier bundle chain in :mod:`repro.serving.bundle`; a
-re-registration changes the stored tensor's content digest and thereby
-the bundle's address, so stale factors can never serve fresh data.
-The address is hashed once per registration and memoized on the
-identity of the two records it was computed from.
+over the study's :class:`~repro.serving.bundle.FactorBundle`, kept in
+one in-memory tier, :class:`~repro.serving.bundle.HotFactorCache`.  Its
+key is ``(study, content digest of the stored tensor, ranks)``: the
+digest is recorded in the shard's catalog when the tensor is stored,
+so a lookup hashes nothing, and new data under the same key can never
+be served stale factors.  A miss computes the bundle from the blocks
+(:func:`~repro.serving.bundle.compute_bundle`).
 """
 
 from __future__ import annotations
@@ -23,21 +25,15 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import ServingError, StudyNotFoundError
 from ..observability import get_metrics, span as _span
-from ..runtime import ResultCache
-from ..storage import BlockTensorStore, TensorEntry
+from ..storage import BlockTensorStore
 from ..tensor.sparse import SparseTensor
-from .bundle import (
-    FactorBundle,
-    HotFactorCache,
-    bundle_fingerprint,
-    load_bundle,
-)
+from .bundle import FactorBundle, HotFactorCache, compute_bundle
 from .engine import FactorEngine
 
 STUDIES_FILE = "studies.json"
@@ -85,10 +81,6 @@ class StudyCatalog:
     root:
         Directory holding ``studies.json`` plus one shard directory
         per study.
-    result_cache:
-        Disk tier for factor bundles (defaults to an ``.npz`` cache
-        under ``<root>/bundle-cache``; pass an existing runtime cache
-        to share it, or ``None``-directory caches for memory-only).
     hot_factors:
         The admission-controlled LRU serving engines are built from.
     """
@@ -96,22 +88,14 @@ class StudyCatalog:
     def __init__(
         self,
         root,
-        result_cache: Optional[ResultCache] = None,
         hot_factors: Optional[HotFactorCache] = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.path = self.root / STUDIES_FILE
-        if result_cache is None:
-            result_cache = ResultCache(
-                max_entries=64, directory=self.root / "bundle-cache"
-            )
-        self.result_cache = result_cache
         self.hot_factors = hot_factors or HotFactorCache()
         self._entries: Dict[str, StudyEntry] = {}
         self._stores: Dict[str, BlockTensorStore] = {}
-        #: key -> (StudyEntry, TensorEntry, bundle address)
-        self._addresses: Dict[str, Tuple[StudyEntry, TensorEntry, str]] = {}
         if self.path.exists():
             self._load()
 
@@ -213,7 +197,7 @@ class StudyCatalog:
             tensor_name = "ensemble"
             old = self._entries.get(key)
             if old is not None:
-                # new data ⇒ new bundle address; drop the old hot entry
+                # new data ⇒ new digest; drop the old hot entry
                 self._drop_hot_bundle(key, store, old)
             store.put(
                 tensor_name, tensor, block_shape=block_shape,
@@ -227,20 +211,25 @@ class StudyCatalog:
                 ranks=ranks,
             )
             self._entries[key] = entry
-            self._addresses.pop(key, None)
             self._save()
             get_metrics().counter("serving.studies_registered").inc()
         return entry
+
+    @staticmethod
+    def _bundle_key(key: str, tensor_entry, ranks) -> Hashable:
+        """The study's hot-tier key: ``(study, digest, ranks)``, with
+        the digest the shard's catalog recorded when the tensor was
+        stored (``None`` for a tensor stored before digests were)."""
+        return (key, tensor_entry.digest, ranks)
 
     def _drop_hot_bundle(
         self, key: str, store: BlockTensorStore, entry: StudyEntry
     ) -> None:
         """Evict the study's current bundle from the hot tier."""
         if entry.tensor_name in store.catalog:
+            tensor_entry = store.catalog.get(entry.tensor_name)
             self.hot_factors.invalidate(
-                bundle_fingerprint(
-                    key, store.catalog.get(entry.tensor_name), entry.ranks
-                )
+                self._bundle_key(key, tensor_entry, entry.ranks)
             )
 
     def unregister(self, key: str) -> StudyEntry:
@@ -251,7 +240,6 @@ class StudyCatalog:
             store.delete(entry.tensor_name)
         del self._entries[key]
         self._stores.pop(key, None)
-        self._addresses.pop(key, None)
         self._save()
         return entry
 
@@ -277,22 +265,14 @@ class StudyCatalog:
     # serving state
     # ------------------------------------------------------------------
     def bundle(self, key: str) -> FactorBundle:
-        """The study's factor bundle through both cache tiers."""
+        """The study's factor bundle: a hot-tier hit, or computed from
+        its blocks on a miss."""
         entry = self.entry(key)
         store = self.store_for(key)
         tensor_entry = store.catalog.get(entry.tensor_name)
-        memo = self._addresses.get(key)
-        if memo is not None and memo[0] is entry and memo[1] is tensor_entry:
-            address = memo[2]
-        else:
-            address = bundle_fingerprint(key, tensor_entry, entry.ranks)
-            self._addresses[key] = (entry, tensor_entry, address)
         return self.hot_factors.get(
-            address,
-            lambda: load_bundle(
-                key, store, tensor_entry, entry.ranks,
-                result_cache=self.result_cache,
-            ),
+            self._bundle_key(key, tensor_entry, entry.ranks),
+            lambda: compute_bundle(key, store, tensor_entry, entry.ranks),
         )
 
     def engine(self, key: str) -> FactorEngine:

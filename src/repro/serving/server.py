@@ -422,7 +422,7 @@ class ServingServer:
         metrics.counter("serving.errors").inc()
         # Labelled twin: break errors out by exception type so
         # dashboards (and SLO objectives) can tell an overload
-        # from a corrupt bundle from a bad query.
+        # from a corrupt block from a bad query.
         metrics.counter(f"serving.errors.{type(error).__name__}").inc()
         request.future.set_exception(error)
 

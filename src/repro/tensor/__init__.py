@@ -6,7 +6,6 @@ foundation the M2TD algorithms in :mod:`repro.core` build on.
 """
 
 from .completion import CompletionResult, completion_accuracy, em_tucker
-from .gram import gram_hosvd, mode_gram, sparse_project, sparse_ttm
 from .ops import frobenius_norm, outer, relative_error
 from .random import make_rng
 from .sparse import SparseTensor
@@ -30,10 +29,6 @@ __all__ = [
     "CompletionResult",
     "completion_accuracy",
     "em_tucker",
-    "gram_hosvd",
-    "mode_gram",
-    "sparse_project",
-    "sparse_ttm",
     "frobenius_norm",
     "outer",
     "relative_error",

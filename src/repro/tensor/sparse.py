@@ -15,7 +15,7 @@ Zero-join stitching (Section V-C2) relies on this distinction.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Tuple
 
 import numpy as np
 import scipy.sparse as sps
@@ -23,27 +23,6 @@ import scipy.sparse as sps
 from ..exceptions import ModeError, ShapeError
 from ..observability import get_metrics
 from .unfold import check_mode
-
-
-class CompiledLayout:
-    """Sorted mode-major index arrays + memoized per-mode unfoldings.
-
-    Built by :meth:`SparseTensor.compile`.  For each mode the layout
-    holds the entry permutation that sorts coordinates mode-major
-    (``(row, column)`` of that mode's matricization) plus the CSR
-    structure arrays, so repeated ``unfold_csr`` calls — e.g. HOOI
-    sweeps re-matricizing the same tensor every iteration — skip both
-    the column arithmetic and scipy's COO→CSR canonicalization.  Cache
-    hits are metered as ``tensor.unfold_cache_hits``.
-    """
-
-    __slots__ = ("mode_order", "mode_indices", "mode_indptr", "csr")
-
-    def __init__(self):
-        self.mode_order: Dict[int, np.ndarray] = {}
-        self.mode_indices: Dict[int, np.ndarray] = {}
-        self.mode_indptr: Dict[int, np.ndarray] = {}
-        self.csr: Dict[int, sps.csr_matrix] = {}
 
 
 class SparseTensor:
@@ -62,10 +41,9 @@ class SparseTensor:
     semantics for repeated simulations of the same configuration).
     """
 
-    __slots__ = ("shape", "coords", "values", "_layout")
+    __slots__ = ("shape", "coords", "values")
 
     def __init__(self, shape: Tuple[int, ...], coords=None, values=None):
-        self._layout: Optional[CompiledLayout] = None
         self.shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in self.shape):
             raise ShapeError(f"all mode sizes must be positive, got {self.shape}")
@@ -206,9 +184,8 @@ class SparseTensor:
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense array (null cells become 0.0).
 
-        Metered as ``tensor.dense_unfolds`` — the counter the Gram /
-        compiled-layout kernels pin at zero to prove a sparse input was
-        never densified on their watch.
+        Metered as ``tensor.dense_unfolds``, so a caller can assert
+        that a path never densified its sparse input.
         """
         get_metrics().counter("tensor.dense_unfolds").inc()
         dense = np.zeros(self.shape, dtype=np.float64)
@@ -216,39 +193,14 @@ class SparseTensor:
             dense[tuple(self.coords.T)] = self.values
         return dense
 
-    # ------------------------------------------------------------------
-    # compiled layout
-    # ------------------------------------------------------------------
-    @property
-    def compiled(self) -> bool:
-        """Whether :meth:`compile` has attached a layout."""
-        return self._layout is not None
+    def unfold_csr(self, mode: int) -> sps.csr_matrix:
+        """Mode-``mode`` matricization as a scipy CSR matrix.
 
-    def compile(self) -> "SparseTensor":
-        """Attach a :class:`CompiledLayout` and return ``self``.
-
-        Idempotent and purely an acceleration structure: coords and
-        values are untouched, and every ``unfold_csr``/TTM result is
-        exactly what the uncompiled tensor produces — the property
-        suite asserts bit-identity.  Worth it whenever the same tensor
-        is matricized more than once per mode (HOOI sweeps, repeated
-        Gram accumulations).
+        Shares the Fortran-order column convention of
+        :func:`repro.tensor.unfold.unfold`, so densifying it gives
+        exactly the dense unfolding of :meth:`to_dense`.
         """
-        if self._layout is None:
-            self._layout = CompiledLayout()
-        return self
-
-    def _mode_structure(self, mode: int):
-        """``(indptr, indices, order)`` of the mode-``mode`` CSR
-        matricization: entries sorted mode-major (row, then column)."""
-        layout = self._layout
-        if layout is not None and mode in layout.mode_order:
-            return (
-                layout.mode_indptr[mode],
-                layout.mode_indices[mode],
-                layout.mode_order[mode],
-            )
-        rows = self.coords[:, mode]
+        mode = check_mode(self.ndim, mode)
         cols = np.zeros(self.nnz, dtype=np.int64)
         stride = 1
         for axis, size in enumerate(self.shape):
@@ -256,40 +208,10 @@ class SparseTensor:
                 continue
             cols += self.coords[:, axis] * stride
             stride *= size
-        order = np.lexsort((cols, rows))
-        indices = cols[order]
-        counts = np.bincount(rows, minlength=self.shape[mode])
-        indptr = np.zeros(self.shape[mode] + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        if layout is not None:
-            layout.mode_indptr[mode] = indptr
-            layout.mode_indices[mode] = indices
-            layout.mode_order[mode] = order
-        return indptr, indices, order
-
-    def unfold_csr(self, mode: int) -> sps.csr_matrix:
-        """Mode-``mode`` matricization as a scipy CSR matrix.
-
-        Shares the Fortran-order column convention of
-        :func:`repro.tensor.unfold.unfold`, so sparse and dense code
-        paths produce identical factor matrices.  On a compiled tensor
-        the result is memoized per mode; repeat calls are cache hits
-        (metered as ``tensor.unfold_cache_hits``).
-        """
-        mode = check_mode(self.ndim, mode)
-        layout = self._layout
-        if layout is not None and mode in layout.csr:
-            get_metrics().counter("tensor.unfold_cache_hits").inc()
-            return layout.csr[mode]
-        indptr, indices, order = self._mode_structure(mode)
-        n_cols = self.size // self.shape[mode]
-        matrix = sps.csr_matrix(
-            (self.values[order], indices, indptr),
-            shape=(self.shape[mode], n_cols),
+        return sps.csr_matrix(
+            (self.values, (self.coords[:, mode], cols)),
+            shape=(self.shape[mode], self.size // self.shape[mode]),
         )
-        if layout is not None:
-            layout.csr[mode] = matrix
-        return matrix
 
     def frobenius_norm(self) -> float:
         """Frobenius norm over stored cells (null cells contribute 0)."""

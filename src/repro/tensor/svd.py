@@ -2,8 +2,11 @@
 
 Every factor matrix in this library (HOSVD, HOOI, all three M2TD
 variants) comes out of :func:`truncated_svd` or
-:func:`leading_left_singular_vectors`, so the sign convention and the
-LAPACK/Gram dispatch live in exactly one place.
+:func:`leading_left_singular_vectors` applied to a dense matricization,
+so the sign convention and the one dispatch (LAPACK's SVD, or the
+eigenvectors of the Gram matrix of a wide dense unfolding) live in
+exactly one place.  Sparse tensors are densified before they get here;
+a CSR matrix passed in is densified too.
 
 Determinism matters more here than in a generic linear-algebra
 library: M2TD-AVG *averages* factor matrices from two independent
@@ -83,8 +86,7 @@ def truncated_svd(
         sparse=bool(is_sparse),
     ):
         if is_sparse:
-            # A sparse matricization is being materialized densely;
-            # the Gram kernels exist to keep this counter at zero.
+            # metered like SparseTensor.to_dense: a densification
             metrics.counter("tensor.dense_unfolds").inc()
             dense = matrix.toarray()
         else:
@@ -130,9 +132,8 @@ def leading_left_singular_vectors(matrix: MatrixLike, rank: int) -> np.ndarray:
     ``r_n leading left singular vectors of X_(n)``.  Dense wide
     matricizations (``n >= GRAM_ASPECT * m``) take the Gram route —
     same subspace, none of the right-singular-vector work — which is
-    what roughly halves the dense HOSVD/ST-HOSVD kernels; everything
-    else (square-ish or sparse inputs) keeps the proven SVD path
-    bit-for-bit.
+    what roughly halves the HOSVD/ST-HOSVD kernels; square-ish
+    matricizations and CSR inputs (densified) take LAPACK's SVD.
     """
     rank = _validate_rank(matrix.shape, rank)
     m, n = matrix.shape

@@ -42,7 +42,6 @@ class TestRegistry:
         names = set(WORKLOADS)
         for expected in (
             "kernel.hosvd", "kernel.st_hosvd", "kernel.hooi",
-            "kernel.gram.hosvd",
             "dm2td.workers1", "dm2td.workers2", "dm2td.workers4",
             "dm2td.external.workers2", "dm2td.external.workers4",
             "store.put", "store.get", "store.slice_query",

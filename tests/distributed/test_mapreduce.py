@@ -202,9 +202,13 @@ class TestThreadedEngine:
             t.task_id for t in s4.reduce_tasks
         ]
 
-    def test_map_tasks_actually_run_concurrently(self):
+    def test_map_tasks_actually_run_concurrently(self, monkeypatch):
+        """The in-process thread venue: with ``M2TD_TRANSPORT`` unset the
+        engine runs map tasks on its own threads, where the rendezvous
+        closure needs no pickling."""
         import threading
 
+        monkeypatch.delenv("M2TD_TRANSPORT", raising=False)
         barrier = threading.Barrier(2, timeout=5)
 
         def rendezvous(key, value):

@@ -1,15 +1,19 @@
-"""Serving-layer chaos: corrupted bundles heal, query faults stay typed.
+"""Serving-layer chaos: a corrupt block fails only its own study, and
+query faults stay typed.
 
-The recovery property under test: a corrupted or missing on-disk
-factor bundle is *never served* — the cache's checksum quarantines it,
-the loader recomputes from the study's own block store, and the next
-answer is correct, with the recovery metered.
+The recovery property under test: a corrupted shard block is *never
+served*.  The block's checksum fails the study's bundle with a typed
+:class:`~repro.exceptions.BlockCorruptionError` on every query, other
+studies keep serving, and re-registering the study's data heals it
+bit for bit.
 """
+
+import asyncio
 
 import numpy as np
 import pytest
 
-from repro.exceptions import FaultInjectionError
+from repro.exceptions import BlockCorruptionError, FaultInjectionError
 from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.serving import ServingServer, StudyCatalog
@@ -27,12 +31,14 @@ def _make_sparse(shape, seed=0):
 
 @pytest.fixture()
 def root(tmp_path):
-    """A catalog root with one study whose bundle is already on disk."""
+    """A catalog root with two registered studies."""
     catalog = StudyCatalog(tmp_path / "serving")
     catalog.register(
         "study", _make_sparse((6, 5, 4), seed=1), ranks=[3, 3, 3]
     )
-    catalog.engine("study")  # computes + persists the bundle
+    catalog.register(
+        "other", _make_sparse((5, 4, 3), seed=2), ranks=[2, 2, 2]
+    )
     return tmp_path / "serving"
 
 
@@ -42,60 +48,64 @@ def clean_value(root):
     return StudyCatalog(root).engine("study").point((1, 2, 3))
 
 
-class TestCorruptBundle:
-    def test_corrupt_bundle_is_quarantined_and_recomputed(
-        self, root, clean_value, chaos_seed
-    ):
-        plan = plan_of(
-            [FaultSpec(site="serving.factor-load", kind="corrupt",
-                       target="study", times=1)],
-            seed=chaos_seed,
-        )
-        registry = MetricsRegistry()
-        injector = FaultInjector(plan)
-        # fresh catalog: cold hot-tier, cold memory tier, warm disk tier
-        catalog = StudyCatalog(root)
-        with use_metrics(registry), use_injector(injector):
-            value = catalog.engine("study").point((1, 2, 3))
-        # the corrupted bundle was never served: the answer is the
-        # fault-free one, from a recomputed decomposition
-        assert value == pytest.approx(clean_value, abs=1e-12)
-        assert registry.counter("cache.corrupt_quarantined").value == 1
-        assert registry.counter("serving.bundles_computed").value == 1
-        assert registry.counter("faults.injected").value == 1
-        assert registry.counter("faults.recovered").value == 1
-        assert injector.summary() == {"injected": 1, "recovered": 1}
-        # the rotten file was moved aside, not deleted silently
-        assert list((root / "bundle-cache").glob("*.corrupt"))
+def _corrupt_study(root, chaos_seed) -> StudyCatalog:
+    """A fresh catalog whose first block read, the study's, gets a
+    ``corrupt`` fault: real bit flips in the block file on disk."""
+    plan = plan_of(
+        [FaultSpec(site="storage.block-read", kind="corrupt",
+                   target="ensemble/*", times=1)],
+        seed=chaos_seed,
+    )
+    injector = FaultInjector(plan)
+    catalog = StudyCatalog(root)
+    with use_injector(injector):
+        with pytest.raises(BlockCorruptionError):
+            catalog.engine("study")
+    assert injector.summary()["injected"] == 1
+    return catalog
 
-    def test_next_session_reserves_from_healed_cache(
+
+class TestCorruptBlock:
+    def test_corrupt_block_fails_only_its_study(
         self, root, clean_value, chaos_seed
     ):
-        plan = plan_of(
-            [FaultSpec(site="serving.factor-load", kind="corrupt",
-                       target="study", times=1)],
-            seed=chaos_seed,
-        )
-        with use_injector(FaultInjector(plan)):
+        other_value = StudyCatalog(root).engine("other").point((1, 2, 0))
+        catalog = _corrupt_study(root, chaos_seed)
+
+        async def serve():
+            async with ServingServer(catalog) as server:
+                with pytest.raises(BlockCorruptionError):
+                    await server.point("study", (1, 2, 3))
+                with pytest.raises(BlockCorruptionError):
+                    await server.topk("study", 3)
+                value = await server.point("other", (1, 2, 0))
+                return server.stats, value
+
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            stats, value = asyncio.run(serve())
+        assert value == other_value
+        assert (stats.errors, stats.served) == (2, 1)
+        assert registry.counter(
+            "serving.errors.BlockCorruptionError"
+        ).value == 2
+        # no bundle of the corrupt study was ever cached
+        assert len(catalog.hot_factors) == 1
+        # the damage is on disk: a fresh session fails the same way
+        with pytest.raises(BlockCorruptionError):
             StudyCatalog(root).engine("study")
-        # after healing, a later fault-free session gets a disk hit
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            value = StudyCatalog(root).engine("study").point((1, 2, 3))
-        assert value == pytest.approx(clean_value, abs=1e-12)
-        assert registry.counter("serving.bundle_disk_hits").value == 1
-        assert registry.counter("serving.bundles_computed").value == 0
 
-
-class TestMissingBundle:
-    def test_missing_bundle_file_recomputes(self, root, clean_value):
-        for stale in (root / "bundle-cache").glob("*.npz"):
-            stale.unlink()
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            value = StudyCatalog(root).engine("study").point((1, 2, 3))
-        assert value == pytest.approx(clean_value, abs=1e-12)
-        assert registry.counter("serving.bundles_computed").value == 1
+    def test_reregistering_heals_the_study(
+        self, root, clean_value, chaos_seed
+    ):
+        catalog = _corrupt_study(root, chaos_seed)
+        catalog.register(
+            "study", _make_sparse((6, 5, 4), seed=1), ranks=[3, 3, 3],
+            overwrite=True,
+        )
+        assert catalog.engine("study").point((1, 2, 3)) == clean_value
+        fresh = StudyCatalog(root)
+        assert fresh.engine("study").point((1, 2, 3)) == clean_value
 
 
 class TestQueryFaults:
@@ -104,8 +114,6 @@ class TestQueryFaults:
     ):
         """A raise fault fails one batch with the fault's provenance;
         the worker survives and the next query is answered."""
-        import asyncio
-
         plan = plan_of(
             [FaultSpec(site="serving.query", kind="raise",
                        target="study/*", times=1)],
@@ -130,8 +138,6 @@ class TestQueryFaults:
         assert injector.summary()["injected"] == 1
 
     def test_injected_delay_only_slows(self, root, clean_value, chaos_seed):
-        import asyncio
-
         plan = plan_of(
             [FaultSpec(site="serving.query", kind="delay",
                        target="study/*", times=1, delay_seconds=0.05)],

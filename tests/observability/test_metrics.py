@@ -83,6 +83,24 @@ class TestHistogram:
     def test_empty_percentile_is_none(self):
         assert MetricsRegistry().histogram("h").percentile(50) is None
 
+    def test_percentiles_from_one_sort_match_percentile(self):
+        """``percentiles`` sorts once and gives each ``percentile``
+        bit for bit, on an unsorted, decimated buffer too."""
+        hist = MetricsRegistry().histogram("lat")
+        hist.observe_many((i * 7919) % 10007 / 3.0 for i in range(20000))
+        qs = (0, 12.5, 50, 90, 99, 100)
+        assert hist.percentiles(*qs) == [hist.percentile(q) for q in qs]
+        expected = sorted(hist._samples)
+        position = (len(expected) - 1) * 0.9
+        low, high = int(position), int(position) + 1
+        weight = position - low
+        assert hist.percentile(90) == (
+            expected[low] * (1.0 - weight) + expected[high] * weight
+        )
+        assert MetricsRegistry().histogram("h").percentiles(50, 90) == [
+            None, None
+        ]
+
     def test_as_dict_exports_percentiles(self):
         hist = MetricsRegistry().histogram("h")
         for value in (1, 2, 3):

@@ -1,18 +1,14 @@
-"""Factor bundles: fingerprints, the disk tier, and admission control."""
+"""Factor bundles: computing one from a store, and admission control."""
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ServingError
-from repro.observability.metrics import MetricsRegistry, use_metrics
-from repro.runtime import ResultCache
 from repro.serving import (
     FactorBundle,
     FactorEngine,
     HotFactorCache,
-    bundle_fingerprint,
     compute_bundle,
-    load_bundle,
 )
 from repro.storage import BlockTensorStore
 from repro.tensor import hosvd
@@ -26,34 +22,6 @@ def stored(tmp_path):
     store = BlockTensorStore(tmp_path / "store")
     store.put("t", tensor)
     return store, store.catalog.get("t")
-
-
-class TestFingerprint:
-    def test_stable(self, stored):
-        store, entry = stored
-        a = bundle_fingerprint("s", entry, (3, 3, 3))
-        b = bundle_fingerprint("s", entry, (3, 3, 3))
-        assert a == b
-
-    def test_varies_with_request(self, stored):
-        _store, entry = stored
-        base = bundle_fingerprint("s", entry, (3, 3, 3))
-        assert bundle_fingerprint("s2", entry, (3, 3, 3)) != base
-        assert bundle_fingerprint("s", entry, (2, 2, 2)) != base
-
-    def test_varies_with_stored_values(self, stored):
-        store, entry = stored
-        tensor = store.get("t")
-        tensor.values[0] += 1.0
-        store.put("t", tensor, overwrite=True)
-        changed = store.catalog.get("t")
-        assert (changed.shape, changed.nnz, changed.block_ids) == (
-            entry.shape, entry.nnz, entry.block_ids
-        )
-        assert changed.digest != entry.digest
-        assert bundle_fingerprint("s", changed, (3, 3, 3)) != (
-            bundle_fingerprint("s", entry, (3, 3, 3))
-        )
 
 
 class TestComputeAndLoad:
@@ -87,67 +55,15 @@ class TestComputeAndLoad:
             ranking.residual, np.abs(ranking.stored - ranking.predicted)
         )
 
-    def test_load_without_cache_recomputes(self, stored):
+    def test_factors_are_dense_hosvd_of_stored_ensemble(self, stored):
+        """The bundle is exactly ``hosvd`` of the densified ensemble
+        the store holds: one route, bit for bit."""
         store, entry = stored
-        bundle = load_bundle("s", store, entry, (3, 3, 3), result_cache=None)
-        assert isinstance(bundle, FactorBundle)
-
-    def test_load_roundtrips_through_disk(self, stored, tmp_path):
-        store, entry = stored
-        cache = ResultCache(max_entries=1, directory=tmp_path / "cache")
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            first = load_bundle(
-                "s", store, entry, (3, 3, 3), result_cache=cache
-            )
-            second = load_bundle(
-                "s", store, entry, (3, 3, 3), result_cache=cache
-            )
-        assert registry.counter("serving.bundles_computed").value == 1
-        assert registry.counter("serving.bundle_disk_hits").value == 1
-        assert np.allclose(first.tucker.core, second.tucker.core)
-        for f1, f2 in zip(first.tucker.factors, second.tucker.factors):
-            assert np.allclose(f1, f2)
-        for name in ("coords", "stored", "predicted", "residual"):
-            assert np.array_equal(
-                getattr(first.ranking, name), getattr(second.ranking, name)
-            )
-
-    def test_misaligned_ranking_heals_by_recompute(self, stored, tmp_path):
-        store, entry = stored
-        cache = ResultCache(max_entries=1, directory=tmp_path / "cache")
-        good = compute_bundle("s", store, entry, (3, 3, 3))
-        cache.put(bundle_fingerprint("s", entry, (3, 3, 3)), {
-            "core": good.tucker.core,
-            "factors": list(good.tucker.factors),
-            "ranking": {
-                "coords": good.ranking.coords,
-                "stored": good.ranking.stored[:-1],
-                "predicted": good.ranking.predicted,
-                "residual": good.ranking.residual,
-            },
-        })
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            load_bundle("s", store, entry, (3, 3, 3), result_cache=cache)
-        assert registry.counter("serving.bundle_decode_errors").value == 1
-        assert registry.counter("serving.bundles_computed").value == 1
-
-    def test_undecodable_entry_heals_by_recompute(self, stored, tmp_path):
-        """A structurally valid cache entry that is not a bundle is
-        treated as a miss, not served."""
-        store, entry = stored
-        cache = ResultCache(max_entries=1, directory=tmp_path / "cache")
-        key = bundle_fingerprint("s", entry, (3, 3, 3))
-        cache.put(key, {"core": np.ones((2, 2)), "factors": [np.ones(3)]})
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            bundle = load_bundle(
-                "s", store, entry, (3, 3, 3), result_cache=cache
-            )
-        assert registry.counter("serving.bundle_decode_errors").value == 1
-        assert registry.counter("serving.bundles_computed").value == 1
-        assert bundle.tucker.shape == entry.shape
+        bundle = compute_bundle("s", store, entry, (3, 3, 3))
+        expected = hosvd(store.get("t").to_dense(), (3, 3, 3))
+        assert np.array_equal(bundle.tucker.core, expected.core)
+        for got, want in zip(bundle.tucker.factors, expected.factors):
+            assert np.array_equal(got, want)
 
 
 def _bundle(study: str, nbytes_target: int = 0) -> FactorBundle:
@@ -157,9 +73,7 @@ def _bundle(study: str, nbytes_target: int = 0) -> FactorBundle:
     ranking = FactorEngine(tucker).rank_residuals(
         np.array(list(np.ndindex(dense.shape))), dense.ravel()
     )
-    return FactorBundle(
-        study=study, tucker=tucker, ranking=ranking, fingerprint=study
-    )
+    return FactorBundle(study=study, tucker=tucker, ranking=ranking)
 
 
 class TestHotFactorCache:

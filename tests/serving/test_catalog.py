@@ -148,32 +148,43 @@ class TestBundleLifecycle:
         assert catalog.hot_factors.stats.misses == before
         assert catalog.hot_factors.stats.hits >= 1
 
-    def test_bundle_address_is_hashed_once_per_registration(
-        self, catalog, monkeypatch
-    ):
-        import repro.serving.catalog as catalog_module
+    def test_bundle_lookup_hashes_nothing(self, catalog, monkeypatch):
+        """The hot-tier key is ``(study, digest, ranks)`` with the
+        digest the shard's catalog recorded at registration: a warm
+        lookup computes no hash and reads no block, and re-registering
+        drops the old key."""
+        import hashlib
 
-        calls = []
-        real = catalog_module.bundle_fingerprint
+        catalog.engine("alpha")
+        digest = catalog.store_for("alpha").catalog.get("ensemble").digest
+        assert digest is not None
+        assert ("alpha", digest, (3, 3, 3)) in catalog.hot_factors
+        hashes = []
+        real = hashlib.sha256
 
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
+        def counting(*args, **kwargs):
+            hashes.append(1)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(catalog_module, "bundle_fingerprint", counting)
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        registry = MetricsRegistry()
         hits = catalog.hot_factors.stats.hits
-        for _ in range(3):
-            catalog.engine("alpha")
-        assert calls == ["alpha"]
-        # the hot tier is still consulted on every call
-        assert catalog.hot_factors.stats.hits - hits >= 2
+        with use_metrics(registry):
+            for _ in range(3):
+                catalog.engine("alpha")
+        assert hashes == []
+        assert registry.counter("storage.block_reads").value == 0
+        assert catalog.hot_factors.stats.hits - hits == 3
+        monkeypatch.undo()
         catalog.register(
             "alpha", make_sparse((6, 5, 4), seed=5), ranks=[3, 3, 3],
             overwrite=True,
         )
+        assert ("alpha", digest, (3, 3, 3)) not in catalog.hot_factors
         catalog.engine("alpha")
-        catalog.engine("alpha")
-        assert calls.count("alpha") == 3  # drop old bundle + new address
+        fresh = catalog.store_for("alpha").catalog.get("ensemble").digest
+        assert fresh != digest
+        assert ("alpha", fresh, (3, 3, 3)) in catalog.hot_factors
 
     def test_reregistration_invalidates_stale_factors(self, catalog):
         index = (0, 0, 0)
@@ -194,8 +205,8 @@ class TestBundleLifecycle:
 
 class TestReregisterSameSparsity:
     """Re-registering new values on the same coordinates (same shape,
-    nnz and block layout) must serve the new values: the bundle
-    address covers the stored values' content digest."""
+    nnz and block layout) must serve the new values: the bundle's
+    hot-tier key covers the stored values' content digest."""
 
     @staticmethod
     def _new_values(catalog):
@@ -218,13 +229,13 @@ class TestReregisterSameSparsity:
         assert served[index] == 9.99
 
     def test_same_catalog_serves_new_values(self, catalog):
-        catalog.engine("alpha")  # bundle in both cache tiers
+        catalog.engine("alpha")  # bundle in the hot tier
         tensor = self._new_values(catalog)
         catalog.register("alpha", tensor, ranks=[3, 3, 3], overwrite=True)
         self._check_serves(catalog, tensor)
 
     def test_fresh_catalog_serves_new_values(self, catalog):
-        catalog.engine("alpha")  # bundle persisted in the disk tier
+        catalog.engine("alpha")  # bundle computed from the old values
         tensor = self._new_values(catalog)
         catalog.register("alpha", tensor, ranks=[3, 3, 3], overwrite=True)
         self._check_serves(StudyCatalog(catalog.root), tensor)
@@ -248,19 +259,31 @@ class TestRankedTopK:
         assert len(full) == 5
         assert on_slice and all(idx[0] == 2 for idx, *_rest in on_slice)
 
-    def test_fresh_catalog_reuses_persisted_ranking(self, catalog):
+    def test_fresh_catalog_serves_identical_bundle(self, catalog):
+        """A fresh catalog over the same root recomputes the bundle
+        from the stored blocks, bit for bit: factors, core, residual
+        ranking and the top-k answered from it."""
         store = catalog.store_for("alpha")
-        first = catalog.engine("alpha").topk_anomalies(store, "ensemble", 5)
+        first = catalog.bundle("alpha")
+        first_top = catalog.engine("alpha").topk_anomalies(
+            store, "ensemble", 5
+        )
         registry = MetricsRegistry()
         with use_metrics(registry):
             fresh = StudyCatalog(catalog.root)
-            second = fresh.engine("alpha").topk_anomalies(
+            second = fresh.bundle("alpha")
+            second_top = fresh.engine("alpha").topk_anomalies(
                 fresh.store_for("alpha"), "ensemble", 5
             )
-            assert registry.counter("serving.bundle_disk_hits").value == 1
-            assert registry.counter("serving.bundles_computed").value == 0
-            assert registry.counter("storage.block_reads").value == 0
-        assert second == first
+            assert registry.counter("serving.bundles_computed").value == 1
+        assert np.array_equal(second.tucker.core, first.tucker.core)
+        for got, want in zip(second.tucker.factors, first.tucker.factors):
+            assert np.array_equal(got, want)
+        for name in ("coords", "stored", "predicted", "residual"):
+            assert np.array_equal(
+                getattr(second.ranking, name), getattr(first.ranking, name)
+            )
+        assert second_top == first_top
 
     @pytest.mark.parametrize("mode, index", [(3, 0), (0, 6), (-1, 0)])
     def test_bad_slice_is_typed(self, catalog, mode, index):
@@ -286,8 +309,8 @@ class TestRankedTopK:
 
 class TestLayoutIndependence:
     """Serving answers do not depend on how the store tiles a study;
-    the bundle address does, so a bundle cached under another tiling
-    is never served for this one."""
+    the content digest in the bundle's hot-tier key does, so a bundle
+    cached under another tiling is never served for this one."""
 
     def test_fine_and_default_tiling_serve_the_same(self, tmp_path):
         tensor = make_sparse((8,) * 5, density=0.03, seed=5)
@@ -301,14 +324,14 @@ class TestLayoutIndependence:
             engine = catalog.engine("study")
             served[label] = {
                 "blocks": store.catalog.get("ensemble").n_blocks,
-                "fingerprint": catalog.bundle("study").fingerprint,
+                "digest": store.catalog.get("ensemble").digest,
                 "points": engine.point_batch(tensor.coords[:50]),
                 "slice": engine.slice(1, 3),
                 "topk": engine.topk_anomalies(store, "ensemble", 10),
             }
         fine, default = served["fine"], served["default"]
         assert fine["blocks"] > 1 and default["blocks"] == 1
-        assert fine["fingerprint"] != default["fingerprint"]
+        assert fine["digest"] != default["digest"]
         np.testing.assert_allclose(
             default["points"], fine["points"], rtol=0, atol=1e-12
         )

@@ -10,6 +10,7 @@ from repro.tensor import (
     leading_left_singular_vectors,
     truncated_svd,
 )
+from repro.tensor.svd import gram_left_singular_vectors
 
 from ..generators import spectral_energy
 
@@ -75,6 +76,22 @@ class TestTruncatedSvd:
             truncated_svd(matrix, 0)
         with pytest.raises(RankError):
             truncated_svd(matrix, 4)
+
+
+class TestGramLeftSingularVectors:
+    def test_matches_svd_vectors(self):
+        rng = np.random.default_rng(2)
+        matrix = rng.standard_normal((5, 40))
+        u_svd, _s, _vt = truncated_svd(matrix, 3)
+        u_gram = gram_left_singular_vectors(matrix @ matrix.T, 3)
+        # same signs by convention, same subspace up to eps * kappa^2
+        assert np.allclose(u_svd, u_gram, atol=1e-8)
+
+    def test_rank_validation(self):
+        with pytest.raises(RankError):
+            gram_left_singular_vectors(np.eye(3), 4)
+        with pytest.raises(RankError):
+            gram_left_singular_vectors(np.eye(3), 0)
 
 
 class TestHelpers:
