@@ -18,11 +18,14 @@ Three query shapes:
 ``slice``
     The dense hyperplanes ``mode = index`` for B indices: project the
     core through every *other* factor once,
-    ``P_m = G ×_{k≠m} U^(k)`` (``r_m × prod_{k≠m} I_k``), then answer
-    all B hyperplanes with one GEMM, ``U^(m)[indices] @ P_m`` — the
-    partial-reconstruction pattern of Austin/Ballard/Kolda.  The
-    projection is paid once per call, so the server's per-mode
-    grouping of a drain's slices amortises it over the whole group.
+    ``P_m = G ×_{k≠m} U^(k)`` (``r_m × prod_{k≠m} I_k``, one
+    ``tensordot`` per other mode), then compute each *distinct*
+    index's hyperplane as one row of ``U^(m)[distinct] @ P_m`` — the
+    partial-reconstruction pattern of Austin/Ballard/Kolda.
+    :meth:`FactorEngine.slice_planes` returns those planes read-only
+    with the index→plane map, so the server's per-mode grouping of a
+    drain's slices pays one projection and one plane per distinct
+    hyperplane, and requests for the same hyperplane share its plane.
 ``top-k anomalies``
     Residual ranking of every *simulated* cell: its stored value minus
     its factor prediction, scored in one batched point evaluation and
@@ -45,7 +48,6 @@ import numpy as np
 from ..exceptions import QueryError
 from ..observability import get_metrics, span as _span
 from ..tensor.tucker import TuckerTensor
-from ..tensor.ttm import multi_ttm
 
 
 def _as_indices(values, what: str) -> np.ndarray:
@@ -278,34 +280,59 @@ class FactorEngine:
             )
         return indices
 
-    def slice_batch(self, mode: int, indices) -> np.ndarray:
-        """The dense hyperplanes ``mode = i`` for every ``i`` in
-        ``indices``, stacked: shape ``(B, *other mode sizes)``.
+    def slice_planes(
+        self, mode: int, indices
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The distinct hyperplanes among ``mode = i`` for ``i`` in
+        ``indices``, and the map from each index to its plane.
 
-        The core is projected through every other factor once,
-        ``P_m = G ×_{k≠m} U^(k)`` shaped ``r_m × prod_{k≠m} I_k``; all
-        B hyperplanes are then one GEMM, ``U^(m)[indices] @ P_m``.
-        Indices may repeat and come in any order.
+        Returns ``(planes, which)``: ``planes`` is a read-only
+        ``(D, *other mode sizes)`` array holding each distinct index's
+        hyperplane once, in ascending index order, and
+        ``planes[which[j]]`` is the hyperplane of ``indices[j]``.  The
+        core is projected through every other factor once,
+        ``P_m = G ×_{k≠m} U^(k)`` shaped ``r_m × prod_{k≠m} I_k``; the
+        D planes are then ``U^(m)[distinct] @ P_m``, at most ``I_m``
+        rows however often an index repeats, each row bit-identical to
+        the one a lone :meth:`slice` of that index computes.
         """
         t = self.tucker
         mode = self._check_mode(mode)
         rows = np.ravel(self._check_indices(mode, indices))
+        distinct, which = np.unique(rows, return_inverse=True)
         others = [size for m, size in enumerate(self.shape) if m != mode]
         with _span(
             "serving-slice", "serving", study=self.study, mode=mode,
-            batch=rows.shape[0],
+            batch=rows.shape[0], planes=distinct.shape[0],
         ):
-            projected = multi_ttm(t.core, t.factors, skip=[mode])
-            projected = np.moveaxis(projected, mode, 0).reshape(
-                projected.shape[mode], -1
-            )
-            out = (t.factors[mode][rows] @ projected).reshape(
-                rows.shape[0], *others
-            )
+            # Each step contracts the next other mode's rank (axis 1)
+            # and appends that mode's size: (r_m, I_k for k != m).
+            projected = np.moveaxis(t.core, mode, 0)
+            for m, factor in enumerate(t.factors):
+                if m != mode:
+                    projected = np.tensordot(
+                        projected, factor, axes=([1], [1])
+                    )
+            # A stack of one-row products, not one many-row GEMM: BLAS
+            # rounds the two differently, and a plane must not depend
+            # on which other hyperplanes its drain asked for.
+            planes = (
+                t.factors[mode][distinct][:, None, :]
+                @ projected.reshape(projected.shape[0], -1)
+            ).reshape(distinct.shape[0], *others)
+            planes.flags.writeable = False
             get_metrics().counter("serving.slices_evaluated").inc(
                 rows.shape[0]
             )
-            return out
+            return planes, which
+
+    def slice_batch(self, mode: int, indices) -> np.ndarray:
+        """The dense hyperplanes ``mode = i`` for every ``i`` in
+        ``indices``, stacked into a fresh ``(B, *other mode sizes)``
+        array.  Indices may repeat and come in any order; each distinct
+        one is computed once (:meth:`slice_planes`)."""
+        planes, which = self.slice_planes(mode, indices)
+        return planes[which]
 
     def slice(self, mode: int, index: int) -> np.ndarray:
         """The dense hyperplane ``mode = index`` (that mode dropped):

@@ -8,9 +8,11 @@ happens: it blocks for the first request, then greedily drains
 whatever else has already queued (up to ``max_batch``) and coalesces
 all *point* requests in the drained run into **one** batched
 core×factor-rows contraction, and the *slice* requests into one
-:meth:`~repro.serving.engine.FactorEngine.slice_batch` per sliced mode:
-the core is projected through the other factors once per mode and
-every slice on that mode is one row of a single GEMM.  Under
+:meth:`~repro.serving.engine.FactorEngine.slice_planes` per sliced
+mode: the core is projected through the other factors once per mode,
+each distinct hyperplane on that mode is computed once, and
+every request for it is answered with a read-only view of that one
+plane (requests share it; no client can alter another's answer).  Under
 concurrent clients this turns N event-loop round-trips into
 N/``max_batch`` numpy calls — the batched-vs-unbatched benchmark in
 ``BENCH_serving.json`` measures exactly this win.
@@ -353,8 +355,10 @@ class ServingServer:
     def _serve_slices(
         self, engine, slices: List[_Request], loop, metrics
     ) -> None:
-        """One :meth:`slice_batch` per sliced mode; a request that fails
-        validation gets its own error and leaves its group intact."""
+        """One :meth:`slice_planes` per sliced mode, each request
+        answered with the read-only view of its hyperplane's plane; a
+        request that fails validation gets its own error and leaves its
+        group intact."""
         groups: Dict[int, List[Tuple[_Request, int]]] = {}
         for request in slices:
             try:
@@ -365,14 +369,16 @@ class ServingServer:
                 groups.setdefault(mode, []).append((request, index))
         for mode, group in groups.items():
             try:
-                planes = engine.slice_batch(mode, [i for _r, i in group])
+                planes, which = engine.slice_planes(
+                    mode, [i for _r, i in group]
+                )
             except ReproError as exc:
                 for request, _index in group:
                     self._fail(request, exc, loop, metrics)
             else:
                 self.stats.slices += len(group)
-                for (request, _index), plane in zip(group, planes):
-                    request.value = plane
+                for (request, _index), j in zip(group, which.tolist()):
+                    request.value = planes[j]
 
     def _serve_one(self, study: str, engine, request: _Request) -> Any:
         if request.kind == "topk":

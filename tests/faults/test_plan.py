@@ -1,5 +1,8 @@
 """FaultPlan / FaultSpec: validation, serialisation, determinism."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.faults import (
@@ -175,3 +178,39 @@ class TestChance:
         )
         hits = sum(plan.chance(plan.faults[0], n) for n in range(1, 2001))
         assert 0.2 < hits / 2000 < 0.4
+
+
+DOC = Path(__file__).resolve().parents[2] / "docs" / "fault-injection.md"
+
+
+def _doc_table(heading: str):
+    """The rows of the first table under ``### <heading>`` in the
+    fault-injection guide, each as its list of cells."""
+    section = DOC.read_text().split(f"### {heading}\n", 1)[1]
+    rows = []
+    for line in section.splitlines():
+        if rows and not line.startswith("|"):
+            break
+        if line.startswith("|") and not line.startswith("|---"):
+            rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows[1:]  # drop the header row
+
+
+class TestGuide:
+    """docs/fault-injection.md lists exactly the sites and site/kind
+    pairs the plan validates, so the tables cannot drift."""
+
+    def test_sites_table_names_every_site(self):
+        documented = [re.fullmatch(r"`(.+)`", row[0]).group(1)
+                      for row in _doc_table("Sites")]
+        assert sorted(documented) == sorted(SITES)
+
+    def test_kinds_table_lists_each_kinds_valid_sites(self):
+        rows = {re.fullmatch(r"`(.+)`", row[0]).group(1): row[2]
+                for row in _doc_table("Kinds")}
+        assert sorted(rows) == sorted(KINDS)
+        for kind, cell in rows.items():
+            named = re.findall(r"`([^`]+)`", cell)
+            if named:  # "all" and prose summaries name no site
+                valid = [site for site in SITES if _allowed(site, kind)]
+                assert sorted(named) == sorted(valid), kind

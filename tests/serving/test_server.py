@@ -159,6 +159,39 @@ class TestBatching:
         assert drain.attrs["slices"] == len(slices) + 1
         assert drain.attrs["points"] == 1
 
+    def test_repeated_slices_share_one_read_only_plane(self, catalog):
+        """One drain of many slice requests over a few hyperplanes on
+        two modes computes each distinct hyperplane once; every request
+        gets a read-only view of its plane."""
+        registry = MetricsRegistry()
+        slices = [(0, i) for i in (4, 1, 4, 4, 0, 1, 4, 0)]
+        slices += [(2, i) for i in (3, 3, 1, 3, 1, 3)]
+
+        async def serve():
+            async with ServingServer(catalog) as server:
+                results = await asyncio.gather(
+                    *(server.slice("alpha", m, i) for m, i in slices)
+                )
+                return server.stats, results
+
+        with use_metrics(registry), use_tracer(Tracer()) as tracer:
+            stats, results = asyncio.run(serve())
+        assert stats.batches == 1
+        assert stats.slices == len(slices)
+        assert registry.counter("serving.slices_evaluated").value == len(
+            slices
+        )
+        groups = sorted(
+            (s.attrs["mode"], s.attrs["batch"], s.attrs["planes"])
+            for s in tracer.iter_spans() if s.name == "serving-slice"
+        )
+        assert groups == [(0, 8, 3), (2, 6, 2)]
+        engine = catalog.engine("alpha")
+        for (mode, index), plane in zip(slices, results):
+            assert np.array_equal(plane, engine.slice(mode, index))
+            with pytest.raises(ValueError):
+                plane[(0,) * plane.ndim] = 1.0
+
     def test_point_many_matches_individual(self, catalog):
         async def serve():
             async with ServingServer(catalog) as server:
