@@ -56,15 +56,18 @@ def row_select_diagnostics(study: EnsembleStudy) -> None:
     )
     u1, s1, _ = truncated_svd(x1.unfold_csr(0), RANKS[0])
     u2, s2, _ = truncated_svd(x2.unfold_csr(0), RANKS[0])
-    source = row_select_source(u1, u2)
+    source = row_select_source(u1, u2, s1, s2)
     counts = {1: int((source == 1).sum()), 2: int((source == 2).sum())}
     print(
         f"\nROW_SELECT sources per time row: sub-system 1 -> "
         f"{counts[1]} rows, sub-system 2 -> {counts[2]} rows"
     )
-    energies = np.linalg.norm(u1, axis=1), np.linalg.norm(u2, axis=1)
+    # SELECT's row energy is spectral: the row norm of U diag(s)
+    energies = (
+        np.linalg.norm(u1 * s1, axis=1), np.linalg.norm(u2 * s2, axis=1)
+    )
     print(
-        "row energies (U1 vs U2): "
+        "spectral row energies (U1 diag(s1) vs U2 diag(s2)): "
         + ", ".join(
             f"t{i}:{a:.2f}/{b:.2f}" for i, (a, b) in
             enumerate(zip(*energies))

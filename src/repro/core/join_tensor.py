@@ -10,19 +10,22 @@ its inputs:
 * :func:`materialized_core` — paper-faithful: build the (dense) join
   tensor and run the multilinear product; every zero-join and every
   join of partially observed sub-ensembles takes it;
-* :func:`lazy_core` — the closed form: when both sub-ensembles are
-  *complete* over their sub-spaces the join tensor is
-  ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2``, and the projection
-  distributes:
+* :func:`lazy_core` — the closed form: when all ``m`` sub-ensembles
+  are *complete* over their sub-spaces the join tensor is
+  ``J(p, a_1, ..., a_m) = (1/m) sum_i X_i(p, a_i)``, and the
+  projection distributes:
 
-      G = 1/2 [ (X1 proj) ⊗ colsum(U_b...) + (X2 proj) ⊗ colsum(U_a...) ]
+      G = (1/m) sum_i (X_i proj) ⊗ colsum(U of every other group)
 
   so the core is recoverable without ever materialising ``J`` —
-  ``O(|X1| + |X2|)`` data touched instead of ``O(|X1| * E2)``.
+  ``O(sum_i |X_i|)`` data touched instead of ``O(|J|)``.  For the
+  paper's two sub-systems that is
+  ``G = 1/2 [ (X1 proj) ⊗ colsum(U_b...) + (X2 proj) ⊗ colsum(U_a...) ]``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +34,7 @@ from ..exceptions import StitchError
 from ..sampling.partition import PFPartition
 from ..tensor.ops import outer
 from ..tensor.ttm import multi_ttm
+from .stitch import Partition
 
 
 def materialized_core(
@@ -41,23 +45,25 @@ def materialized_core(
 
 
 def lazy_core(
-    x1_dense: np.ndarray,
-    x2_dense: np.ndarray,
+    subs: Sequence[np.ndarray],
     factors: Sequence[np.ndarray],
-    partition: PFPartition,
+    partition: Partition,
 ) -> np.ndarray:
     """Closed-form core recovery for complete sub-ensembles.
 
     Parameters
     ----------
-    x1_dense / x2_dense:
+    subs:
         Dense sub-ensemble tensors in sub-space mode order (pivots
-        first).  Every cell must be an actual observation — the closed
-        form is exact only for full cross-product sub-ensembles.
+        first), one per ``partition.sub_shapes`` entry.  Every cell
+        must be an actual observation — the closed form is exact only
+        for full cross-product sub-ensembles.
     factors:
-        Join-order factor matrices ``(U_pivot..., U_s1free..., U_s2free...)``.
+        Join-order factor matrices (pivots, then each group's modes).
     partition:
-        The PF-partition (supplies the mode split).
+        The :class:`~repro.sampling.partition.PFPartition` or
+        :class:`~repro.core.multiway.MWPartition` (supplies the mode
+        split).
 
     Returns
     -------
@@ -66,44 +72,45 @@ def lazy_core(
         ``materialized_core(join, factors)``.
     """
     k = partition.k
-    f1 = len(partition.s1_free)
-    f2 = len(partition.s2_free)
-    if len(factors) != k + f1 + f2:
+    shapes = partition.sub_shapes
+    if len(subs) != len(shapes):
         raise StitchError(
-            f"need {k + f1 + f2} factor matrices, got {len(factors)}"
+            f"need {len(shapes)} sub-ensembles, got {len(subs)}"
         )
-    if x1_dense.shape != partition.sub_shape(1):
+    if len(factors) != partition.n_modes:
         raise StitchError(
-            f"x1 shape {x1_dense.shape} != sub-space {partition.sub_shape(1)}"
+            f"need {partition.n_modes} factor matrices, got {len(factors)}"
         )
-    if x2_dense.shape != partition.sub_shape(2):
-        raise StitchError(
-            f"x2 shape {x2_dense.shape} != sub-space {partition.sub_shape(2)}"
-        )
+    group_factors = []
+    start = k
+    for which, (sub, expected) in enumerate(zip(subs, shapes), 1):
+        if sub.shape != expected:
+            raise StitchError(
+                f"x{which} shape {sub.shape} != sub-space {expected}"
+            )
+        group_factors.append(list(factors[start : start + sub.ndim - k]))
+        start += sub.ndim - k
     pivot_factors = list(factors[:k])
-    s1_factors = list(factors[k : k + f1])
-    s2_factors = list(factors[k + f1 :])
-    # Project each sub-ensemble onto its own modes' subspaces.
-    c1 = multi_ttm(x1_dense, pivot_factors + s1_factors, transpose=True)
-    c2 = multi_ttm(x2_dense, pivot_factors + s2_factors, transpose=True)
-    # Column sums of the *other* side's factors supply the missing modes.
-    colsum1 = [u.sum(axis=0) for u in s1_factors]
-    colsum2 = [u.sum(axis=0) for u in s2_factors]
-    term1 = np.multiply.outer(
-        c1, outer(colsum2) if len(colsum2) > 1 else colsum2[0]
-    )
-    term2_raw = np.multiply.outer(
-        c2, outer(colsum1) if len(colsum1) > 1 else colsum1[0]
-    )
-    # term2's layout is (pivot..., s2..., s1...); move the s1 block in
-    # front of the s2 block to match join order (pivot..., s1..., s2...).
-    axes = (
-        list(range(k))
-        + list(range(k + f2, k + f2 + f1))
-        + list(range(k, k + f2))
-    )
-    term2 = np.transpose(term2_raw, axes)
-    return 0.5 * (term1 + term2)
+    colsums = [[u.sum(axis=0) for u in fs] for fs in group_factors]
+    terms = []
+    for side, (sub, own) in enumerate(zip(subs, group_factors)):
+        # Project each sub-ensemble onto its own modes' subspaces; the
+        # column sums of the other groups' factors supply their modes.
+        projected = multi_ttm(sub, pivot_factors + own, transpose=True)
+        others = [c for g, cs in enumerate(colsums) if g != side for c in cs]
+        term = np.multiply.outer(projected, outer(others))
+        # term's layout is (pivot..., own group..., other groups...);
+        # move each group's block to its join-order position.
+        axes = list(range(k))
+        after_own = k + len(own)
+        for g, cs in enumerate(colsums):
+            if g == side:
+                axes.extend(range(k, k + len(cs)))
+            else:
+                axes.extend(range(after_own, after_own + len(cs)))
+                after_own += len(cs)
+        terms.append(np.transpose(term, axes))
+    return functools.reduce(np.add, terms) / len(terms)
 
 
 def dense_join_from_subs(

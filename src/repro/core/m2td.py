@@ -5,8 +5,8 @@ dense ``(values, observed)`` layout per sub-ensemble
 (:func:`~repro.core.stitch.observed_layout`):
 
 1. unfold each sub-ensemble's dense layout along each of its modes;
-2. for each shared *pivot* mode, derive factor matrices from both
-   sub-tensors and combine them (this is where the variants differ:
+2. for each shared *pivot* mode, derive factor matrices from every
+   sub-tensor and combine them (this is where the variants differ:
    AVG averages, CONCAT concatenates matricizations before the SVD,
    SELECT keeps the higher-energy row per entity);
 3. for each free mode, take the factor matrix from the sub-tensor that
@@ -14,10 +14,12 @@ dense ``(values, observed)`` layout per sub-ensemble
 4. recover the core ``G = J x_1 U^(1)T ... x_N U^(N)T`` of the join
    tensor ``J``.
 
-:func:`m2td_decompose` implements the skeleton; its ``variant``
-argument picks the pivot combiner.  The inputs pick the core route:
-a join of two complete sub-ensembles has the closed form
-``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2`` and takes
+:func:`decompose_sub_ensembles` implements the skeleton for ``m >= 2``
+sub-ensembles; :func:`m2td_decompose` is the paper's two-sub-system
+form and :func:`~repro.core.multiway.m2td_multiway` the multiway one.
+The ``variant`` argument picks the pivot combiner.  The inputs pick
+the core route: a join of complete sub-ensembles has the closed form
+``J(p, a_1, ..., a_m) = mean_i X_i(p, a_i)`` and takes
 :func:`~repro.core.join_tensor.lazy_core`, which never builds ``J``;
 every other stitch materializes ``J`` first.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,13 +41,15 @@ from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
 from .evaluation import accuracy
 from .join_tensor import lazy_core, materialized_core
-from .row_select import average_factors, row_select
-from .stitch import dense_join, dense_to_original_order, observed_layout
+from .row_select import combine_pivot_factors
+from .stitch import (
+    Partition,
+    dense_join,
+    dense_to_original_order,
+    observed_layout,
+)
 
 TensorLike = Union[np.ndarray, SparseTensor]
-
-#: Pivot combiner operating on factor matrices (AVG, SELECT).
-FactorCombiner = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -57,7 +61,8 @@ class M2TDResult:
     tucker:
         The join-tensor decomposition, factors in *join* mode order.
     partition:
-        The PF-partition that produced it.
+        The partition that produced it: a :class:`PFPartition`, or an
+        ``m``-way :class:`~repro.core.multiway.MWPartition`.
     variant:
         ``"avg"``, ``"concat"`` or ``"select"``.
     join_kind:
@@ -72,7 +77,7 @@ class M2TDResult:
     """
 
     tucker: TuckerTensor
-    partition: PFPartition
+    partition: Partition
     variant: str
     join_kind: str
     join_nnz: int
@@ -111,7 +116,7 @@ def factor_pair(matrix: np.ndarray, rank: int):
 
 
 def map_ranks_to_join(
-    partition: PFPartition, ranks: Sequence[int]
+    partition: Partition, ranks: Sequence[int]
 ) -> Tuple[int, ...]:
     """Reorder per-original-mode ranks into join mode order."""
     ranks = tuple(int(r) for r in ranks)
@@ -164,59 +169,79 @@ def m2td_decompose(
     -------
     M2TDResult
     """
+    return decompose_sub_ensembles(
+        (x1, x2), partition, ranks, variant=variant, join_kind=join_kind
+    )
+
+
+def decompose_sub_ensembles(
+    subs: Sequence[TensorLike],
+    partition: Partition,
+    ranks: Sequence[int],
+    variant: str = "select",
+    join_kind: str = "join",
+) -> M2TDResult:
+    """The M2TD engine: :func:`m2td_decompose` over ``m >= 2``
+    sub-ensembles.
+
+    ``subs`` holds one sub-ensemble per ``partition.sub_shapes`` entry
+    (a :class:`PFPartition`'s two, or a
+    :class:`~repro.core.multiway.MWPartition`'s ``m``).  The pivot
+    combiner is ``m``-way; the join stores the mean of the ``m`` sides
+    where all of them observed; zero-join takes two sub-ensembles.
+    """
     if variant not in ("avg", "concat", "select"):
         raise StitchError(f"unknown M2TD variant {variant!r}")
     if join_kind not in ("join", "zero"):
         raise StitchError(f"unknown join kind {join_kind!r}")
+    shapes = partition.sub_shapes
+    if len(subs) != len(shapes):
+        raise StitchError(
+            f"need {len(shapes)} sub-ensembles, got {len(subs)}"
+        )
     started = time.perf_counter()
     # One dense layout per sub-ensemble, (values, observed) shaped
     # (pivot cells, free cells), feeds all three phases.
-    layouts = [observed_layout(x, partition, w) for w, x in ((1, x1), (2, x2))]
-    subs = []
-    for which, (values, _observed) in enumerate(layouts, 1):
+    layouts = [
+        observed_layout(x, partition, which)
+        for which, x in enumerate(subs, 1)
+    ]
+    dense_subs = []
+    for which, ((values, _observed), shape) in enumerate(
+        zip(layouts, shapes), 1
+    ):
         if not np.isfinite(values).all():
             # fail typed here, not as an untyped SVD non-convergence
             raise StitchError(f"sub-ensemble x{which} has non-finite values")
-        subs.append(values.reshape(partition.sub_shape(which)))
+        dense_subs.append(values.reshape(shape))
     join_ranks = map_ranks_to_join(partition, ranks)
     k = partition.k
-    f1 = len(partition.s1_free)
 
     # ------------------------------------------------------- phase 1
     # Factors read a stored -0.0 as the observation 0.0: LAPACK's
     # Householder reflections tell the two apart.
-    sub1, sub2 = (sub + 0.0 for sub in subs)
-    factors: List[Optional[np.ndarray]] = [None] * partition.n_modes
+    signed = [sub + 0.0 for sub in dense_subs]
+    factors: List[np.ndarray] = []
     for axis in range(k):
         with _span(
             "pivot-factor", "stitch-factor", mode=axis, variant=variant
         ):
-            m1 = unfold(sub1, axis)
-            m2 = unfold(sub2, axis)
+            unfoldings = [unfold(sub, axis) for sub in signed]
             rank = join_ranks[axis]
             if variant == "concat":
-                factors[axis] = factor_pair(np.hstack([m1, m2]), rank)[0]
+                factors.append(factor_pair(np.hstack(unfoldings), rank)[0])
             else:
-                u1, s1 = factor_pair(m1, rank)
-                u2, s2 = factor_pair(m2, rank)
-                width = min(u1.shape[1], u2.shape[1])
-                u1, u2 = u1[:, :width], u2[:, :width]
-                s1, s2 = s1[:width], s2[:width]
-                if variant == "avg":
-                    factors[axis] = average_factors(u1, u2)
-                else:
-                    factors[axis] = row_select(u1, u2, s1, s2)
+                pairs = [factor_pair(m, rank) for m in unfoldings]
+                factors.append(combine_pivot_factors(
+                    [u for u, _s in pairs], [s for _u, s in pairs], variant
+                ))
     with _span("free-factors", "decompose", variant=variant):
-        for offset in range(f1):
-            axis = k + offset
-            factors[axis] = factor_pair(
-                unfold(sub1, axis), join_ranks[axis]
-            )[0]
-        for offset in range(len(partition.s2_free)):
-            axis = k + f1 + offset
-            factors[axis] = factor_pair(
-                unfold(sub2, k + offset), join_ranks[axis]
-            )[0]
+        for sub in signed:
+            for axis in range(k, sub.ndim):
+                # len(factors) is the join axis of the next factor
+                factors.append(factor_pair(
+                    unfold(sub, axis), join_ranks[len(factors)]
+                )[0])
     sub_decompose_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------- phase 2
@@ -228,14 +253,14 @@ def m2td_decompose(
         "m2td-stitch", "stitch", join_kind=join_kind, variant=variant,
     ) as stitch_span:
         if closed_form:
-            # J(p, a, b) = (X1(p, a) + X2(p, b)) / 2 fills every cell;
-            # the core needs only X1 and X2, never J itself.
+            # J(p, a_1..a_m) = mean_i X_i(p, a_i) fills every cell; the
+            # core needs only the X_i, never J itself.
             join_nnz = int(np.prod(partition.join_shape))
         else:
-            # Broadcast the two layouts straight into the dense J and
-            # its stored-cell mask; no COO tensor.
+            # Broadcast the layouts straight into the dense J and its
+            # stored-cell mask; no COO tensor.
             join_dense, _stored, join_nnz = dense_join(
-                *layouts, partition, join_kind
+                layouts, partition, join_kind
             )
         stitch_span.set(join_nnz=join_nnz)
     stitch_seconds = time.perf_counter() - started
@@ -246,15 +271,14 @@ def m2td_decompose(
         "m2td-core", "decompose", variant=variant,
         core_route="closed-form" if closed_form else "materialized",
     ):
-        factor_list = [np.asarray(f) for f in factors]
         if closed_form:
-            core = lazy_core(*subs, factor_list, partition)
+            core = lazy_core(dense_subs, factors, partition)
         else:
-            core = materialized_core(join_dense, factor_list)
+            core = materialized_core(join_dense, factors)
     core_seconds = time.perf_counter() - started
 
     return M2TDResult(
-        tucker=TuckerTensor(core, factor_list),
+        tucker=TuckerTensor(core, factors),
         partition=partition,
         variant=variant,
         join_kind=join_kind,

@@ -13,32 +13,28 @@ implements the generalization as an extension experiment:
   (larger ``m``) buys exponentially more effective density per cell,
   at the price of more frozen parameters per sub-system;
 * M2TD extends mode-wise: the pivot factor matrices of all ``m``
-  sub-decompositions are combined (average, or row-wise energy
-  selection over ``m`` candidates), each group's factor comes from its
-  own sub-tensor, and the core is recovered against the multiway join
-  tensor ``J(p, a_1, ..., a_m) = mean_i X_i(p, a_i)``.
+  sub-decompositions are combined (average, concatenation, or
+  row-wise energy selection over ``m`` candidates), each group's
+  factor comes from its own sub-tensor, and the core is recovered
+  against the multiway join tensor
+  ``J(p, a_1, ..., a_m) = mean_i X_i(p, a_i)``.
 
-For ``m = 2`` everything here agrees with the two-way path (tests
-assert it).
+:func:`m2td_multiway` is the same engine as the two-way path
+(:func:`~repro.core.m2td.decompose_sub_ensembles`); for ``m = 2`` it
+returns :func:`~repro.core.m2td.m2td_decompose`'s result bit for bit.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..exceptions import PartitionError, StitchError
+from ..exceptions import PartitionError
 from ..sampling.partition import PFPartition
 from ..simulation.parameter_space import ParameterSpace
-from ..tensor.svd import truncated_svd, leading_left_singular_vectors
-from ..tensor.ttm import multi_ttm
-from ..tensor.tucker import TuckerTensor
-from ..tensor.unfold import unfold
-from .evaluation import accuracy
-from .row_select import align_columns
+from .m2td import M2TDResult, TensorLike, decompose_sub_ensembles
 
 
 @dataclass(frozen=True)
@@ -113,10 +109,19 @@ class MWPartition:
         return tuple(self.shape[m] for m in self.sub_modes(index))
 
     @property
+    def sub_shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every sub-system's :meth:`sub_shape`, in group order."""
+        return tuple(self.sub_shape(index) for index in range(self.m))
+
+    @property
     def join_modes(self) -> Tuple[int, ...]:
         return self.pivot_modes + tuple(
             m for g in self.free_groups for m in g
         )
+
+    @property
+    def join_shape(self) -> Tuple[int, ...]:
+        return tuple(self.shape[m] for m in self.join_modes)
 
     @property
     def join_to_original(self) -> Tuple[int, ...]:
@@ -202,195 +207,33 @@ class MWPartition:
         )
 
 
-def multiway_join_dense(
-    subs: Sequence[np.ndarray], partition: MWPartition
-) -> np.ndarray:
-    """Dense multiway join: ``J(p, a_1..a_m) = mean_i X_i(p, a_i)``.
-
-    Requires complete (dense) sub-tensors in sub-mode order.
-    """
-    if len(subs) != partition.m:
-        raise StitchError(
-            f"need {partition.m} sub-tensors, got {len(subs)}"
-        )
-    k = partition.k
-    pivot_shape = tuple(partition.shape[m] for m in partition.pivot_modes)
-    group_shapes = [
-        tuple(partition.shape[m] for m in g) for g in partition.free_groups
-    ]
-    total = None
-    for index, sub in enumerate(subs):
-        sub = np.asarray(sub, dtype=np.float64)
-        expected = partition.sub_shape(index)
-        if sub.shape != expected:
-            raise StitchError(
-                f"sub-tensor {index} has shape {sub.shape}, expected "
-                f"{expected}"
-            )
-        # reshape to broadcast over the other groups' axes
-        new_shape = list(pivot_shape)
-        for g_index, g_shape in enumerate(group_shapes):
-            if g_index == index:
-                new_shape.extend(g_shape)
-            else:
-                new_shape.extend([1] * len(g_shape))
-        term = sub.reshape(new_shape)
-        total = term if total is None else total + term
-    return total / partition.m
-
-
-def _combine_pivot_factors(
-    factor_list: List[np.ndarray],
-    sval_list: List[np.ndarray],
-    variant: str,
-) -> np.ndarray:
-    """Combine ``m`` pivot-mode factor matrices.
-
-    ``avg`` averages all (sign-aligned to the first); ``select`` takes
-    each row from the sub-decomposition with the largest spectral row
-    energy.
-    """
-    reference = factor_list[0]
-    aligned = [reference] + [
-        align_columns(reference, u) for u in factor_list[1:]
-    ]
-    if variant == "avg":
-        return np.mean(aligned, axis=0)
-    energies = np.stack(
-        [
-            np.linalg.norm(u * s[None, :], axis=1)
-            for u, s in zip(aligned, sval_list)
-        ]
-    )  # (m, rows)
-    winners = energies.argmax(axis=0)
-    rows = np.arange(reference.shape[0])
-    stacked = np.stack(aligned)  # (m, rows, cols)
-    return stacked[winners, rows, :]
-
-
-@dataclass
-class MultiwayResult:
-    """Outcome of a multiway M2TD decomposition."""
-
-    tucker: TuckerTensor
-    partition: MWPartition
-    variant: str
-    phase_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def reconstruct_original(self) -> np.ndarray:
-        return np.transpose(
-            self.tucker.reconstruct(), self.partition.join_to_original
-        )
-
-    def accuracy(self, truth: np.ndarray) -> float:
-        return accuracy(
-            self.reconstruct_original(), truth, invalid_truth=StitchError
-        )
-
-
 def m2td_multiway(
-    subs: Sequence[np.ndarray],
+    subs: Sequence[TensorLike],
     partition: MWPartition,
     ranks: Sequence[int],
     variant: str = "select",
-) -> MultiwayResult:
-    """M2TD over ``m`` complete sub-ensembles.
+) -> M2TDResult:
+    """M2TD over ``m`` sub-ensembles, joined (Section V-C1).
 
     Parameters
     ----------
     subs:
-        Dense sub-tensors, one per group, in sub-mode order (pivots
-        first).
+        Sub-tensors, one per group, in sub-mode order (pivots first) —
+        dense arrays or :class:`~repro.tensor.sparse.SparseTensor`.
     partition:
         The multiway partition.
     ranks:
         Target rank per original mode (clipped per matricization).
     variant:
-        ``"avg"`` or ``"select"`` (CONCAT would need all
-        matricizations concatenated; supported via ``"concat"``).
+        ``"avg"``, ``"concat"`` or ``"select"``.
     """
-    if variant not in ("avg", "concat", "select"):
-        raise StitchError(f"unknown multiway variant {variant!r}")
-    ranks = tuple(int(r) for r in ranks)
-    if len(ranks) != partition.n_modes:
-        raise StitchError(
-            f"need one rank per mode ({partition.n_modes}), got {len(ranks)}"
-        )
-    dense_subs = [np.asarray(s, dtype=np.float64) for s in subs]
-    k = partition.k
-
-    started = time.perf_counter()
-    factors: List[np.ndarray] = []
-    # pivot modes: combine over all sub-decompositions
-    for axis in range(k):
-        rank = ranks[partition.join_modes[axis]]
-        if variant == "concat":
-            combined = np.hstack(
-                [unfold(sub, axis) for sub in dense_subs]
-            )
-            clipped = max(1, min(rank, min(combined.shape)))
-            factors.append(
-                leading_left_singular_vectors(combined, clipped)
-            )
-            continue
-        factor_list, sval_list = [], []
-        for sub in dense_subs:
-            matricized = unfold(sub, axis)
-            clipped = max(1, min(rank, min(matricized.shape)))
-            u, s, _vt = truncated_svd(matricized, clipped)
-            factor_list.append(u)
-            sval_list.append(s)
-        width = min(u.shape[1] for u in factor_list)
-        factor_list = [u[:, :width] for u in factor_list]
-        sval_list = [s[:width] for s in sval_list]
-        factors.append(
-            _combine_pivot_factors(factor_list, sval_list, variant)
-        )
-    # group modes: from their own sub-tensor
-    for index, group in enumerate(partition.free_groups):
-        sub = dense_subs[index]
-        for offset in range(len(group)):
-            axis = k + offset
-            rank = ranks[group[offset]]
-            matricized = unfold(sub, axis)
-            clipped = max(1, min(rank, min(matricized.shape)))
-            factors.append(
-                leading_left_singular_vectors(matricized, clipped)
-            )
-    sub_decompose_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    joined = multiway_join_dense(dense_subs, partition)
-    stitch_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    core = multi_ttm(joined, factors, transpose=True)
-    core_seconds = time.perf_counter() - started
-
-    return MultiwayResult(
-        tucker=TuckerTensor(core, factors),
-        partition=partition,
-        variant=variant,
-        phase_seconds={
-            "sub_decompose": sub_decompose_seconds,
-            "stitch": stitch_seconds,
-            "core": core_seconds,
-        },
-    )
+    return decompose_sub_ensembles(subs, partition, ranks, variant=variant)
 
 
 def multiway_budget_cells(partition: MWPartition) -> int:
     """Cells consumed by complete multiway sub-ensembles:
     ``P * sum_i E_i``."""
-    pivot_cells = int(
-        np.prod([partition.shape[m] for m in partition.pivot_modes])
-    )
-    return pivot_cells * int(
-        sum(
-            np.prod([partition.shape[m] for m in g])
-            for g in partition.free_groups
-        )
-    )
+    return int(sum(np.prod(shape) for shape in partition.sub_shapes))
 
 
 def multiway_study(
@@ -398,7 +241,7 @@ def multiway_study(
     partition: MWPartition,
     ranks: Sequence[int],
     variant: str = "select",
-) -> Tuple[MultiwayResult, int]:
+) -> Tuple[M2TDResult, int]:
     """Run the full multiway pipeline against a ground-truth tensor.
 
     Sub-ensembles are the *complete* sub-spaces (the analogue of

@@ -1,13 +1,18 @@
 """ROW_SELECT (paper Algorithm 5) and the factor combiners used for
 pivot modes by the three M2TD variants.
 
-Each combiner answers the same question: given the two factor matrices
-``U1`` and ``U2`` that sub-systems 1 and 2 independently derived for a
-*shared* pivot mode, produce the single factor matrix the join-tensor
-decomposition will use for that mode.
+Each combiner answers the same question: given the factor matrices
+that the sub-systems independently derived for a *shared* pivot mode,
+produce the single factor matrix the join-tensor decomposition will
+use for that mode.  :func:`combine_pivot_factors` answers it for any
+number of sub-systems; :func:`average_factors` and :func:`row_select`
+are its two-sided forms.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -43,15 +48,78 @@ def align_columns(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return u2
 
 
+def _aligned(factors: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Every factor matrix sign-aligned to the first."""
+    reference = np.asarray(factors[0], dtype=np.float64)
+    return [reference] + [align_columns(reference, u) for u in factors[1:]]
+
+
+def _winners(
+    aligned: Sequence[np.ndarray],
+    singular_values: Optional[Sequence[np.ndarray]] = None,
+) -> np.ndarray:
+    """SELECT's winner rule: per row, the index of the side with the
+    largest row energy; a tie goes to the lowest side."""
+    if singular_values is None:
+        weighted = aligned
+    else:
+        svals = [
+            np.asarray(s, dtype=np.float64).ravel() for s in singular_values
+        ]
+        if any(s.shape[0] != u.shape[1] for u, s in zip(aligned, svals)):
+            raise ShapeError(
+                "singular value vectors must match factor column counts"
+            )
+        weighted = [u * s[None, :] for u, s in zip(aligned, svals)]
+    energies = np.stack([np.linalg.norm(w, axis=1) for w in weighted])
+    return energies.argmax(axis=0)
+
+
+def _mean(aligned: Sequence[np.ndarray]) -> np.ndarray:
+    return functools.reduce(np.add, aligned) / len(aligned)
+
+
+def _select(
+    aligned: Sequence[np.ndarray],
+    singular_values: Optional[Sequence[np.ndarray]],
+) -> np.ndarray:
+    winners = _winners(aligned, singular_values)
+    return np.stack(aligned)[winners, np.arange(winners.shape[0])]
+
+
+def combine_pivot_factors(
+    factors: Sequence[np.ndarray],
+    singular_values: Sequence[np.ndarray],
+    variant: str,
+) -> np.ndarray:
+    """AVG's or SELECT's factor matrix for one pivot mode.
+
+    ``factors`` holds the ``m >= 2`` sides' factor matrices of that
+    mode, ``singular_values`` their singular values.  Every side is
+    clipped to the narrowest width and sign-aligned to the first; AVG
+    takes the mean, SELECT each row from the side of largest spectral
+    row energy (:func:`row_select`).
+    """
+    width = min(u.shape[1] for u in factors)
+    aligned = _aligned([u[:, :width] for u in factors])
+    if variant == "avg":
+        return _mean(aligned)
+    return _select(aligned, [s[:width] for s in singular_values])
+
+
 def average_factors(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
     """M2TD-AVG's combiner: the element-wise average (Figure 10(a)).
 
     The average of two orthonormal bases is generally not orthonormal —
     the weakness M2TD-CONCAT and M2TD-SELECT each address differently.
     """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = align_columns(u1, u2)
-    return 0.5 * (u1 + u2)
+    return _mean(_aligned([u1, u2]))
+
+
+def _pair_svals(singular_values1, singular_values2):
+    if singular_values1 is None or singular_values2 is None:
+        return None
+    return [singular_values1, singular_values2]
 
 
 def row_select(
@@ -75,33 +143,22 @@ def row_select(
     expresses the entity.  The selected rows themselves are always
     copied from the orthonormal matrices.
     """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = align_columns(u1, u2)
-    if singular_values1 is not None and singular_values2 is not None:
-        s1 = np.asarray(singular_values1, dtype=np.float64).ravel()
-        s2 = np.asarray(singular_values2, dtype=np.float64).ravel()
-        if s1.shape[0] != u1.shape[1] or s2.shape[0] != u2.shape[1]:
-            raise ShapeError(
-                "singular value vectors must match factor column counts"
-            )
-        energy1 = np.linalg.norm(u1 * s1[None, :], axis=1)
-        energy2 = np.linalg.norm(u2 * s2[None, :], axis=1)
-    else:
-        energy1 = np.linalg.norm(u1, axis=1)
-        energy2 = np.linalg.norm(u2, axis=1)
-    take_first = energy1 >= energy2
-    return np.where(take_first[:, None], u1, u2)
+    return _select(
+        _aligned([u1, u2]), _pair_svals(singular_values1, singular_values2)
+    )
 
 
-def row_select_source(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def row_select_source(
+    u1: np.ndarray,
+    u2: np.ndarray,
+    singular_values1: np.ndarray = None,
+    singular_values2: np.ndarray = None,
+) -> np.ndarray:
     """Which sub-system each row was taken from (1 or 2).
 
     Diagnostic companion to :func:`row_select`, used by tests and the
-    pivot-choice analysis.
+    pivot-choice analysis: given the same arguments, it labels exactly
+    the rows :func:`row_select` keeps.
     """
-    u1 = np.asarray(u1, dtype=np.float64)
-    u2 = np.asarray(u2, dtype=np.float64)
-    _check_pair(u1, u2)
-    energy1 = np.linalg.norm(u1, axis=1)
-    energy2 = np.linalg.norm(u2, axis=1)
-    return np.where(energy1 >= energy2, 1, 2)
+    svals = _pair_svals(singular_values1, singular_values2)
+    return _winners(_aligned([u1, u2]), svals) + 1

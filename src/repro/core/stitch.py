@@ -26,6 +26,12 @@ broadcasting over ``(pivot, a, b)``:
   ``x2`` is ``0.0``), ``x2 / 2`` where only ``X2`` did, ``0.0`` where
   nothing is stored.
 
+The join extends to the ``m`` sub-ensembles of a multiway partition
+(:class:`~repro.core.multiway.MWPartition`): the ``m`` layouts
+broadcast over ``(pivot, a_1, ..., a_m)``, a cell is stored where every
+mask is set, and it holds the mean of the ``m`` values.  Zero-join
+stays two-way.
+
 A dense layout holds one value per cell, so the stitch cannot emit
 duplicate cells; duplicate input coordinates are already averaged by
 :class:`~repro.tensor.sparse.SparseTensor`.  :func:`join_tensor` and
@@ -34,30 +40,42 @@ duplicate cells; duplicate input coordinates are already averaged by
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+import functools
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import StitchError
+from ..exceptions import PartitionError, StitchError
 from ..observability import get_metrics, span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .multiway import MWPartition
+
 TensorLike = Union[np.ndarray, SparseTensor]
+#: A two-way PF-partition or an ``m``-way one.
+Partition = Union[PFPartition, "MWPartition"]
 
 _SPAN_NAMES = {"join": "join-tensor", "zero": "zero-join-tensor"}
 
 
 def observed_layout(
-    tensor: TensorLike, partition: PFPartition, which: int
+    tensor: TensorLike, partition: Partition, which: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(values, observed)``, each shaped ``(pivot cells, free cells)``.
 
-    Unobserved cells hold ``0.0``; a dense input is observed everywhere.
+    ``which`` numbers the sub-systems from 1, in
+    ``partition.sub_shapes`` order.  Unobserved cells hold ``0.0``; a
+    dense input is observed everywhere.
     :func:`~repro.core.m2td.m2td_decompose` builds one per sub-ensemble
     and feeds it to the factors, the stitch and the closed-form core.
     """
-    expected = partition.sub_shape(which)
+    if not 1 <= which <= len(partition.sub_shapes):
+        raise PartitionError(
+            f"sub-system must be 1..{len(partition.sub_shapes)}, got {which}"
+        )
+    expected = partition.sub_shapes[which - 1]
     sparse = isinstance(tensor, SparseTensor)
     if not sparse:
         tensor = np.asarray(tensor, dtype=np.float64)
@@ -66,7 +84,8 @@ def observed_layout(
             f"sub-ensemble {which} has shape {tensor.shape}, partition "
             f"expects {expected}"
         )
-    layout = (partition.pivot_space_size, partition.free_space_size(which))
+    k = partition.k
+    layout = (int(np.prod(expected[:k])), int(np.prod(expected[k:])))
     if not sparse:
         return tensor.reshape(layout), np.ones(layout, dtype=bool)
     flat = np.ravel_multi_index(tuple(tensor.coords.T), expected)
@@ -78,21 +97,22 @@ def observed_layout(
 
 
 def dense_join(
-    layout1: Tuple[np.ndarray, np.ndarray],
-    layout2: Tuple[np.ndarray, np.ndarray],
-    partition: PFPartition,
+    layouts: Sequence[Tuple[np.ndarray, np.ndarray]],
+    partition: Partition,
     kind: str,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Stitch two sub-ensembles into the dense join tensor.
+    """Stitch ``m`` sub-ensembles into the dense join tensor.
 
     Parameters
     ----------
-    layout1, layout2:
-        Each sub-ensemble's :func:`observed_layout`.
+    layouts:
+        Each sub-ensemble's :func:`observed_layout`, in
+        ``partition.sub_shapes`` order.
     partition:
-        The PF-partition relating them to the full space.
+        The partition relating them to the full space.
     kind:
-        ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2).
+        ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2, two
+        sub-ensembles only).
 
     Returns
     -------
@@ -103,21 +123,36 @@ def dense_join(
     """
     if kind not in _SPAN_NAMES:
         raise StitchError(f"unknown join kind {kind!r}")
+    m = len(layouts)
+    if m != len(partition.sub_shapes):
+        raise StitchError(
+            f"need {len(partition.sub_shapes)} sub-ensembles, got {m}"
+        )
+    if kind == "zero" and m > 2:
+        raise StitchError(f"zero-join stitches two sub-ensembles, got {m}")
     with _span(
         _SPAN_NAMES[kind], "stitch", join_shape=partition.join_shape
     ) as sp:
-        (v1, m1), (v2, m2) = layout1, layout2
-        sp.set(
-            nnz1=int(np.count_nonzero(m1)), nnz2=int(np.count_nonzero(m2))
-        )
-        # broadcast over (pivot, a, b)
-        m1, v1 = m1[:, :, None], v1[:, :, None]
-        m2, v2 = m2[:, None, :], v2[:, None, :]
-        dense = v1 + v2
-        dense *= 0.5
+        sp.set(**{
+            f"nnz{which}": int(np.count_nonzero(observed))
+            for which, (_values, observed) in enumerate(layouts, 1)
+        })
+
+        def spread(array, side):
+            # side's free cells on axis 1 + side of (pivot, a_1..a_m)
+            return array.reshape(
+                array.shape[:1] + (1,) * side + array.shape[1:]
+                + (1,) * (m - 1 - side)
+            )
+
+        values = [spread(v, side) for side, (v, _o) in enumerate(layouts)]
+        masks = [spread(o, side) for side, (_v, o) in enumerate(layouts)]
+        dense = functools.reduce(np.add, values)
+        dense /= m
         if kind == "join":
-            stored = m1 & m2
+            stored = functools.reduce(np.logical_and, masks)
         else:
+            (m1, m2), (_v1, v2) = masks, values
             cand1 = m1.any(axis=0, keepdims=True)
             cand2 = m2.any(axis=0, keepdims=True)
             stored = (m1 & cand2) | (m2 & cand1)
@@ -139,7 +174,7 @@ def _sparse_view(
     x1: TensorLike, x2: TensorLike, partition: PFPartition, kind: str
 ) -> SparseTensor:
     layouts = [observed_layout(x, partition, w) for w, x in ((1, x1), (2, x2))]
-    dense, stored, _nnz = dense_join(*layouts, partition, kind)
+    dense, stored, _nnz = dense_join(layouts, partition, kind)
     return SparseTensor(
         partition.join_shape, np.argwhere(stored), dense[stored]
     )

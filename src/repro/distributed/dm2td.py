@@ -15,7 +15,7 @@ is intentionally rejected here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
 from ..tensor.tucker import TuckerTensor
 from ..core.m2td import M2TDResult, map_ranks_to_join
-from ..core.row_select import average_factors, row_select
+from ..core.row_select import combine_pivot_factors
 from .cluster import ClusterModel
 from .mapreduce import JobStats, LocalMapReduceEngine
 from .phases import (
@@ -110,30 +110,17 @@ def dm2td_task_graph(
 
     def _combine_pivots(phase1_out):
         out1, _stats1 = phase1_out
-        factors_by_side: Dict[int, Dict[int, np.ndarray]] = {1: {}, 2: {}}
-        svals_by_side: Dict[int, Dict[int, np.ndarray]] = {1: {}, 2: {}}
+        by_side: Dict[int, Dict[int, tuple]] = {1: {}, 2: {}}
         for _key, (kappa, mode, u, s) in out1:
-            factors_by_side[kappa][mode] = u
-            svals_by_side[kappa][mode] = s
-        pivot_factors: List[np.ndarray] = []
+            by_side[kappa][mode] = u, s
+        pivot_factors = []
         for mode in range(k):
-            u1 = factors_by_side[1][mode]
-            u2 = factors_by_side[2][mode]
-            width = min(u1.shape[1], u2.shape[1])
-            u1, u2 = u1[:, :width], u2[:, :width]
-            if variant == "avg":
-                pivot_factors.append(average_factors(u1, u2))
-            else:
-                pivot_factors.append(
-                    row_select(
-                        u1,
-                        u2,
-                        svals_by_side[1][mode][:width],
-                        svals_by_side[2][mode][:width],
-                    )
-                )
-        s1_factors = [factors_by_side[1][k + i] for i in range(f1)]
-        s2_factors = [factors_by_side[2][k + i] for i in range(f2)]
+            (u1, s1), (u2, s2) = by_side[1][mode], by_side[2][mode]
+            pivot_factors.append(
+                combine_pivot_factors([u1, u2], [s1, s2], variant)
+            )
+        s1_factors = [by_side[1][k + i][0] for i in range(f1)]
+        s2_factors = [by_side[2][k + i][0] for i in range(f2)]
         return pivot_factors, s1_factors, s2_factors
 
     def run_phase2():

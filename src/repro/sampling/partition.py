@@ -115,6 +115,11 @@ class PFPartition:
     def pivot_shape(self) -> Tuple[int, ...]:
         return tuple(self.shape[m] for m in self.pivot_modes)
 
+    @property
+    def sub_shapes(self) -> Tuple[Tuple[int, ...], ...]:
+        """Each sub-system's :meth:`sub_shape`, sub-system 1 first."""
+        return (self.sub_shape(1), self.sub_shape(2))
+
     def free_shape(self, which: int) -> Tuple[int, ...]:
         free = self.s1_free if which == 1 else self.s2_free
         return tuple(self.shape[m] for m in free)

@@ -49,7 +49,7 @@ class TestLazyCore:
         x1, x2, factors = random_setup(rng, part)
         joined = dense_join_from_subs(x1, x2, part)
         direct = materialized_core(joined, factors)
-        lazy = lazy_core(x1, x2, factors, part)
+        lazy = lazy_core([x1, x2], factors, part)
         assert np.allclose(direct, lazy)
 
     def test_multi_pivot(self, rng):
@@ -62,18 +62,18 @@ class TestLazyCore:
         joined = dense_join_from_subs(x1, x2, part)
         assert np.allclose(
             materialized_core(joined, factors),
-            lazy_core(x1, x2, factors, part),
+            lazy_core([x1, x2], factors, part),
         )
 
     def test_rejects_wrong_factor_count(self, rng):
         part = partition()
         x1, x2, factors = random_setup(rng, part)
         with pytest.raises(StitchError):
-            lazy_core(x1, x2, factors[:-1], part)
+            lazy_core([x1, x2], factors[:-1], part)
 
     def test_rejects_wrong_sub_shape(self, rng):
         part = partition()
         x1, x2, factors = random_setup(rng, part)
         with pytest.raises(StitchError):
-            lazy_core(x1[:-1], x2, factors, part)
+            lazy_core([x1[:-1], x2], factors, part)
 

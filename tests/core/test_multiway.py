@@ -1,17 +1,24 @@
 """Multiway partition-stitch (extension beyond the paper's m = 2)."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.join_tensor import dense_join_from_subs, materialized_core
+from repro.core.m2td import decompose_sub_ensembles, m2td_decompose
 from repro.core.multiway import (
     MWPartition,
     m2td_multiway,
     multiway_budget_cells,
-    multiway_join_dense,
     multiway_study,
 )
-from repro.exceptions import PartitionError, ShapeError, StitchError
+from repro.core.stitch import dense_join, observed_layout
+from repro.exceptions import PartitionError, RankError, ShapeError, StitchError
 from repro.simulation import DoublePendulum, ParameterSpace
+from repro.tensor import SparseTensor
 
 SHAPE = (4, 4, 4, 4, 4)
 
@@ -22,6 +29,15 @@ def partition_2way():
 
 def partition_4way():
     return MWPartition(SHAPE, (4,), ((0,), (1,), (2,), (3,)))
+
+
+def layouts(subs, part):
+    return [observed_layout(x, part, which) for which, x in enumerate(subs, 1)]
+
+
+def multiway_join_dense(subs, part):
+    """The m-way :func:`dense_join` of complete sub-ensembles."""
+    return dense_join(layouts(subs, part), part, "join")[0]
 
 
 class TestMWPartition:
@@ -93,8 +109,6 @@ class TestMultiwayJoin:
         assert joined[2, 1, 0, 3, 2] == pytest.approx(expected)
 
     def test_m2_matches_pairwise_join(self, rng):
-        from repro.core.join_tensor import dense_join_from_subs
-
         part = partition_2way()
         x1 = rng.standard_normal(part.sub_shape(0))
         x2 = rng.standard_normal(part.sub_shape(1))
@@ -107,22 +121,77 @@ class TestMultiwayJoin:
         with pytest.raises(StitchError):
             multiway_join_dense([rng.standard_normal((4, 4))], part)
 
+    def test_zero_join_needs_two_sides(self, rng):
+        part = partition_4way()
+        subs = [rng.standard_normal(part.sub_shape(i)) for i in range(4)]
+        with pytest.raises(StitchError, match="zero-join"):
+            dense_join(layouts(subs, part), part, "zero")
+        with pytest.raises(StitchError, match="zero-join"):
+            decompose_sub_ensembles(subs, part, [2] * 5, join_kind="zero")
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.1, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_partial_three_way_join_matches_per_cell_loop(
+        self, seed, density
+    ):
+        rng = np.random.default_rng(seed)
+        part = MWPartition((3, 2, 3, 2), (3,), ((0,), (1,), (2,)))
+        subs = []
+        for index in range(3):
+            dense = rng.standard_normal(part.sub_shape(index))
+            observed = rng.random(dense.shape) < density
+            subs.append(SparseTensor(
+                dense.shape, np.argwhere(observed), dense[observed]
+            ))
+        joined, stored, nnz = dense_join(layouts(subs, part), part, "join")
+        cells = [
+            {tuple(c): v for c, v in zip(sub.coords, sub.values)}
+            for sub in subs
+        ]
+        expected = np.zeros(part.join_shape)
+        expected_stored = np.zeros(part.join_shape, dtype=bool)
+        for cell in itertools.product(*map(range, part.join_shape)):
+            pivot, free = cell[:1], cell[1:]
+            keys = [pivot + (a,) for a in free]
+            if all(key in side for key, side in zip(keys, cells)):
+                expected[cell] = sum(
+                    side[key] for key, side in zip(keys, cells)
+                ) / 3
+                expected_stored[cell] = True
+        assert np.array_equal(stored, expected_stored)
+        assert nnz == int(expected_stored.sum())
+        assert np.allclose(joined, expected, rtol=1e-15, atol=0)
+
 
 class TestM2tdMultiway:
-    def test_m2_matches_two_way_engine(self, rng):
-        from repro.core.m2td import m2td_decompose
-
+    @pytest.mark.parametrize("variant", ["avg", "concat", "select"])
+    def test_m2_matches_two_way_engine(self, rng, variant):
         part = partition_2way()
         x1 = rng.standard_normal(part.sub_shape(0)) + 2
         x2 = rng.standard_normal(part.sub_shape(1)) + 2
         ranks = [2] * 5
-        multiway = m2td_multiway([x1, x2], part, ranks, variant="select")
+        multiway = m2td_multiway([x1, x2], part, ranks, variant=variant)
         two_way = m2td_decompose(
-            x1, x2, part.as_pf_partition(), ranks, variant="select"
+            x1, x2, part.as_pf_partition(), ranks, variant=variant
         )
-        assert np.allclose(
-            multiway.tucker.core, two_way.tucker.core, atol=1e-10
+        assert np.array_equal(multiway.tucker.core, two_way.tucker.core)
+        assert len(multiway.tucker.factors) == len(two_way.tucker.factors)
+        for got, want in zip(multiway.tucker.factors, two_way.tucker.factors):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", ["avg", "concat", "select"])
+    def test_closed_form_core_matches_materialized(self, rng, variant):
+        part = partition_4way()
+        subs = [rng.standard_normal(part.sub_shape(i)) + 2 for i in range(4)]
+        result = m2td_multiway(subs, part, [2] * 5, variant=variant)
+        reference = materialized_core(
+            multiway_join_dense(subs, part), result.tucker.factors
         )
+        error = np.linalg.norm(result.tucker.core - reference)
+        assert error <= 1e-12 * np.linalg.norm(reference)
 
     @pytest.mark.parametrize("variant", ["avg", "concat", "select"])
     def test_four_way_runs(self, rng, variant):
@@ -141,8 +210,14 @@ class TestM2tdMultiway:
     def test_rejects_bad_ranks(self, rng):
         part = partition_2way()
         subs = [rng.standard_normal(part.sub_shape(i)) for i in range(2)]
-        with pytest.raises(StitchError):
+        with pytest.raises(RankError):
             m2td_multiway(subs, part, [2] * 3)
+
+    def test_rejects_non_positive_ranks(self, rng):
+        part = partition_2way()
+        subs = [rng.standard_normal(part.sub_shape(i)) for i in range(2)]
+        with pytest.raises(RankError):
+            m2td_multiway(subs, part, [0, -3, 2, 2, 2])
 
 
 class TestMultiwayStudy:

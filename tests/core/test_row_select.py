@@ -113,3 +113,27 @@ class TestRowSelectSource:
         u1 = np.array([[2.0, 0.0], [0.1, 0.0]])
         u2 = np.array([[0.5, 0.0], [1.0, 0.0]])
         assert row_select_source(u1, u2).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("spectral", [False, True])
+    def test_labels_match_the_rows_row_select_keeps(self, rng, spectral):
+        u1 = rng.standard_normal((40, 3))
+        u2 = rng.standard_normal((40, 3))
+        svals = (
+            (rng.uniform(1, 10, 3), rng.uniform(1, 10, 3))
+            if spectral else ()
+        )
+        selected = row_select(u1, u2, *svals)
+        source = row_select_source(u1, u2, *svals)
+        aligned = align_columns(u1, u2)
+        assert set(source.tolist()) == {1, 2}
+        for row, side in enumerate(source):
+            kept = u1[row] if side == 1 else aligned[row]
+            assert np.array_equal(selected[row], kept)
+
+    def test_spectral_labels_differ_from_leverage(self):
+        # Side 2 has the larger row norms, side 1 the larger spectrum.
+        u1 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        u2 = 2 * u1
+        s1, s2 = np.array([10.0, 10.0]), np.array([1.0, 1.0])
+        assert row_select_source(u1, u2).tolist() == [2, 2]
+        assert row_select_source(u1, u2, s1, s2).tolist() == [1, 1]

@@ -200,7 +200,9 @@ def reference_join(x1, x2, part, kind):
 def stitch(x1, x2, part, kind):
     """:func:`dense_join` of two sub-ensembles' layouts."""
     return dense_join(
-        observed_layout(x1, part, 1), observed_layout(x2, part, 2), part, kind
+        [observed_layout(x1, part, 1), observed_layout(x2, part, 2)],
+        part,
+        kind,
     )
 
 

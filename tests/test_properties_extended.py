@@ -1,76 +1,27 @@
-"""Property-based tests for the extension modules: incremental SVD,
-multiway stitching, LHS sampling, and blocked storage."""
+"""Property-based tests for the extension modules: multiway
+stitching, LHS sampling, and blocked storage."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from repro.core.multiway import MWPartition, multiway_join_dense
+from repro.core.multiway import MWPartition
+from repro.core.stitch import dense_join, observed_layout
 from repro.sampling import LatinHypercubeSampler
 from repro.storage import BlockedLayout, assemble_from_blocks, split_into_blocks
 from repro.tensor import SparseTensor
-from repro.tensor.incremental_svd import append_cols, append_rows, exact_svd
 
 from .generators import random_sparse
 
 
-def matrices(max_dim=10):
-    return st.tuples(
-        st.integers(2, max_dim), st.integers(2, max_dim)
-    ).flatmap(
-        lambda shape: hnp.arrays(
-            np.float64, shape, elements=st.floats(-5, 5, allow_nan=False)
-        )
-    )
-
-
-class TestIncrementalSvdProperties:
-    @given(matrix=matrices(), data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_row_append_exact_at_full_rank(self, matrix, data):
-        n_new = data.draw(st.integers(1, 3))
-        rows = data.draw(
-            hnp.arrays(
-                np.float64,
-                (n_new, matrix.shape[1]),
-                elements=st.floats(-5, 5, allow_nan=False),
-            )
-        )
-        full_rank = min(matrix.shape)
-        u, s, vt = exact_svd(matrix, full_rank)
-        target_rank = min(matrix.shape[0] + n_new, matrix.shape[1])
-        u2, s2, vt2 = append_rows(u, s, vt, rows, rank=target_rank)
-        full = np.vstack([matrix, rows])
-        assert np.allclose((u2 * s2) @ vt2, full, atol=1e-6)
-
-    @given(matrix=matrices(), data=st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_col_append_singular_values_match_batch(self, matrix, data):
-        n_new = data.draw(st.integers(1, 3))
-        cols = data.draw(
-            hnp.arrays(
-                np.float64,
-                (matrix.shape[0], n_new),
-                elements=st.floats(-5, 5, allow_nan=False),
-            )
-        )
-        full_rank = min(matrix.shape)
-        u, s, vt = exact_svd(matrix, full_rank)
-        _u2, s2, _vt2 = append_cols(u, s, vt, cols, rank=full_rank)
-        _ue, se, _vte = exact_svd(np.hstack([matrix, cols]), full_rank)
-        assert np.allclose(np.sort(s2), np.sort(se), atol=1e-6)
-
-    @given(matrix=matrices())
-    @settings(max_examples=20, deadline=None)
-    def test_updated_factors_orthonormal(self, matrix):
-        rank = min(2, min(matrix.shape))
-        u, s, vt = exact_svd(matrix, rank)
-        rows = np.ones((1, matrix.shape[1]))
-        u2, _s2, vt2 = append_rows(u, s, vt, rows, rank=rank)
-        assert np.allclose(u2.T @ u2, np.eye(u2.shape[1]), atol=1e-7)
-        assert np.allclose(vt2 @ vt2.T, np.eye(vt2.shape[0]), atol=1e-7)
+def multiway_join(subs, partition):
+    """The m-way :func:`dense_join` of complete sub-ensembles."""
+    layouts = [
+        observed_layout(sub, partition, which)
+        for which, sub in enumerate(subs, 1)
+    ]
+    return dense_join(layouts, partition, "join")[0]
 
 
 class TestMultiwayProperties:
@@ -84,7 +35,7 @@ class TestMultiwayProperties:
         subs = [
             rng.standard_normal(partition.sub_shape(i)) for i in range(m)
         ]
-        joined = multiway_join_dense(subs, partition)
+        joined = multiway_join(subs, partition)
         # check a handful of random cells against the definition
         for _check in range(5):
             cell = tuple(rng.integers(0, 3, size=m + 1))
@@ -102,7 +53,7 @@ class TestMultiwayProperties:
         subs = [
             rng.standard_normal(partition.sub_shape(i)) for i in range(2)
         ]
-        joined = multiway_join_dense(subs, partition)
+        joined = multiway_join(subs, partition)
         assert np.abs(joined).max() <= max(
             np.abs(s).max() for s in subs
         ) + 1e-12
