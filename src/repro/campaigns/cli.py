@@ -7,8 +7,9 @@ Three subcommands around one workdir:
     that already holds progress (that is what ``resume`` is for).
 ``resume``
     Continue an interrupted campaign: completed rounds replay from
-    the journal, the interrupted round re-runs off the result cache,
-    and the campaign carries on to its stopping rule.
+    the journal, a round the journal lost re-runs off the result
+    cache (where the study's oracle cached each of its requests), and
+    the campaign carries on to its stopping rule.
 ``report``
     Print a round-by-round table from the journal without running
     anything.
@@ -97,8 +98,8 @@ def _print_outcome(outcome: CampaignOutcome) -> None:
           f"({outcome.replayed_rounds} replayed)")
     print(f"cells      {outcome.cells_simulated} simulated, "
           f"{outcome.budget_remaining} budget left")
-    print(f"sim tasks  {outcome.executed_sim_tasks} executed, "
-          f"{outcome.cached_sim_tasks} cache hits")
+    print(f"sim tasks  {outcome.executed_sim_tasks} integrated, "
+          f"{outcome.cached_sim_tasks} served without integrating")
     print()
     _print_rounds([r.body() for r in outcome.rounds])
 

@@ -24,21 +24,23 @@ exhausted, or at ``max_rounds``.
 
 Every round executes as one :class:`~repro.runtime.graph.TaskGraph` on
 a :class:`~repro.runtime.scheduler.Runtime` whose result cache lives
-in the campaign workdir: simulation tasks are content-addressed, so an
-interrupted round re-runs with pure cache hits, and completed rounds
-replay from the journal without running any graph at all.  Randomness
-derives from ``(spec.seed, round, ...)`` seed sequences only — no
-serialized RNG state — so a resumed campaign finishes byte-identical
-to an uninterrupted one.
+in the campaign workdir.  Each phase (explore, probe, confirm) makes
+one request to the study's simulation oracle for both sub-ensembles'
+cells; on the orchestrator's runtime the oracle caches each request
+as a content-addressed task, so a round the journal lost re-runs off
+that cache, and completed rounds replay from the journal (re-reading
+their values in the same requests) without running any round graph.
+Randomness derives from ``(spec.seed, round, ...)`` seed sequences
+only — no serialized RNG state — so a resumed campaign finishes
+byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from ..core.pipeline import EnsembleStudy
 from ..exceptions import CampaignSpecError, CampaignStateError
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span
-from ..runtime import Runtime, TaskGraph, fingerprint, output
+from ..runtime import Runtime, TaskGraph, output
 from ..runtime.report import RuntimeReport
 from ..runtime.retry import RetryPolicy
 from ..simulation import SimulationMeter, make_system
@@ -76,8 +78,9 @@ class CampaignOutcome:
     budget_remaining: int
     #: Rounds replayed from the journal rather than executed.
     replayed_rounds: int
-    #: Simulation tasks that actually executed vs. hit the cache
-    #: across this call (replayed rounds run zero of either).
+    #: Round graphs' simulation tasks whose oracle request integrated
+    #: at least one run vs. was served without integrating, across
+    #: this call (replayed rounds run zero of either).
     executed_sim_tasks: int
     cached_sim_tasks: int
     reports: List[RuntimeReport] = field(default_factory=list)
@@ -92,6 +95,14 @@ class CampaignOutcome:
 
     def accuracy(self, truth: np.ndarray) -> float:
         return self.model.accuracy(truth)
+
+
+class _Request(NamedTuple):
+    """One oracle request: each side's values, and the runs it
+    integrated (0 when the buffer or the cache served it)."""
+
+    values: Dict[int, np.ndarray]
+    runs: int
 
 
 class CampaignOrchestrator:
@@ -112,12 +123,12 @@ class CampaignOrchestrator:
         Pre-built study (tests and benches share one, and runs it has
         already simulated cost the campaign nothing); it must be of the
         spec's scenario and resolution, since the spec fingerprint keys
-        the journal.  The simulation cache tasks are keyed by the spec
-        fingerprint and the study's own cache key (true parameters,
-        time resolution, cache version), so two studies of one spec
-        never share cells.  By default the scenario study is
-        built on the runtime, so its simulation batches are cached
-        tasks.
+        the journal.  The oracle's requests are cached only when the
+        study sits on a runtime (keyed by the study's own cache key:
+        true parameters, time resolution, cache version), so a study
+        built without one integrates its runs again on resume.  By
+        default the scenario study is built on the runtime, so its
+        simulation batches are cached tasks.
     truth_metrics:
         Record an evaluation-only ``truth_rmse`` per round (golden
         convergence pins); never consulted by any decision.  Only
@@ -169,9 +180,6 @@ class CampaignOrchestrator:
         self.study = study
         self.partition = study.default_partition(pivot=spec.pivot)
         self._fingerprint = spec.fingerprint()
-        self._sim_key = fingerprint(
-            "campaign-study", (self._fingerprint, study.oracle.cache_key)
-        )
         self.journal = CampaignJournal(journal_path(workdir), spec.name)
 
         self._pivot_size = self.partition.pivot_space_size
@@ -213,6 +221,8 @@ class CampaignOrchestrator:
         self._pivot_orders: Dict[Tuple[int, int], np.ndarray] = {}
         self._records: List[RoundRecord] = []
         self._reports: List[RuntimeReport] = []
+        #: Runs integrated by each round-graph oracle request.
+        self._request_runs: List[int] = []
         self._model: Optional[M2TDResult] = None
         self._check_explore_feasible()
 
@@ -270,21 +280,32 @@ class CampaignOrchestrator:
         return np.hstack([pivot_coords, free_coords])
 
     def _simulate_cells(
-        self, which: int, cells: List[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Simulate one side's cells through the study's oracle, which
-        integrates (and charges the meter for) only the runs it has
-        not simulated yet."""
-        coords = self._sub_coords(which, cells)
-        full = self.partition.embed_coords(which, coords)
-        return self.study.oracle.cells(full, meter=self.meter)
+        self, cells: Dict[int, List[Tuple[int, int]]]
+    ) -> _Request:
+        """Simulate both sides' cells in one request to the study's
+        oracle, which integrates (and charges the meter for) only the
+        runs it has not simulated yet."""
+        full = np.vstack([
+            self.partition.embed_coords(
+                which, self._sub_coords(which, cells[which])
+            )
+            for which in (1, 2)
+        ])
+        oracle = self.study.oracle
+        sink = SimulationMeter()
+        values = oracle.cells(full, meter=sink)
+        if self.meter is not oracle.meter:
+            self.meter.merge(sink)
+        side1, side2 = np.split(values, [len(cells[1])])
+        return _Request({1: side1, 2: side2}, sink.runs)
 
     def _merge(
-        self, which: int, cells: List[Tuple[int, int]], values: np.ndarray
+        self, cells: Dict[int, List[Tuple[int, int]]], request: _Request
     ) -> None:
-        for (f, p), v in zip(cells, np.asarray(values).ravel()):
-            self._values[which][f, p] = v
-            self._mask[which][f, p] = True
+        for which in (1, 2):
+            for (f, p), v in zip(cells[which], request.values[which]):
+                self._values[which][f, p] = v
+                self._mask[which][f, p] = True
 
     def _observed_tensor(self, which: int) -> SparseTensor:
         # (pivot, free) coverage in C order is the sub-space layout
@@ -310,14 +331,6 @@ class CampaignOrchestrator:
             np.linalg.norm((approx - truth).ravel())
             / math.sqrt(truth.size)
         )
-
-    def _prefix_sha(self) -> str:
-        """Content hash of the campaign history so far — ties a round's
-        cache entries to the exact state that produced them."""
-        digest = hashlib.sha256(self._fingerprint.encode())
-        for record in self._records:
-            digest.update(repr(sorted(record.body().items())).encode())
-        return digest.hexdigest()[:24]
 
     @property
     def spent(self) -> int:
@@ -357,9 +370,13 @@ class CampaignOrchestrator:
             "campaign.round", self._round_target(record.index)
         )
 
-    def _run_round_graph(self, graph: TaskGraph):
+    def _run_round_graph(self, graph: TaskGraph, *simulate: str):
+        """Run one round graph; ``simulate`` names its oracle-request
+        tasks, whose integrated runs the outcome's ``executed_sim_tasks``
+        and ``cached_sim_tasks`` count."""
         outcome = self.runtime.run(graph)
         self._reports.append(outcome.report)
+        self._request_runs.extend(outcome[name].runs for name in simulate)
         return outcome
 
     def _explore_round(self) -> None:
@@ -379,30 +396,14 @@ class CampaignOrchestrator:
                 (int(f), int(p)) for f in configs for p in np.sort(pivots)
             ]
         graph = TaskGraph()
-        prefix = self._prefix_sha()
-        for which in (1, 2):
-            cells = plan[which]
-            graph.add(
-                f"round-0:simulate-{which}",
-                self._simulate_cells,
-                which,
-                cells,
-                cache_key=(self._sim_key, prefix, 0, which, cells),
-                cache_scope="campaign-sim",
-            )
+        graph.add("round-0:simulate", self._simulate_cells, plan)
 
-        def fit_and_merge(values1, values2):
-            self._merge(1, plan[1], values1)
-            self._merge(2, plan[2], values2)
+        def fit_and_merge(request):
+            self._merge(plan, request)
             return self._fit()
 
-        graph.add(
-            "round-0:fit",
-            fit_and_merge,
-            output("round-0:simulate-1"),
-            output("round-0:simulate-2"),
-        )
-        outcome = self._run_round_graph(graph)
+        graph.add("round-0:fit", fit_and_merge, output("round-0:simulate"))
+        outcome = self._run_round_graph(graph, "round-0:simulate")
         self._model = outcome["round-0:fit"]
         cost = len(plan[1]) + len(plan[2])
         # In-sample residual of the first model (reported; the stop
@@ -519,22 +520,10 @@ class CampaignOrchestrator:
             probe_cost += len(fresh)
             probe_configs[which] = chosen
         graph = TaskGraph()
-        prefix = self._prefix_sha()
-        for which in (1, 2):
-            graph.add(
-                f"round-{index}:probe-{which}",
-                self._simulate_cells,
-                which,
-                probe_new[which],
-                cache_key=(
-                    self._sim_key, prefix, index, which, probe_new[which],
-                ),
-                cache_scope="campaign-sim",
-            )
+        graph.add(f"round-{index}:probe", self._simulate_cells, probe_new)
 
-        def plan_round(probe_values1, probe_values2):
-            self._merge(1, probe_new[1], probe_values1)
-            self._merge(2, probe_new[2], probe_values2)
+        def plan_round(probes):
+            self._merge(probe_new, probes)
             errors: Dict[int, np.ndarray] = {}
             for which in (1, 2):
                 configs = probe_configs[which]
@@ -587,41 +576,27 @@ class CampaignOrchestrator:
             }
 
         graph.add(
-            f"round-{index}:plan",
-            plan_round,
-            output(f"round-{index}:probe-1"),
-            output(f"round-{index}:probe-2"),
+            f"round-{index}:plan", plan_round, output(f"round-{index}:probe")
+        )
+        graph.add(
+            f"round-{index}:confirm",
+            lambda plan: self._simulate_cells(plan["confirm"]),
+            output(f"round-{index}:plan"),
         )
 
-        def confirm_side(which):
-            def simulate(plan):
-                return self._simulate_cells(which, plan["confirm"][which])
-            return simulate
-
-        for which in (1, 2):
-            graph.add(
-                f"round-{index}:confirm-{which}",
-                confirm_side(which),
-                output(f"round-{index}:plan"),
-                cache_key=(
-                    self._sim_key, prefix, index, which, "confirm",
-                ),
-                cache_scope="campaign-sim",
-            )
-
-        def fit_round(plan, confirm_values1, confirm_values2):
-            self._merge(1, plan["confirm"][1], confirm_values1)
-            self._merge(2, plan["confirm"][2], confirm_values2)
+        def fit_round(plan, confirmed):
+            self._merge(plan["confirm"], confirmed)
             return self._fit()
 
         graph.add(
             f"round-{index}:fit",
             fit_round,
             output(f"round-{index}:plan"),
-            output(f"round-{index}:confirm-1"),
-            output(f"round-{index}:confirm-2"),
+            output(f"round-{index}:confirm"),
         )
-        outcome = self._run_round_graph(graph)
+        outcome = self._run_round_graph(
+            graph, f"round-{index}:probe", f"round-{index}:confirm"
+        )
         plan = outcome[f"round-{index}:plan"]
         self._model = outcome[f"round-{index}:fit"]
         alloc_cells = sum(
@@ -682,28 +657,31 @@ class CampaignOrchestrator:
     # ------------------------------------------------------------------
     def _replay(self, state: JournalState) -> None:
         for record in state.rounds:
-            for which in (1, 2):
-                cells = [
+            cells = {
+                which: [
                     (int(f), int(p))
                     for f, p in record.new_cells[str(which)]
                 ]
-                # The journal stores coordinates only, so values are
-                # re-read from the oracle, in the requests the round
-                # made: a confirm round's probes (all at its probe
-                # pivot, where confirm cells never fall) then its
-                # confirm cells.  Each request then hits the oracle's
-                # cached batch instead of simulating again.
-                groups = [cells]
-                if record.phase == "confirm":
-                    groups = [
-                        [c for c in cells if c[1] == record.probe_pivot],
-                        [c for c in cells if c[1] != record.probe_pivot],
-                    ]
-                for group in groups:
-                    if group:
-                        self._merge(
-                            which, group, self._simulate_cells(which, group)
-                        )
+                for which in (1, 2)
+            }
+            # The journal stores coordinates only, so values are re-read
+            # from the oracle, in the requests the round made: explore
+            # is one request; a confirm round's probes (all at its probe
+            # pivot, where confirm cells never fall) then its confirm
+            # cells, both sides each time.  Each request then hits the
+            # oracle's cached batch instead of simulating again.
+            groups = [cells]
+            if record.phase == "confirm":
+                pivot = record.probe_pivot
+                groups = [
+                    {w: [c for c in side if c[1] == pivot]
+                     for w, side in cells.items()},
+                    {w: [c for c in side if c[1] != pivot]
+                     for w, side in cells.items()},
+                ]
+            for group in groups:
+                if group[1] or group[2]:
+                    self._merge(group, self._simulate_cells(group))
             self._records.append(record)
         if self._records:
             self._model = self._fit()
@@ -775,15 +753,7 @@ class CampaignOrchestrator:
                 self.journal.append_stop(
                     stop_reason, last.spent_after, last.metric
                 )
-            executed = cached = 0
-            for report in self._reports:
-                for task in report.tasks:
-                    if ":fit" in task.name or ":plan" in task.name:
-                        continue
-                    if task.cache_hit:
-                        cached += 1
-                    else:
-                        executed += 1
+            executed = sum(1 for runs in self._request_runs if runs)
             assert self._model is not None
             get_metrics().gauge("campaign.budget_remaining").set(
                 self.remaining
@@ -797,7 +767,7 @@ class CampaignOrchestrator:
                 budget_remaining=self.remaining,
                 replayed_rounds=replayed,
                 executed_sim_tasks=executed,
-                cached_sim_tasks=cached,
+                cached_sim_tasks=len(self._request_runs) - executed,
                 reports=list(self._reports),
             )
 

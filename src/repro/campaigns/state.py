@@ -15,9 +15,9 @@ canonical JSON of the body, which buys two properties:
   recomputed, with the recovery metered.
 
 Round bodies carry *coordinates only*, never simulated values or
-timings: values re-read deterministically from the (cached) ground
-truth on replay, and an interrupted-then-resumed campaign must finish
-with a journal byte-identical to an uninterrupted run's.
+timings: values re-read deterministically from the study's (cached)
+simulation oracle on replay, and an interrupted-then-resumed campaign
+must finish with a journal byte-identical to an uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -144,8 +144,10 @@ class JournalState:
 
 
 class CampaignJournal:
-    """Append-only journal bound to one workdir (or in-memory when
-    ``path`` is ``None`` — ephemeral campaigns, e.g. benchmarks)."""
+    """Append-only journal bound to one workdir, or in-memory when
+    ``path`` is ``None`` (ephemeral campaigns, e.g. benchmarks).  An
+    in-memory journal is never read back, so its lines are not sealed:
+    it only records which kinds of line it holds."""
 
     def __init__(self, path: Optional[str], campaign: str):
         self.path = path
@@ -244,10 +246,11 @@ class CampaignJournal:
         })
 
     def _append(self, body: Dict[str, Any]) -> None:
+        if self.path is None:
+            self._lines.append(body["kind"])
+            return
         line = _sealed(body)
         self._lines.append(line)
-        if self.path is None:
-            return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a") as handle:
             handle.write(line + "\n")

@@ -11,7 +11,12 @@ from repro.campaigns import (
 )
 from repro.campaigns.cli import main as campaigns_main
 from repro.core import EnsembleStudy
-from repro.exceptions import CampaignSpecError, CampaignStateError
+from repro.exceptions import (
+    CampaignSpecError,
+    CampaignStateError,
+    FaultInjectionError,
+)
+from repro.faults import FaultInjector, FaultSpec, plan_of, use_injector
 from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.runtime import Runtime
@@ -290,6 +295,69 @@ class TestSimulationMetering:
         assert simulated == (full if truth_metrics else meter.runs)
 
 
+class TestOneRequestPerPhase:
+    """Each phase asks the study's oracle once for both sides' cells."""
+
+    #: Runs the conftest campaign integrates on a fresh study (the same
+    #: count as when each side was requested on its own).
+    RUNS = 47
+
+    def test_time_pivot_integrates_once_per_round(self):
+        """With a time pivot the confirm cells land on runs the probes
+        integrated, so only explore and the probes integrate."""
+        meter = SimulationMeter()
+        with use_tracer(Tracer()) as tracer:
+            with CampaignOrchestrator(spec_with(), meter=meter) as orch:
+                outcome = orch.run()
+        integrations = [
+            s for s in tracer.iter_spans() if s.name == "simulate-fibers"
+        ]
+        assert len(outcome.rounds) == 5
+        assert len(integrations) == len(outcome.rounds)
+        assert meter.runs == self.RUNS
+        assert outcome.executed_sim_tasks == len(outcome.rounds)
+        assert outcome.cached_sim_tasks == len(outcome.rounds) - 1
+
+    def test_parameter_pivot_resume_replays_the_same_requests(
+        self, tmp_path
+    ):
+        """A parameter pivot puts confirm cells on runs of their own,
+        so replay must group each round as its probe and confirm
+        requests did: a campaign interrupted at round 2 resumes off
+        the runtime cache an uninterrupted run filled, integrating
+        nothing, and finishes byte-identical to it."""
+        spec = spec_with(pivot="beta")
+
+        def orchestrator(workdir, runtime, meter=None):
+            return CampaignOrchestrator(
+                spec, workdir=str(tmp_path / workdir), runtime=runtime,
+                meter=meter,
+            )
+
+        with Runtime() as runtime:
+            with orchestrator("clean", runtime) as clean:
+                expected = clean.run()
+            plan = plan_of([FaultSpec(
+                site="campaign.round", kind="raise", target="*/round-2",
+            )])
+            with use_injector(FaultInjector(plan)):
+                with pytest.raises(FaultInjectionError):
+                    with orchestrator("cut", runtime) as cut:
+                        cut.run()
+            meter = SimulationMeter()
+            with orchestrator("cut", runtime, meter) as resumed:
+                outcome = resumed.resume()
+        assert outcome.replayed_rounds == 2
+        assert meter.runs == 0
+        assert outcome.executed_sim_tasks == 0
+        assert outcome.payload() == expected.payload()
+        journals = [
+            (tmp_path / workdir / "journal.jsonl").read_bytes()
+            for workdir in ("clean", "cut")
+        ]
+        assert journals[0] == journals[1]
+
+
 class TestCli:
     def write_spec(self, tmp_path):
         import json
@@ -308,6 +376,13 @@ class TestCli:
         ) == 0
         out = capsys.readouterr().out
         assert "epidemic_seir-campaign" in out
+        # time pivot: explore and each probe integrate, the confirm
+        # requests read runs the probes integrated
+        rounds = len(read_journal(workdir)[0].rounds)
+        assert (
+            f"sim tasks  {rounds} integrated, {rounds - 1} served "
+            "without integrating"
+        ) in out
         assert campaigns_main(["report", "--workdir", workdir]) == 0
         assert "explore" in capsys.readouterr().out
         # run again refuses; resume replays
@@ -318,6 +393,10 @@ class TestCli:
         assert campaigns_main(
             ["resume", "--spec", spec_path, "--workdir", workdir]
         ) == 0
+        # every round replays from the journal: no round graph runs
+        assert (
+            "sim tasks  0 integrated, 0 served without integrating"
+        ) in capsys.readouterr().out
 
     def test_report_json(self, tmp_path, capsys):
         import json

@@ -208,11 +208,11 @@ class TestGraphFaults:
             [
                 FaultSpec(
                     site="runtime.task", kind="raise",
-                    target="round-1:probe-1",
+                    target="round-1:probe",
                 ),
                 FaultSpec(
                     site="runtime.task", kind="raise",
-                    target="round-2:confirm-2",
+                    target="round-2:confirm",
                 ),
             ],
             seed=chaos_seed,
