@@ -524,9 +524,15 @@ class CampaignOrchestrator:
 
         def plan_round(probes):
             self._merge(probe_new, probes)
+            # Score only the probes whose cell is observed: one trimmed
+            # for budget was never simulated and has no value to score.
+            scored = {
+                which: configs[self._mask[which][configs, probe_pivot]]
+                for which, configs in probe_configs.items()
+            }
             errors: Dict[int, np.ndarray] = {}
             for which in (1, 2):
-                configs = probe_configs[which]
+                configs = scored[which]
                 observed = self._values[which][configs, probe_pivot]
                 predicted = self._predict_cells(
                     reconstruction, which, configs, probe_pivot
@@ -539,7 +545,7 @@ class CampaignOrchestrator:
             )
             capacities = np.concatenate([
                 self._pivot_size
-                - self._mask[which][probe_configs[which]].sum(axis=1)
+                - self._mask[which][scored[which]].sum(axis=1)
                 for which in (1, 2)
             ]).astype(int)
             shares = allocate(
@@ -548,13 +554,11 @@ class CampaignOrchestrator:
                 remaining_budget=remaining - probe_cost,
                 capacities=capacities,
             )
-            split = np.split(shares, [probe_configs[1].shape[0]])
+            split = np.split(shares, [scored[1].shape[0]])
             confirm_cells: Dict[int, List[Tuple[int, int]]] = {}
             for which, side_shares in zip((1, 2), split):
                 cells: List[Tuple[int, int]] = []
-                for config, count in zip(
-                    probe_configs[which], side_shares
-                ):
+                for config, count in zip(scored[which], side_shares):
                     if count <= 0:
                         continue
                     # Stable per-config pivot order: seeded by (side,

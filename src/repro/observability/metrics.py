@@ -101,11 +101,14 @@ class Histogram:
         """Observe each value in turn, under one lock: the same count,
         sum (added in order), min, max and retained samples as one
         :meth:`observe` per value."""
-        values = [float(v) for v in values]
+        values = list(map(float, values))
         if not values:
             return
         with self._lock:
             self.count += len(values)
+            # added in order, never with builtin sum(): it compensates
+            # its rounding on Python 3.12+, so it would differ from
+            # observe (and this loop outruns functools.reduce(add))
             total = self.total
             for value in values:
                 total += value
@@ -119,7 +122,13 @@ class Histogram:
                 self.max = max(self.max, *values)
             samples = self._samples
             stride, since = self._stride, self._since_kept
-            for value in values:
+            # the values whose turn to be kept comes up in this call
+            kept = values[stride - since - 1::stride]
+            if len(samples) + len(kept) < self.max_samples:
+                samples.extend(kept)
+                self._since_kept = (since + len(values)) % stride
+                return
+            for value in values:  # a decimation falls inside the call
                 since += 1
                 if since >= stride:
                     since = 0

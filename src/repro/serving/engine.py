@@ -102,6 +102,12 @@ def _as_index(value, what: str) -> int:
 def _check_point(shape: Tuple[int, ...], index) -> Tuple[int, ...]:
     """One cell index as a tuple of ints inside ``shape``, checked
     coordinate by coordinate with :func:`_as_index` (no array built)."""
+    if type(index) is tuple and len(index) == len(shape):
+        for coord, size in zip(index, shape):
+            if type(coord) is not int or not 0 <= coord < size:
+                break
+        else:
+            return index
     try:
         coords = tuple([
             i if type(i) is int else _as_index(i, "point index")
@@ -225,7 +231,12 @@ class FactorEngine:
         remaining mode — never materialising anything larger than
         ``B × prod(ranks[1:])``.
         """
-        coords = _check_coords(self.shape, coords)
+        return self._point_values(_check_coords(self.shape, coords))
+
+    def _point_values(self, coords: np.ndarray) -> np.ndarray:
+        """:meth:`point_batch` of a ``(B, N)`` int64 array already
+        checked against the shape (the server's drain, whose points
+        were validated at submit)."""
         t = self.tucker
         with _span(
             "serving-point", "serving", study=self.study,
@@ -246,7 +257,9 @@ class FactorEngine:
     def point(self, index: Sequence[int]) -> float:
         """One cell value, ``G`` contracted with one row per factor."""
         coords = _check_point(self.shape, index)
-        return float(self.point_batch(np.array([coords], dtype=np.int64))[0])
+        return float(
+            self._point_values(np.array([coords], dtype=np.int64))[0]
+        )
 
     # ------------------------------------------------------------------
     # slice queries
@@ -348,7 +361,7 @@ class FactorEngine:
         evaluation and stable-sort them, largest residual first."""
         coords = _check_coords(self.shape, coords)
         stored = np.asarray(stored, dtype=np.float64)
-        predicted = self.point_batch(coords)
+        predicted = self._point_values(coords)
         residual = np.abs(stored - predicted)
         order = np.argsort(-residual, kind="stable")
         get_metrics().counter("serving.cells_scored").inc(coords.shape[0])

@@ -1,13 +1,16 @@
 """The asyncio serving front-end: batching, shedding, instrumentation.
 
 One :class:`ServingServer` fronts a :class:`~repro.serving.catalog.
-StudyCatalog`.  Every registered study gets its own request queue and
-worker task, so tenants never share a queue (matching the sharded
-store layout underneath).  The worker's drain loop is where batching
-happens: it blocks for the first request, then greedily drains
-whatever else has already queued (up to ``max_batch``) and coalesces
-all *point* requests in the drained run into **one** batched
-core×factor-rows contraction, and the *slice* requests into one
+StudyCatalog`.  Every registered study gets its own request deque and
+drain task, so tenants never share a queue (matching the sharded store
+layout underneath).  A request takes one hop: the awaiting
+``point``/``slice``/``topk`` coroutine validates it, appends it to its
+study's deque and sets the idle drain's wake-up future, then awaits the
+request's own future.  The drain is where batching happens: it waits
+for the first request, then greedily takes whatever else has already
+queued (up to ``max_batch``) and coalesces all *point* requests in the
+drained run into **one** batched core×factor-rows contraction, and the
+*slice* requests into one
 :meth:`~repro.serving.engine.FactorEngine.slice_planes` per sliced
 mode: the core is projected through the other factors once per mode,
 each distinct hyperplane on that mode is computed once, and
@@ -17,16 +20,17 @@ concurrent clients this turns N event-loop round-trips into
 N/``max_batch`` numpy calls — the batched-vs-unbatched benchmark in
 ``BENCH_serving.json`` measures exactly this win.
 
-Queries are validated at submit, in plain Python: a point's
+Queries are validated once, at submit, in plain Python: a point's
 coordinates, a slice's mode/index and top-k's k/mode/index each go
 through :func:`~repro.serving.engine._as_index` (a bool, a string, a
 non-finite or fractional float, or a sequence is a
 :class:`~repro.exceptions.QueryError`), and a point is queued as a
-tuple of ints; the drain builds one ``(B, N)`` array of them.  After its
-numpy work a drain *settles* once: one latency observation list, one
-served increment, then every answer in request order.  Latency is thus
-observed when the drain settles, which is when the waiting clients can
-resume; a failed request is failed on its own, at once.
+tuple of in-range ints; the drain contracts one ``(B, N)`` array of
+those tuples without checking them again.  After its numpy work a drain
+*settles* once: one latency observation list, one served increment,
+then every answer in request order.  Latency is thus observed when the
+drain settles, which is when the waiting clients can resume; a failed
+request is failed on its own, at once.
 
 Overload is shed, not queued: a request arriving at a full study queue
 fails immediately with the typed
@@ -34,15 +38,18 @@ fails immediately with the typed
 requests' latency bounded.  Every stage is metered — queue wait,
 batch size, per-query latency (histograms ⇒ p50/p90/p99), shed and
 served counters, factor-cache hit rate — and the ``serving.query``
-fault-injection site fires per request so the chaos suite can drive
-raise/delay faults through the full client-visible path.
+fault-injection site fires once per drained batch so the chaos suite
+can drive raise/delay faults through the full client-visible path.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Awaitable, Deque, Dict, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -61,26 +68,42 @@ _SHUTDOWN = object()
 _UNSET = object()
 
 
-@dataclass
 class _Request:
     """One queued query; ``future`` carries the answer back.  The drain
     parks a successful answer in ``value`` until it settles."""
 
-    kind: str                      # "point" | "slice" | "topk"
-    args: Tuple
-    future: "asyncio.Future[Any]"
-    enqueued_at: float = 0.0
-    value: Any = _UNSET
+    __slots__ = ("kind", "args", "future", "enqueued_at", "value")
+
+    def __init__(
+        self, kind: str, args: Tuple, future: "asyncio.Future[Any]",
+        enqueued_at: float,
+    ):
+        self.kind = kind               # "point" | "slice" | "topk"
+        self.args = args
+        self.future = future
+        self.enqueued_at = enqueued_at
+        self.value: Any = _UNSET
 
 
-@dataclass
 class _StudyWorker:
-    """Queue + drain task for one tenant."""
+    """One tenant's request deque, the future that wakes its idle
+    drain, and the drain task."""
 
-    queue: "asyncio.Queue[Any]"
-    task: "asyncio.Task[None]"
-    served: int = 0
-    batches: int = 0
+    __slots__ = ("loop", "queue", "wakeup", "task", "served", "batches")
+
+    def __init__(self, loop: asyncio.AbstractEventLoop):
+        self.loop = loop
+        self.queue: Deque[Any] = deque()
+        self.wakeup: "Optional[asyncio.Future[None]]" = None
+        self.task: "Optional[asyncio.Task[None]]" = None
+        self.served = 0
+        self.batches = 0
+
+    def put(self, item: Any) -> None:
+        self.queue.append(item)
+        if self.wakeup is not None:
+            self.wakeup.set_result(None)
+            self.wakeup = None
 
 
 @dataclass
@@ -160,7 +183,7 @@ class ServingServer:
         workers = list(self._workers.values())
         self._workers.clear()
         for worker in workers:
-            await worker.queue.put(_SHUTDOWN)
+            worker.put(_SHUTDOWN)
         for worker in workers:
             await worker.task
 
@@ -185,9 +208,10 @@ class ServingServer:
         whatever else is in flight), gathered together."""
         coords = _check_coords(self.catalog.entry(study).shape, indices)
         return list(
-            await asyncio.gather(
-                *(self._submit(study, "point", (row,)) for row in coords)
-            )
+            await asyncio.gather(*[
+                self._submit(study, "point", (row,))
+                for row in coords.tolist()
+            ])
         )
 
     async def slice(self, study: str, mode: int, index: int) -> np.ndarray:
@@ -217,18 +241,20 @@ class ServingServer:
         worker = self._workers.get(study)
         if worker is None:
             self.catalog.entry(study)  # raises StudyNotFoundError early
-            queue: "asyncio.Queue[Any]" = asyncio.Queue()
-            task = asyncio.get_running_loop().create_task(
-                self._drain(study, queue)
-            )
-            worker = self._workers[study] = _StudyWorker(queue, task)
+            worker = _StudyWorker(asyncio.get_running_loop())
+            worker.task = worker.loop.create_task(self._drain(study, worker))
+            self._workers[study] = worker
         return worker
 
-    async def _submit(self, study: str, kind: str, args: Tuple) -> Any:
+    def _submit(
+        self, study: str, kind: str, args: Tuple
+    ) -> "asyncio.Future[Any]":
+        """Admit one validated query: shed it if its study's queue is
+        full, else queue it and return the future its drain answers."""
         if not self._started:
             raise ServingError("server is not started")
         worker = self._worker_for(study)
-        if worker.queue.qsize() >= self.max_queue:
+        if len(worker.queue) >= self.max_queue:
             self.stats.shed += 1
             metrics = get_metrics()
             metrics.counter("serving.shed").inc()
@@ -238,33 +264,31 @@ class ServingServer:
             # not just the requests that got in.
             metrics.histogram("serving.queue_wait_seconds").observe(0.0)
             raise ServingOverloadError(
-                study, worker.queue.qsize(), self.max_queue, kind
+                study, len(worker.queue), self.max_queue, kind
             )
-        loop = asyncio.get_running_loop()
-        request = _Request(
-            kind=kind, args=args, future=loop.create_future(),
-            enqueued_at=loop.time(),
-        )
-        worker.queue.put_nowait(request)
-        return await request.future
+        loop = worker.loop
+        future = loop.create_future()
+        worker.put(_Request(kind, args, future, loop.time()))
+        return future
 
-    async def _drain(self, study: str, queue: "asyncio.Queue[Any]") -> None:
-        """The per-study worker loop: block, greedily drain, serve,
-        settle."""
-        loop = asyncio.get_running_loop()
+    async def _drain(self, study: str, worker: _StudyWorker) -> None:
+        """The per-study worker loop: wait for a request, greedily
+        drain, serve, settle."""
+        loop = worker.loop
+        queue = worker.queue
         while True:
-            first = await queue.get()
+            if not queue:
+                worker.wakeup = loop.create_future()
+                await worker.wakeup
+            first = queue.popleft()
             if first is _SHUTDOWN:
                 self._fail_pending(queue)
                 return
             batch: List[_Request] = [first]
             shutdown = False
             if self.batching:
-                while len(batch) < self.max_batch:
-                    try:
-                        item = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
+                while queue and len(batch) < self.max_batch:
+                    item = queue.popleft()
                     if item is _SHUTDOWN:
                         shutdown = True
                         break
@@ -291,12 +315,11 @@ class ServingServer:
                 self._fail_pending(queue)
                 return
 
-    def _fail_pending(self, queue: "asyncio.Queue[Any]") -> None:
-        while True:
-            try:
-                item = queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
+    @staticmethod
+    def _fail_pending(queue: Deque[Any]) -> None:
+        """Fail every request queued behind the shutdown marker."""
+        while queue:
+            item = queue.popleft()
             if item is not _SHUTDOWN and not item.future.done():
                 item.future.set_exception(ServingError("server stopped"))
 
@@ -335,9 +358,10 @@ class ServingServer:
                     self._fail(request, exc, loop, metrics)
                 return
             if points:
+                # validated at submit: contract without re-checking
                 coords = np.array([r.args[0] for r in points], dtype=np.int64)
                 try:
-                    values = engine.point_batch(coords)
+                    values = engine._point_values(coords)
                 except ReproError as exc:
                     for request in points:
                         self._fail(request, exc, loop, metrics)
@@ -444,7 +468,7 @@ class ServingServer:
                 key: {
                     "served": worker.served,
                     "batches": worker.batches,
-                    "queue_depth": worker.queue.qsize(),
+                    "queue_depth": len(worker.queue),
                 }
                 for key, worker in self._workers.items()
             },
@@ -471,21 +495,23 @@ class ServingClient:
             raise ServingError("no study given and client has no default")
         return key
 
-    async def point(self, index, study: Optional[str] = None) -> float:
-        return await self.server.point(self._key(study), index)
+    # Each method returns the server's coroutine itself, not one more
+    # wrapped around it; ``asyncio.create_task`` accepts it all the same.
+    def point(self, index, study: Optional[str] = None) -> Awaitable[float]:
+        return self.server.point(self._key(study), index)
 
-    async def point_many(self, indices, study: Optional[str] = None):
-        return await self.server.point_many(self._key(study), indices)
+    def point_many(self, indices, study: Optional[str] = None) -> Awaitable:
+        return self.server.point_many(self._key(study), indices)
 
-    async def slice(
+    def slice(
         self, mode: int, index: int, study: Optional[str] = None
-    ) -> np.ndarray:
-        return await self.server.slice(self._key(study), mode, index)
+    ) -> Awaitable[np.ndarray]:
+        return self.server.slice(self._key(study), mode, index)
 
-    async def topk(
+    def topk(
         self, k: int, study: Optional[str] = None,
         mode: Optional[int] = None, index: Optional[int] = None,
-    ):
-        return await self.server.topk(
+    ) -> Awaitable:
+        return self.server.topk(
             self._key(study), k, mode=mode, index=index
         )

@@ -84,6 +84,25 @@ class TestEndToEnd:
         assert outcome.budget_remaining == 0
         assert outcome.cells_simulated == 80
 
+    def test_trimmed_probes_are_not_scored(self, epidemic_study, monkeypatch):
+        """A tight budget trims the last round's probes; a trimmed probe
+        was never simulated, so only observed probe cells are scored."""
+        scored = []
+        predict = CampaignOrchestrator._predict_cells
+
+        def recording(self, reconstruction, which, free_flat, pivot_flat):
+            scored.append(self._mask[which][free_flat, pivot_flat])
+            return predict(self, reconstruction, which, free_flat, pivot_flat)
+
+        monkeypatch.setattr(
+            CampaignOrchestrator, "_predict_cells", recording
+        )
+        outcome = run_campaign(
+            spec_with(budget=75, max_rounds=12), epidemic_study
+        )
+        assert outcome.cells_simulated == 75
+        assert scored and all(cells.all() for cells in scored)
+
     def test_space_exhausted_stop(self, epidemic_study):
         """A budget larger than the whole sub-space ends only when
         every cell is covered."""

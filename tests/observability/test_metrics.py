@@ -1,6 +1,7 @@
 """MetricsRegistry: counters, gauges, histograms, and the JSON dump."""
 
 import json
+import random
 import threading
 
 import pytest
@@ -158,6 +159,29 @@ class TestHistogram:
                     samples, stride = samples[::2], stride * 2
         assert (one._samples, one._stride, one._since_kept) == (
             samples, stride, since
+        )
+
+    def test_random_batches_match_one_observe_per_value(self):
+        """At the real sample ceiling, random batches of 0–130 values
+        (some straddling a decimation) leave the state one ``observe``
+        per value does while the stride climbs 1, 2, 4, 8."""
+        rng = random.Random(0)
+        one = Histogram("one")
+        many = Histogram("many")
+        strides = {many._stride}
+        while one.count <= 4 * Histogram.max_samples + 100:
+            batch = [rng.uniform(-1e3, 1e3) for _ in range(rng.randint(0, 130))]
+            for value in batch:
+                one.observe(value)
+            many.observe_many(batch)
+            strides.add(many._stride)
+        assert strides == {1, 2, 4, 8}
+        assert many.count == one.count
+        assert many.total.hex() == one.total.hex()
+        assert (many.min, many.max) == (one.min, one.max)
+        assert many._samples == one._samples
+        assert (many._stride, many._since_kept) == (
+            one._stride, one._since_kept
         )
 
     def test_observe_many_of_nothing_is_a_no_op(self):

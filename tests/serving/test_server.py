@@ -20,6 +20,9 @@ from repro.exceptions import (
 from repro.observability import Tracer, use_tracer
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.serving import ServingClient, ServingServer
+from repro.serving import engine as engine_module
+from repro.serving import server as server_module
+from repro.serving.server import _Request
 
 
 def test_two_studies_zero_reconstructions(catalog):
@@ -341,6 +344,85 @@ class TestErrors:
                     await client.point((0, 0, 0))
 
         asyncio.run(serve())
+
+
+class TestRequestPath:
+    """The one-hop request path: a study's deque, validation at submit,
+    and a drain that contracts the submitted tuples as they are."""
+
+    def test_client_call_is_a_task_ready_coroutine(self, catalog):
+        async def serve():
+            async with ServingServer(catalog) as server:
+                client = ServingClient(server, study="alpha")
+                task = asyncio.create_task(client.point((1, 2, 3)))
+                return await task
+
+        value = asyncio.run(serve())
+        full = catalog.engine("alpha").tucker.reconstruct()
+        assert value == pytest.approx(full[1, 2, 3], abs=1e-10)
+
+    def test_stop_fails_requests_it_never_drained(self, catalog):
+        """Requests queued before ``stop()`` are served; one queued
+        behind the shutdown marker is failed, not left hanging."""
+
+        async def serve():
+            server = await ServingServer(catalog).start()
+            first = asyncio.create_task(server.point("alpha", (0, 0, 0)))
+            await asyncio.sleep(0)  # admitted; its drain has not run
+            worker = server._workers["alpha"]
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0)  # stop() queued its marker
+            loop = asyncio.get_running_loop()
+            late = loop.create_future()
+            worker.put(_Request("point", ((1, 1, 1),), late, loop.time()))
+            await stopping
+            return await first, late, server.stats
+
+        value, late, stats = asyncio.run(serve())
+        assert isinstance(value, float)
+        with pytest.raises(ServingError, match="server stopped"):
+            late.result()
+        assert stats.served == 1
+
+    def test_queue_depth_reads_zero_after_a_session(self, catalog):
+        async def serve():
+            async with ServingServer(catalog, max_batch=4) as server:
+                await asyncio.gather(
+                    *(server.point("alpha", (i % 6, 0, 0)) for i in range(30)),
+                    *(server.slice("alpha", 1, i % 5) for i in range(5)),
+                )
+                return server.summary()
+
+        summary = asyncio.run(serve())
+        assert summary["studies"]["alpha"]["queue_depth"] == 0
+        assert summary["studies"]["alpha"]["served"] == 35
+
+    def test_drain_does_not_revalidate_submitted_points(
+        self, catalog, monkeypatch
+    ):
+        engine = catalog.engine("alpha")  # load it (and its bundle) now
+        calls = []
+
+        def counting(shape, coords):
+            calls.append(shape)
+            return engine_module._check_coords.__wrapped__(shape, coords)
+
+        counting.__wrapped__ = engine_module._check_coords
+        monkeypatch.setattr(engine_module, "_check_coords", counting)
+        monkeypatch.setattr(server_module, "_check_coords", counting)
+
+        async def serve():
+            async with ServingServer(catalog) as server:
+                return await asyncio.gather(
+                    *(server.point("alpha", (i % 6, i % 5, i % 4))
+                      for i in range(40))
+                )
+
+        values = asyncio.run(serve())
+        assert len(values) == 40 and calls == []
+        with pytest.raises(QueryError, match="out of bounds"):
+            engine.point_batch(np.array([[0, 0, 0], [6, 0, 0]]))
+        assert len(calls) == 1
 
 
 def test_summary_shape(catalog):
