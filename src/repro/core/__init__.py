@@ -3,11 +3,7 @@ Decomposition (M2TD), plus the end-to-end study pipeline.
 """
 
 from .evaluation import BaselineResult, accuracy, decompose_sample
-from .join_tensor import (
-    dense_join_from_subs,
-    lazy_core,
-    materialized_core,
-)
+from .join_tensor import dense_join_from_subs, join_core
 from .m2td import M2TDResult, m2td_decompose, map_ranks_to_join
 from .pipeline import EnsembleStudy, StudyResult
 from .row_select import average_factors, row_select, row_select_source
@@ -23,8 +19,7 @@ __all__ = [
     "accuracy",
     "decompose_sample",
     "dense_join_from_subs",
-    "lazy_core",
-    "materialized_core",
+    "join_core",
     "M2TDResult",
     "m2td_decompose",
     "map_ranks_to_join",

@@ -1,116 +1,140 @@
-"""Core recovery against the join tensor.
+"""Core recovery against the join tensor, without building it.
 
 The costliest step of every M2TD variant (the paper's Phase 3) is
 
     G = J x_1 U^(1)T x_2 U^(2)T ... x_N U^(N)T.
 
-:func:`~repro.core.m2td.m2td_decompose` picks one of two routes from
-its inputs:
+Every JE-stitch has a closed form per pivot configuration ``p``.  With
+``x_i`` a sub-ensemble's values (``0.0`` where unobserved), ``m_i`` its
+observed mask and ``cand_i = m_i.any(axis=0)`` its candidate free
+configurations (:mod:`~repro.core.stitch`):
 
-* :func:`materialized_core` — paper-faithful: build the (dense) join
-  tensor and run the multilinear product; every zero-join and every
-  join of partially observed sub-ensembles takes it;
-* :func:`lazy_core` — the closed form: when all ``m`` sub-ensembles
-  are *complete* over their sub-spaces the join tensor is
-  ``J(p, a_1, ..., a_m) = (1/m) sum_i X_i(p, a_i)``, and the
-  projection distributes:
+* join of ``m`` sub-ensembles:
+  ``J(p, a_1..a_m) = (1/m) sum_i x_i(p, a_i) prod_{j != i} m_j(p, a_j)``;
+* zero-join: ``J(p, a, b) = (x_1(p, a) cand_2(b) + cand_1(a) x_2(p, b)) / 2``.
 
-      G = (1/m) sum_i (X_i proj) ⊗ colsum(U of every other group)
+Each term is an outer product over the free modes, taken per pivot, so
+the projection distributes: with ``B_i`` the Kronecker product of side
+``i``'s free factors and ``U_p`` that of the pivot factors (both in C
+order, matching the layouts' flattening),
 
-  so the core is recoverable without ever materialising ``J`` —
-  ``O(sum_i |X_i|)`` data touched instead of ``O(|J|)``.  For the
-  paper's two sub-systems that is
-  ``G = 1/2 [ (X1 proj) ⊗ colsum(U_b...) + (X2 proj) ⊗ colsum(U_a...) ]``.
+    G = U_p^T [ (1/m) sum_i (x_i B_i) ⊗_p prod_{j != i} (m_j B_j) ]
+
+where ``⊗_p`` is an outer product per pivot row (the zero-join uses
+``cand_j B_j`` for every pivot).  :func:`join_core` computes exactly
+that — ``O(sum_i |x_i| R_i)`` work, never ``O(|J|)`` — and counts the
+join's stored cells from the per-pivot observed counts.  It is the
+partial multi-TTM of TuckerMPI and Austin/Ballard/Kolda: each block is
+projected with the sequential kernels and only the small partials are
+reduced.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import StitchError
 from ..sampling.partition import PFPartition
-from ..tensor.ops import outer
-from ..tensor.ttm import multi_ttm
-from .stitch import Partition
+from .stitch import Partition, spread
 
 
-def materialized_core(
-    join_dense: np.ndarray, factors: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Project a (dense) join tensor onto the factor subspaces."""
-    return multi_ttm(join_dense, list(factors), transpose=True)
+def _kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The C-order Kronecker basis of a mode group's factors: the
+    products ``np.kron`` forms, without its per-call overhead."""
+    basis = factors[0]
+    for u in factors[1:]:
+        basis = (basis[:, None, :, None] * u[None, :, None, :]).reshape(
+            len(basis) * len(u), -1
+        )
+    return basis
 
 
-def lazy_core(
-    subs: Sequence[np.ndarray],
+def join_core(
+    layouts: Sequence[Tuple[np.ndarray, np.ndarray]],
     factors: Sequence[np.ndarray],
     partition: Partition,
-) -> np.ndarray:
-    """Closed-form core recovery for complete sub-ensembles.
+    join_kind: str,
+) -> Tuple[np.ndarray, int]:
+    """``(core, join_nnz)`` of the stitched join, never materializing it.
 
     Parameters
     ----------
-    subs:
-        Dense sub-ensemble tensors in sub-space mode order (pivots
-        first), one per ``partition.sub_shapes`` entry.  Every cell
-        must be an actual observation — the closed form is exact only
-        for full cross-product sub-ensembles.
+    layouts:
+        Each sub-ensemble's :func:`~repro.core.stitch.observed_layout`,
+        in ``partition.sub_shapes`` order.
     factors:
         Join-order factor matrices (pivots, then each group's modes).
     partition:
         The :class:`~repro.sampling.partition.PFPartition` or
         :class:`~repro.core.multiway.MWPartition` (supplies the mode
         split).
+    join_kind:
+        ``"join"`` (any ``m``) or ``"zero"`` (two sub-ensembles).
 
     Returns
     -------
-    numpy.ndarray
-        The core tensor, identical (to floating point) to
-        ``materialized_core(join, factors)``.
+    (core, join_nnz)
+        The core ``J x_n U^(n)T`` over every mode, equal (to floating
+        point) to projecting :func:`~repro.core.stitch.dense_join`'s
+        tensor, and that tensor's stored-cell count.
     """
-    k = partition.k
+    if join_kind not in ("join", "zero"):
+        raise StitchError(f"unknown join kind {join_kind!r}")
+    m = len(layouts)
     shapes = partition.sub_shapes
-    if len(subs) != len(shapes):
-        raise StitchError(
-            f"need {len(shapes)} sub-ensembles, got {len(subs)}"
-        )
+    if m != len(shapes):
+        raise StitchError(f"need {len(shapes)} sub-ensembles, got {m}")
+    if join_kind == "zero" and m > 2:
+        raise StitchError(f"zero-join stitches two sub-ensembles, got {m}")
     if len(factors) != partition.n_modes:
         raise StitchError(
             f"need {partition.n_modes} factor matrices, got {len(factors)}"
         )
-    group_factors = []
+    k = partition.k
+    projected, weights, counts, candidates = [], [], [], []
     start = k
-    for which, (sub, expected) in enumerate(zip(subs, shapes), 1):
-        if sub.shape != expected:
+    for which, ((values, observed), shape) in enumerate(
+        zip(layouts, shapes), 1
+    ):
+        cells = (math.prod(shape[:k]), math.prod(shape[k:]))
+        if values.shape != cells or observed.shape != cells:
             raise StitchError(
-                f"x{which} shape {sub.shape} != sub-space {expected}"
+                f"x{which} layout {values.shape} != (pivot, free) {cells}"
             )
-        group_factors.append(list(factors[start : start + sub.ndim - k]))
-        start += sub.ndim - k
-    pivot_factors = list(factors[:k])
-    colsums = [[u.sum(axis=0) for u in fs] for fs in group_factors]
-    terms = []
-    for side, (sub, own) in enumerate(zip(subs, group_factors)):
-        # Project each sub-ensemble onto its own modes' subspaces; the
-        # column sums of the other groups' factors supply their modes.
-        projected = multi_ttm(sub, pivot_factors + own, transpose=True)
-        others = [c for g, cs in enumerate(colsums) if g != side for c in cs]
-        term = np.multiply.outer(projected, outer(others))
-        # term's layout is (pivot..., own group..., other groups...);
-        # move each group's block to its join-order position.
-        axes = list(range(k))
-        after_own = k + len(own)
-        for g, cs in enumerate(colsums):
-            if g == side:
-                axes.extend(range(k, k + len(cs)))
-            else:
-                axes.extend(range(after_own, after_own + len(cs)))
-                after_own += len(cs)
-        terms.append(np.transpose(term, axes))
-    return functools.reduce(np.add, terms) / len(terms)
+        basis = _kron(factors[start : start + len(shape) - k])
+        start += len(shape) - k
+        projected.append(values @ basis)
+        counts.append(observed.sum(axis=1))
+        if join_kind == "join":
+            weights.append(observed @ basis)
+        else:
+            cand = observed.any(axis=0)
+            candidates.append(np.count_nonzero(cand))
+            weights.append((cand @ basis)[None, :])
+    # per pivot: side i's projected values times every other side's
+    # projected mask, each on its own rank axis of (pivot, r_1..r_m)
+    terms = [
+        functools.reduce(np.multiply, [
+            spread(projected[j] if j == side else weights[j], j, m)
+            for j in range(m)
+        ])
+        for side in range(m)
+    ]
+    stitched = functools.reduce(np.add, terms) / m
+    pivot_basis = _kron(factors[:k])
+    core = pivot_basis.T @ stitched.reshape(len(pivot_basis), -1)
+    core = core.reshape(tuple(u.shape[1] for u in factors))
+
+    if join_kind == "join":
+        join_nnz = functools.reduce(np.multiply, counts).sum()
+    else:
+        (c1, c2), (a1, a2) = counts, candidates
+        join_nnz = (c1 * a2 + a1 * c2 - c1 * c2).sum()
+    return core, int(join_nnz)
 
 
 def dense_join_from_subs(
@@ -118,8 +142,8 @@ def dense_join_from_subs(
 ) -> np.ndarray:
     """Materialize the complete cross join densely (join mode order).
 
-    ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2`` — the reference the
-    tests check both core routes against.
+    ``J(p, a, b) = (X1(p, a) + X2(p, b)) / 2`` — a reference the tests
+    check the core against.
     """
     k = partition.k
     f1 = len(partition.s1_free)

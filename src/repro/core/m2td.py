@@ -17,11 +17,11 @@ dense ``(values, observed)`` layout per sub-ensemble
 :func:`decompose_sub_ensembles` implements the skeleton for ``m >= 2``
 sub-ensembles; :func:`m2td_decompose` is the paper's two-sub-system
 form and :func:`~repro.core.multiway.m2td_multiway` the multiway one.
-The ``variant`` argument picks the pivot combiner.  The inputs pick
-the core route: a join of complete sub-ensembles has the closed form
-``J(p, a_1, ..., a_m) = mean_i X_i(p, a_i)`` and takes
-:func:`~repro.core.join_tensor.lazy_core`, which never builds ``J``;
-every other stitch materializes ``J`` first.
+The ``variant`` argument picks the pivot combiner.  The JE-stitch and
+step 4 are one route for every join kind and every sampling:
+:func:`~repro.core.join_tensor.join_core` projects each sub-ensemble's
+layout onto its own factors and combines the small projections per
+pivot, so ``J`` is never built.
 """
 
 from __future__ import annotations
@@ -33,21 +33,16 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import RankError, StitchError
-from ..observability import span as _span
+from ..observability import get_metrics, span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
 from ..tensor.svd import truncated_svd
 from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
 from .evaluation import accuracy
-from .join_tensor import lazy_core, materialized_core
+from .join_tensor import join_core
 from .row_select import combine_pivot_factors
-from .stitch import (
-    Partition,
-    dense_join,
-    dense_to_original_order,
-    observed_layout,
-)
+from .stitch import Partition, dense_to_original_order, observed_layout
 
 TensorLike = Union[np.ndarray, SparseTensor]
 
@@ -69,11 +64,13 @@ class M2TDResult:
         ``"join"`` or ``"zero"``.
     join_nnz:
         Stored entries of the stitched join tensor (its effective
-        density numerator); every cell of the join space when two
-        complete sub-ensembles are joined.
+        density numerator), counted without building it; every cell of
+        the join space when two complete sub-ensembles are joined.
     phase_seconds:
         Wall-clock split mirroring D-M2TD's phases:
-        ``sub_decompose`` / ``stitch`` / ``core``.
+        ``sub_decompose`` / ``stitch`` / ``core``.  The single-node
+        engine stitches inside the core projection, so its ``stitch``
+        holds only the stitch's bookkeeping.
     """
 
     tucker: TuckerTensor
@@ -160,10 +157,8 @@ def m2td_decompose(
         entity's row from whichever sub-system represents it with more
         energy.
     join_kind:
-        ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2).  A
-        join of two complete sub-ensembles recovers the core in closed
-        form (the ``m2td-core`` span's ``core_route`` says which route
-        ran); every other stitch materializes the join tensor.
+        ``"join"`` (Section V-C1) or ``"zero"`` (Section V-C2).  Both
+        recover the core without materializing the join tensor.
 
     Returns
     -------
@@ -206,21 +201,20 @@ def decompose_sub_ensembles(
         observed_layout(x, partition, which)
         for which, x in enumerate(subs, 1)
     ]
-    dense_subs = []
+    # Factors read a stored -0.0 as the observation 0.0: LAPACK's
+    # Householder reflections tell the two apart.
+    signed = []
     for which, ((values, _observed), shape) in enumerate(
         zip(layouts, shapes), 1
     ):
         if not np.isfinite(values).all():
             # fail typed here, not as an untyped SVD non-convergence
             raise StitchError(f"sub-ensemble x{which} has non-finite values")
-        dense_subs.append(values.reshape(shape))
+        signed.append(values.reshape(shape) + 0.0)
     join_ranks = map_ranks_to_join(partition, ranks)
     k = partition.k
 
     # ------------------------------------------------------- phase 1
-    # Factors read a stored -0.0 as the observation 0.0: LAPACK's
-    # Householder reflections tell the two apart.
-    signed = [sub + 0.0 for sub in dense_subs]
     factors: List[np.ndarray] = []
     for axis in range(k):
         with _span(
@@ -244,38 +238,26 @@ def decompose_sub_ensembles(
                 )[0])
     sub_decompose_seconds = time.perf_counter() - started
 
-    # ------------------------------------------------------- phase 2
-    closed_form = join_kind == "join" and all(
-        observed.all() for _values, observed in layouts
-    )
+    # --------------------------------------------------- phases 2-3
+    # One factored projection stitches and recovers the core per pivot;
+    # J is never built, so the stitch span's own time is bookkeeping.
+    complete = all(observed.all() for _values, observed in layouts)
     started = time.perf_counter()
     with _span(
         "m2td-stitch", "stitch", join_kind=join_kind, variant=variant,
     ) as stitch_span:
-        if closed_form:
-            # J(p, a_1..a_m) = mean_i X_i(p, a_i) fills every cell; the
-            # core needs only the X_i, never J itself.
-            join_nnz = int(np.prod(partition.join_shape))
-        else:
-            # Broadcast the layouts straight into the dense J and its
-            # stored-cell mask; no COO tensor.
-            join_dense, _stored, join_nnz = dense_join(
-                layouts, partition, join_kind
-            )
+        with _span(
+            "m2td-core", "decompose", variant=variant,
+            join_kind=join_kind, complete=complete,
+        ):
+            core_started = time.perf_counter()
+            core, join_nnz = join_core(layouts, factors, partition, join_kind)
+            core_seconds = time.perf_counter() - core_started
         stitch_span.set(join_nnz=join_nnz)
-    stitch_seconds = time.perf_counter() - started
-
-    # ------------------------------------------------------- phase 3
-    started = time.perf_counter()
-    with _span(
-        "m2td-core", "decompose", variant=variant,
-        core_route="closed-form" if closed_form else "materialized",
-    ):
-        if closed_form:
-            core = lazy_core(dense_subs, factors, partition)
-        else:
-            core = materialized_core(join_dense, factors)
-    core_seconds = time.perf_counter() - started
+        metrics = get_metrics()
+        metrics.counter("stitch.joins").inc()
+        metrics.counter("stitch.join_nnz").inc(join_nnz)
+    stitch_seconds = time.perf_counter() - started - core_seconds
 
     return M2TDResult(
         tucker=TuckerTensor(core, factors),

@@ -14,7 +14,7 @@ tensor ``J`` whose modes are ``pivot + S1-free + S2-free``:
   are partial (Section V-C2).  A side's candidates are the distinct
   free configurations observed anywhere in that sub-ensemble.
 
-:func:`dense_join` is the one stitch.  It takes each sub-ensemble's
+:func:`dense_join` materializes a stitch.  It takes each sub-ensemble's
 :func:`observed_layout` (a ``(pivot cells, free cells)`` value array
 plus a boolean observed mask ``m``), then forms both kinds by
 broadcasting over ``(pivot, a, b)``:
@@ -35,7 +35,9 @@ stays two-way.
 A dense layout holds one value per cell, so the stitch cannot emit
 duplicate cells; duplicate input coordinates are already averaged by
 :class:`~repro.tensor.sparse.SparseTensor`.  :func:`join_tensor` and
-:func:`zero_join_tensor` are sparse views of the same stitch.
+:func:`zero_join_tensor` are sparse views of the same stitch.  M2TD
+never materializes it: :func:`~repro.core.join_tensor.join_core`
+projects the same layouts onto the factors per pivot.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def observed_layout(
     ``partition.sub_shapes`` order.  Unobserved cells hold ``0.0``; a
     dense input is observed everywhere.
     :func:`~repro.core.m2td.m2td_decompose` builds one per sub-ensemble
-    and feeds it to the factors, the stitch and the closed-form core.
+    and feeds it to the factors and to
+    :func:`~repro.core.join_tensor.join_core`.
     """
     if not 1 <= which <= len(partition.sub_shapes):
         raise PartitionError(
@@ -94,6 +97,15 @@ def observed_layout(
     values[flat] = tensor.values
     observed[flat] = True
     return values.reshape(layout), observed.reshape(layout)
+
+
+def spread(array: np.ndarray, side: int, m: int) -> np.ndarray:
+    """View a ``(pivot, cells)`` array with its cells on axis
+    ``1 + side`` of ``(pivot, a_1, ..., a_m)``, for broadcasting."""
+    return array.reshape(
+        array.shape[:1] + (1,) * side + array.shape[1:]
+        + (1,) * (m - 1 - side)
+    )
 
 
 def dense_join(
@@ -138,15 +150,12 @@ def dense_join(
             for which, (_values, observed) in enumerate(layouts, 1)
         })
 
-        def spread(array, side):
-            # side's free cells on axis 1 + side of (pivot, a_1..a_m)
-            return array.reshape(
-                array.shape[:1] + (1,) * side + array.shape[1:]
-                + (1,) * (m - 1 - side)
-            )
-
-        values = [spread(v, side) for side, (v, _o) in enumerate(layouts)]
-        masks = [spread(o, side) for side, (_v, o) in enumerate(layouts)]
+        values = [
+            spread(v, side, m) for side, (v, _o) in enumerate(layouts)
+        ]
+        masks = [
+            spread(o, side, m) for side, (_v, o) in enumerate(layouts)
+        ]
         dense = functools.reduce(np.add, values)
         dense /= m
         if kind == "join":

@@ -7,7 +7,6 @@ from repro.core import (
     dense_join_from_subs,
     join_tensor,
     m2td_decompose,
-    materialized_core,
     zero_join_tensor,
 )
 from repro.core.m2td import map_ranks_to_join
@@ -15,6 +14,8 @@ from repro.exceptions import RankError, ShapeError, StitchError
 from repro.observability import Tracer, use_tracer
 from repro.sampling import PFPartition
 from repro.tensor import SparseTensor
+
+from ..generators import materialized_core
 
 SHAPE = (4, 4, 4, 4, 4)
 RANKS = [2] * 5
@@ -141,21 +142,20 @@ class TestEngine:
 
 
 class TestCoreRoute:
-    """The inputs pick the core route: a join of two complete
-    sub-ensembles recovers the core in closed form, every other
-    stitch materializes the join tensor — with the same core and the
-    same ``join_nnz`` either way."""
+    """Every stitch takes the one factored core route: the core equals
+    the materialized join's projection, and ``join_nnz`` its stored
+    cells, whatever the inputs and the join kind."""
 
     @pytest.mark.parametrize(
-        "inputs, join_kind, route",
+        "inputs, join_kind",
         [
-            ("dense", "join", "closed-form"),
-            ("complete-sparse", "join", "closed-form"),
-            ("one-cell-missing", "join", "materialized"),
-            ("complete-sparse", "zero", "materialized"),
+            ("dense", "join"),
+            ("complete-sparse", "join"),
+            ("one-cell-missing", "join"),
+            ("complete-sparse", "zero"),
         ],
     )
-    def test_route_follows_the_data(self, subs, inputs, join_kind, route):
+    def test_route_follows_the_data(self, subs, inputs, join_kind):
         part, x1, x2 = subs
         sparse1 = SparseTensor.from_dense(x1, keep_zeros=True)
         sparse2 = SparseTensor.from_dense(x2, keep_zeros=True)
@@ -171,13 +171,15 @@ class TestCoreRoute:
         (core_span,) = [
             s for s in tracer.iter_spans() if s.name == "m2td-core"
         ]
-        assert core_span.attrs["core_route"] == route
+        assert core_span.attrs["join_kind"] == join_kind
+        complete = inputs != "one-cell-missing"
+        assert core_span.attrs["complete"] is complete
         assert result.join_kind == join_kind
 
         stitch = join_tensor if join_kind == "join" else zero_join_tensor
         materialized = stitch(sparse1, sparse2, part)
         assert result.join_nnz == materialized.nnz
-        if route == "closed-form":
+        if complete and join_kind == "join":
             assert result.join_nnz == int(np.prod(part.join_shape))
             reference_join = dense_join_from_subs(x1, x2, part)
         else:

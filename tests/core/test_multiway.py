@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.join_tensor import dense_join_from_subs, materialized_core
+from repro.core.join_tensor import dense_join_from_subs
 from repro.core.m2td import decompose_sub_ensembles, m2td_decompose
 from repro.core.multiway import (
     MWPartition,
@@ -19,6 +19,8 @@ from repro.core.stitch import dense_join, observed_layout
 from repro.exceptions import PartitionError, RankError, ShapeError, StitchError
 from repro.simulation import DoublePendulum, ParameterSpace
 from repro.tensor import SparseTensor
+
+from ..generators import materialized_core
 
 SHAPE = (4, 4, 4, 4, 4)
 

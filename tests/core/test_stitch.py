@@ -297,9 +297,10 @@ class TestBroadcastStitch:
 
     @pytest.mark.parametrize("kind", ["join", "zero"])
     def test_one_span_and_count_per_stitch_and_no_densify(self, kind):
-        """The materialized route stitches once (one span, one
-        ``stitch.joins``) and builds ``J`` without ``to_dense``; the
-        sparse view opens the same span once."""
+        """``m2td_decompose`` stitches once (one ``m2td-stitch`` span,
+        one ``stitch.joins``) and opens no dense-join span; the dense
+        stitch builds ``J`` without ``to_dense``; the sparse view opens
+        its span once, with the engine's ``join_nnz``."""
         part = partition()
         gen = np.random.default_rng(5)
         subs = []
@@ -311,7 +312,9 @@ class TestBroadcastStitch:
         name = "join-tensor" if kind == "join" else "zero-join-tensor"
         with use_metrics() as registry, use_tracer(Tracer()) as tracer:
             result = m2td_decompose(*subs, part, [2] * 5, join_kind=kind)
-        (span,) = [s for s in tracer.iter_spans() if s.name == name]
+        names = [s.name for s in tracer.iter_spans()]
+        assert name not in names
+        (span,) = [s for s in tracer.iter_spans() if s.name == "m2td-stitch"]
         assert span.attrs["join_nnz"] == result.join_nnz > 0
         assert registry.counter("stitch.joins").value == 1
         assert registry.counter("stitch.join_nnz").value == result.join_nnz
@@ -324,6 +327,7 @@ class TestBroadcastStitch:
         assert [s.name for s in tracer.iter_spans()] == [name]
         assert registry.counter("stitch.joins").value == 1
         assert registry.counter("stitch.join_nnz").value == joined.nnz
+        assert joined.nnz == result.join_nnz
 
     def test_rejects_unknown_kind(self, rng):
         part = partition()

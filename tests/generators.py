@@ -1,5 +1,5 @@
-"""Seeded test inputs: low-rank, sparse and orthonormal generators, and
-the spectral energy of a matricization."""
+"""Seeded test inputs: low-rank, sparse and orthonormal generators, the
+spectral energy of a matricization, and the reference core projection."""
 
 from __future__ import annotations
 
@@ -86,3 +86,12 @@ def spectral_energy(matrix: MatrixLike, rank: int) -> float:
     """
     _u, s, _vt = truncated_svd(matrix, rank)
     return float(np.sum(s**2))
+
+
+def materialized_core(
+    join_dense: np.ndarray, factors: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Project a dense join tensor onto the factor subspaces: the
+    paper's ``G = J x_1 U^(1)T ... x_N U^(N)T``, the reference for
+    :func:`~repro.core.join_tensor.join_core`."""
+    return multi_ttm(join_dense, list(factors), transpose=True)

@@ -77,9 +77,10 @@ class TestPipelineCoverage:
     def test_stitch_spans_report_join_nnz(
         self, pipeline_tracer, pendulum_study
     ):
-        """The fixture's full-density cross sample is a complete join,
-        so it recovers the core in closed form and builds no
-        ``join-tensor``; a random sample still materializes one."""
+        """The fixture's full-density cross sample is a complete join;
+        a random sample is a partial one.  Neither builds a
+        ``join-tensor``, and each ``m2td-stitch`` reports its
+        ``join_nnz``."""
         names = [s.name for s in pipeline_tracer.iter_spans()]
         assert "join-tensor" not in names
         (stitch,) = [
@@ -88,7 +89,7 @@ class TestPipelineCoverage:
         (core,) = [
             s for s in pipeline_tracer.iter_spans() if s.name == "m2td-core"
         ]
-        assert core.attrs["core_route"] == "closed-form"
+        assert core.attrs["complete"] is True
         # resolution 5 over five modes: the join space is all 5**5 cells
         assert stitch.attrs["join_nnz"] == 5**5
 
@@ -97,8 +98,12 @@ class TestPipelineCoverage:
                 [2] * pendulum_study.space.n_modes, free_fraction=0.5,
                 sub_sampling="random", seed=7,
             )
-        joins = [s for s in tracer.iter_spans() if s.name == "join-tensor"]
-        assert joins and all(s.attrs["join_nnz"] > 0 for s in joins)
+        names = [s.name for s in tracer.iter_spans()]
+        assert "join-tensor" not in names
+        stitches = [s for s in tracer.iter_spans() if s.name == "m2td-stitch"]
+        assert stitches and all(s.attrs["join_nnz"] > 0 for s in stitches)
+        cores = [s for s in tracer.iter_spans() if s.name == "m2td-core"]
+        assert cores and all(s.attrs["complete"] is False for s in cores)
 
 
 class TestWallTimeAccounting:
@@ -132,16 +137,19 @@ class TestCLITraceFlag:
         profile_path = tmp_path / "profile.txt"
         metrics_path = tmp_path / "metrics.json"
 
-        started = time.perf_counter()
-        code = study_cli.main(
-            [
-                str(config_path),
-                "--trace", str(trace_path),
-                "--profile", str(profile_path),
-                "--metrics", str(metrics_path),
-            ]
-        )
-        elapsed = time.perf_counter() - started
+        # A fresh registry, as a new CLI process has: the --metrics dump
+        # then serializes this run's metrics, not every earlier test's.
+        with use_metrics():
+            started = time.perf_counter()
+            code = study_cli.main(
+                [
+                    str(config_path),
+                    "--trace", str(trace_path),
+                    "--profile", str(profile_path),
+                    "--metrics", str(metrics_path),
+                ]
+            )
+            elapsed = time.perf_counter() - started
         assert code == 0
 
         doc = json.loads(trace_path.read_text())
