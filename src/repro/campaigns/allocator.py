@@ -22,6 +22,7 @@ larger weight always sorts at or before one with a smaller weight.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,9 +32,17 @@ from ..exceptions import CampaignError
 
 def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
     """Integer shares of ``total`` proportional to ``weights``."""
-    mass = float(weights.sum())
+    with np.errstate(over="ignore"):
+        mass = float(weights.sum())
     if mass <= 0.0:
         weights = np.ones_like(weights)
+        mass = float(weights.sum())
+    elif not math.isfinite(mass) or not math.isfinite(
+        total * float(weights.max())
+    ):
+        # Weights near the float maximum overflow the sum or a quota;
+        # relative to the largest they keep their order and ratios.
+        weights = weights / weights.max()
         mass = float(weights.sum())
     quotas = total * weights / mass
     shares = np.floor(quotas).astype(np.int64)
@@ -81,7 +90,9 @@ def allocate(
         raise CampaignError(
             f"errors must be one-dimensional, got shape {scores.shape}"
         )
-    if scores.size and (np.isnan(scores).any() or (scores < 0).any()):
+    if scores.size and (
+        not np.isfinite(scores).all() or (scores < 0).any()
+    ):
         raise CampaignError("errors must be non-negative and finite")
     batch = int(batch)
     if batch < 0:

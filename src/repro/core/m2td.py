@@ -14,6 +14,11 @@ dense ``(values, observed)`` layout per sub-ensemble
 4. recover the core ``G = J x_1 U^(1)T ... x_N U^(N)T`` of the join
    tensor ``J``.
 
+Steps 1-3 are phase 1: every unfolding they factor (CONCAT's pivots
+side by side) goes into one :func:`~repro.tensor.svd.truncated_svds`
+call, one LAPACK call per unfolding shape, bit-identical to one SVD per
+unfolding; the pivot combiner then reads the results.
+
 :func:`decompose_sub_ensembles` implements the skeleton for ``m >= 2``
 sub-ensembles; :func:`m2td_decompose` is the paper's two-sub-system
 form and :func:`~repro.core.multiway.m2td_multiway` the multiway one.
@@ -36,7 +41,7 @@ from ..exceptions import RankError, StitchError
 from ..observability import get_metrics, span as _span
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
-from ..tensor.svd import truncated_svd
+from ..tensor.svd import truncated_svds
 from ..tensor.tucker import TuckerTensor
 from ..tensor.unfold import unfold
 from .evaluation import accuracy
@@ -97,19 +102,9 @@ class M2TDResult:
         )
 
 
-def _clip_rank(rank: int, shape: Tuple[int, int]) -> int:
+def clip_rank(rank: int, shape: Tuple[int, int]) -> int:
+    """``rank`` clamped into ``[1, min(shape)]`` of a matricization."""
     return max(1, min(int(rank), min(int(shape[0]), int(shape[1]))))
-
-
-def factor_pair(matrix: np.ndarray, rank: int):
-    """``(U, s)``: leading left singular vectors and singular values.
-
-    The one factor route of M2TD and D-M2TD: a LAPACK SVD of a dense
-    unfolding of a sub-ensemble, never the Gram fast path of
-    :func:`~repro.tensor.svd.leading_left_singular_vectors`.
-    """
-    u, s, _vt = truncated_svd(matrix, _clip_rank(rank, matrix.shape))
-    return u, s
 
 
 def map_ranks_to_join(
@@ -215,27 +210,37 @@ def decompose_sub_ensembles(
     k = partition.k
 
     # ------------------------------------------------------- phase 1
-    factors: List[np.ndarray] = []
-    for axis in range(k):
-        with _span(
-            "pivot-factor", "stitch-factor", mode=axis, variant=variant
-        ):
+    # Every unfolding phase 1 factors, in one batched SVD call: the
+    # pivot unfoldings of each side (CONCAT's side by side), then each
+    # side's free-mode unfoldings in join mode order.
+    per_pivot = 1 if variant == "concat" else len(signed)
+    with _span("m2td-factors", "decompose", variant=variant):
+        matrices: List[np.ndarray] = []
+        for axis in range(k):
             unfoldings = [unfold(sub, axis) for sub in signed]
-            rank = join_ranks[axis]
-            if variant == "concat":
-                factors.append(factor_pair(np.hstack(unfoldings), rank)[0])
-            else:
-                pairs = [factor_pair(m, rank) for m in unfoldings]
-                factors.append(combine_pivot_factors(
-                    [u for u, _s in pairs], [s for _u, s in pairs], variant
-                ))
-    with _span("free-factors", "decompose", variant=variant):
+            matrices += (
+                [np.hstack(unfoldings)] if variant == "concat" else unfoldings
+            )
         for sub in signed:
-            for axis in range(k, sub.ndim):
-                # len(factors) is the join axis of the next factor
-                factors.append(factor_pair(
-                    unfold(sub, axis), join_ranks[len(factors)]
-                )[0])
+            matrices += [unfold(sub, axis) for axis in range(k, sub.ndim)]
+        wanted = [r for r in join_ranks[:k] for _ in range(per_pivot)]
+        wanted += join_ranks[k:]
+        svds = truncated_svds(matrices, [
+            clip_rank(rank, m.shape) for rank, m in zip(wanted, matrices)
+        ])
+        with _span("pivot-combine", "stitch-factor", variant=variant):
+            factors: List[np.ndarray] = []
+            for axis in range(k):
+                sides = svds[axis * per_pivot:(axis + 1) * per_pivot]
+                factors.append(
+                    sides[0][0] if variant == "concat"
+                    else combine_pivot_factors(
+                        [u for u, _s, _vt in sides],
+                        [s for _u, s, _vt in sides],
+                        variant,
+                    )
+                )
+        factors += [u for u, _s, _vt in svds[k * per_pivot:]]
     sub_decompose_seconds = time.perf_counter() - started
 
     # --------------------------------------------------- phases 2-3

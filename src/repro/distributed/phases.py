@@ -25,10 +25,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.m2td import factor_pair
+from ..core.m2td import clip_rank
 from ..exceptions import MapReduceError
 from ..sampling.partition import PFPartition
 from ..tensor.sparse import SparseTensor
+from ..tensor.svd import truncated_svds
 from ..tensor.ttm import multi_ttm
 from ..tensor.unfold import unfold
 from ..tensor.ops import outer
@@ -39,8 +40,8 @@ from .mapreduce import MapReduceJob, Record
 # phase 1: parallel sub-tensor decomposition
 # ----------------------------------------------------------------------
 class Phase1Reduce:
-    """Decompose one sub-tensor: per-mode truncated SVDs of its dense
-    unfoldings, the single-node M2TD factor route.
+    """Decompose one sub-tensor: the truncated SVDs of all its dense
+    unfoldings in one batched call, the single-node M2TD factor route.
 
     ``ranks_per_mode[kappa]`` holds the target rank for each mode of
     sub-tensor ``kappa``.
@@ -57,8 +58,12 @@ class Phase1Reduce:
         # m2td_decompose.
         dense = np.zeros(tensor.shape)
         dense[tuple(tensor.coords.T)] = tensor.values + 0.0
-        for mode, rank in enumerate(self.ranks_per_mode[kappa]):
-            u, s = factor_pair(unfold(dense, mode), rank)
+        ranks = self.ranks_per_mode[kappa]
+        unfoldings = [unfold(dense, mode) for mode in range(len(ranks))]
+        svds = truncated_svds(unfoldings, [
+            clip_rank(rank, m.shape) for rank, m in zip(ranks, unfoldings)
+        ])
+        for mode, (u, s, _vt) in enumerate(svds):
             yield ("factor", (kappa, mode, u, s))
 
 

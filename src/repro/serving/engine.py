@@ -148,6 +148,17 @@ def _check_coords(shape: Tuple[int, ...], coords) -> np.ndarray:
 Anomaly = Tuple[Tuple[int, ...], float, float, float]
 
 
+def _restricted(mode, index) -> bool:
+    """Whether a top-k query names a hyperplane: both ``mode`` and
+    ``index`` given, or neither; one alone is a :class:`QueryError`."""
+    if (mode is None) != (index is None):
+        given = "mode" if index is None else "index"
+        raise QueryError(
+            f"a top-k restriction needs both mode and index, got only {given}"
+        )
+    return mode is not None
+
+
 @dataclass(frozen=True)
 class ResidualRanking:
     """Stored cells sorted by ``|stored - predicted|``, largest first.
@@ -173,8 +184,9 @@ class ResidualRanking:
         self, k: int, mode: Optional[int] = None, index: Optional[int] = None
     ) -> List[Anomaly]:
         """The first k rows — of the hyperplane ``mode = index`` when
-        both are given — as ``(index, stored, predicted, residual)``."""
-        if mode is not None and index is not None:
+        both are given, never one alone — as ``(index, stored,
+        predicted, residual)``."""
+        if _restricted(mode, index):
             rows = np.flatnonzero(self.coords[:, mode] == index)[:k]
         else:
             rows = np.arange(min(k, self.residual.shape[0]))
@@ -383,8 +395,9 @@ class FactorEngine:
         and ``name`` are then not read).  Otherwise ranks the cells of
         ``name`` in ``store`` (a
         :class:`~repro.storage.BlockTensorStore`) — the whole tensor
-        when ``mode``/``index`` are omitted, one ``slice_query``
-        hyperplane otherwise.
+        when ``mode`` and ``index`` are both omitted, one
+        ``slice_query`` hyperplane when both are given; one alone is a
+        :class:`QueryError`.
 
         Returns ``[(index, stored, predicted, residual), ...]`` sorted
         by residual, largest first.
@@ -392,7 +405,7 @@ class FactorEngine:
         k = _as_index(k, "k")
         if k < 1:
             raise QueryError(f"top-k needs k >= 1, got {k}")
-        restricted = mode is not None and index is not None
+        restricted = _restricted(mode, index)
         if restricted:
             mode, index = self._check_slice(mode, index)
         with _span(

@@ -61,7 +61,7 @@ from ..exceptions import (
 from ..faults.injector import get_injector
 from ..observability import get_metrics, span as _span
 from .catalog import StudyCatalog
-from .engine import _as_index, _check_coords, _check_point
+from .engine import _as_index, _check_coords, _check_point, _restricted
 
 _SHUTDOWN = object()
 #: A request's ``value`` until its drain has answered it.
@@ -227,7 +227,9 @@ class ServingServer:
         mode: Optional[int] = None,
         index: Optional[int] = None,
     ) -> List[Tuple[Tuple[int, ...], float, float, float]]:
-        """The study's k worst-explained simulated cells."""
+        """The study's k worst-explained simulated cells, in the
+        hyperplane ``mode = index`` when both are given."""
+        _restricted(mode, index)
         return await self._submit(study, "topk", (
             _as_index(k, "k"),
             None if mode is None else _as_index(mode, "mode"),

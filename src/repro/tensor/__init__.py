@@ -13,6 +13,7 @@ from .svd import (
     deterministic_signs,
     leading_left_singular_vectors,
     truncated_svd,
+    truncated_svds,
 )
 from .ttm import multi_ttm, ttm
 from .tucker import (
@@ -37,6 +38,7 @@ __all__ = [
     "deterministic_signs",
     "leading_left_singular_vectors",
     "truncated_svd",
+    "truncated_svds",
     "multi_ttm",
     "ttm",
     "TuckerTensor",

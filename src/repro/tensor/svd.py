@@ -1,12 +1,13 @@
 """Deterministic truncated SVD of a matricization.
 
 Every factor matrix in this library (HOSVD, HOOI, all three M2TD
-variants) comes out of :func:`truncated_svd` or
-:func:`leading_left_singular_vectors` applied to a dense matricization,
-so the sign convention and the one dispatch (LAPACK's SVD, or the
-eigenvectors of the Gram matrix of a wide dense unfolding) live in
-exactly one place.  Sparse tensors are densified before they get here;
-a CSR matrix passed in is densified too.
+variants) comes out of :func:`truncated_svds` (or its batch of one,
+:func:`truncated_svd`) or :func:`leading_left_singular_vectors`
+applied to a dense matricization, so the sign convention and the one
+dispatch (LAPACK's SVD, or the eigenvectors of the Gram matrix of a
+wide dense unfolding) live in exactly one place.  Sparse tensors are
+densified before they get here; a CSR matrix passed in is densified
+too.
 
 Determinism matters more here than in a generic linear-algebra
 library: M2TD-AVG *averages* factor matrices from two independent
@@ -18,7 +19,7 @@ largest magnitude is positive.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sps
@@ -30,12 +31,22 @@ MatrixLike = Union[np.ndarray, sps.spmatrix]
 
 
 def sign_flip_mask(basis: np.ndarray) -> np.ndarray:
-    """Boolean mask of columns whose largest-|entry| is negative."""
+    """Boolean mask of columns whose largest-|entry| is negative.
+
+    ``basis`` is one ``(m, r)`` matrix or a stack ``(b, m, r)`` of
+    them; the mask is ``(r,)`` or ``(b, r)``, each matrix on its own.
+    """
+    mask_shape = basis.shape[:-2] + basis.shape[-1:]
     if basis.size == 0:
-        return np.zeros(basis.shape[1], dtype=bool)
-    pivot_rows = np.abs(basis).argmax(axis=0)
-    pivots = basis[pivot_rows, np.arange(basis.shape[1])]
-    return pivots < 0
+        return np.zeros(mask_shape, dtype=bool)
+    stack = basis.reshape((-1,) + basis.shape[-2:])
+    pivot_rows = np.abs(stack).argmax(axis=1)
+    pivots = stack[
+        np.arange(stack.shape[0])[:, None],
+        pivot_rows,
+        np.arange(stack.shape[2]),
+    ]
+    return (pivots < 0).reshape(mask_shape)
 
 
 def deterministic_signs(basis: np.ndarray) -> np.ndarray:
@@ -70,35 +81,69 @@ def truncated_svd(
     Returns ``(U, s, Vt)`` with ``U`` of shape ``(m, rank)``, singular
     values sorted in decreasing order, and signs normalized jointly on
     ``U``/``Vt`` so that ``U @ diag(s) @ Vt`` still reconstructs the
-    input.  Every input takes LAPACK's full SVD; a sparse (CSR) input
-    is densified first.
+    input.  The batch of one of :func:`truncated_svds`: LAPACK's full
+    SVD, a sparse (CSR) input densified first.
     """
-    rank = _validate_rank(matrix.shape, rank)
-    is_sparse = sps.issparse(matrix)
+    return truncated_svds([matrix], [rank])[0]
+
+
+def truncated_svds(
+    matrices: Sequence[MatrixLike], ranks: Sequence[int]
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`truncated_svd` of every matrix, one LAPACK call per shape.
+
+    ``ranks[i]`` is the rank of ``matrices[i]``'s result; the results
+    come back in input order.  Matrices of one shape are stacked and
+    factored by one call of numpy's SVD gufunc, which runs the same
+    LAPACK routine on each matrix of a stack, so every ``(U, s, Vt)``
+    is bit-identical to factoring its matrix alone.  ``svd.calls`` and
+    ``svd.rank`` count matrices; each stacked call is one
+    ``truncated-svd`` span whose ``batch`` is its matrix count.
+    """
+    if len(matrices) != len(ranks):
+        raise RankError(
+            f"need one rank per matrix ({len(matrices)}), got {len(ranks)}"
+        )
+    ranks = [_validate_rank(m.shape, r) for m, r in zip(matrices, ranks)]
     metrics = get_metrics()
-    metrics.counter("svd.calls").inc()
-    metrics.histogram("svd.rank").observe(rank)
-    with _span(
-        "truncated-svd",
-        "decompose",
-        shape=matrix.shape,
-        rank=rank,
-        sparse=bool(is_sparse),
-    ):
-        if is_sparse:
-            # metered like SparseTensor.to_dense: a densification
-            metrics.counter("tensor.dense_unfolds").inc()
-            dense = matrix.toarray()
-        else:
-            dense = np.asarray(matrix, dtype=np.float64)
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-        u = np.array(u, dtype=np.float64, copy=True)
-        vt = np.array(vt, dtype=np.float64, copy=True)
-        flip = sign_flip_mask(u)
-        u[:, flip] *= -1.0
-        vt[flip, :] *= -1.0
-        return u, s, vt
+    metrics.counter("svd.calls").inc(len(matrices))
+    metrics.histogram("svd.rank").observe_many(ranks)
+    groups: Dict[Tuple[Tuple[int, ...], bool], List[int]] = {}
+    for i, matrix in enumerate(matrices):
+        key = (tuple(matrix.shape), sps.issparse(matrix))
+        groups.setdefault(key, []).append(i)
+    results: List = [None] * len(matrices)
+    for (shape, is_sparse), members in groups.items():
+        group_ranks = [ranks[i] for i in members]
+        with _span(
+            "truncated-svd",
+            "decompose",
+            shape=shape,
+            ranks=tuple(group_ranks),
+            sparse=is_sparse,
+            batch=len(members),
+        ):
+            if is_sparse:
+                # metered like SparseTensor.to_dense: a densification
+                metrics.counter("tensor.dense_unfolds").inc(len(members))
+                stack = np.stack([matrices[i].toarray() for i in members])
+            else:
+                stack = np.stack([matrices[i] for i in members])
+            u, s, vt = np.linalg.svd(
+                stack.astype(np.float64, copy=False), full_matrices=False
+            )
+            top = max(group_ranks)
+            u, s, vt = u[:, :, :top], s[:, :top], vt[:, :top]
+            sign = np.where(sign_flip_mask(u), -1.0, 1.0)
+            u = u * sign[:, None, :]
+            vt = vt * sign[:, :, None]
+            for j, (i, rank) in enumerate(zip(members, group_ranks)):
+                results[i] = (
+                    np.ascontiguousarray(u[j, :, :rank]),
+                    s[j, :rank],
+                    vt[j, :rank],
+                )
+    return results
 
 
 #: Width ratio past which the Gram route beats a full LAPACK SVD: for

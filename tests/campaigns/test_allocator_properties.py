@@ -11,6 +11,8 @@ by a hypothesis property rather than examples:
   fewer cells.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,29 @@ class TestValidation:
     def test_rejects_nan_errors(self):
         with pytest.raises(CampaignError):
             allocate([1.0, float("nan")], 10)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_rejects_infinite_errors(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CampaignError, match="finite"):
+                allocate([1.0, bad], 10)
+
+    @pytest.mark.parametrize(
+        "errors, want",
+        [
+            ([1e308, 1e308, 1.0], [5, 5, 0]),  # the weight sum overflows
+            ([1e308, 1.0], [10, 0]),           # a quota overflows
+            ([1.5e308, 1e308, 1e308, 1e-300], [4, 3, 3, 0]),
+        ],
+    )
+    def test_near_max_errors_split_the_batch(self, errors, want):
+        """Finite errors near the float maximum still allocate exactly
+        the batch, monotone in error, without a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shares = allocate(errors, 10)
+        assert shares.tolist() == want
 
     def test_rejects_negative_batch(self):
         with pytest.raises(CampaignError):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import dense_join_from_subs, join_core
@@ -47,8 +47,13 @@ def assert_matches_materialized(subs, factors, part, kind):
     # |U|); that sum bounds their rounding, even where x1 + x2 cancels.
     magnitudes = dense_join([(np.abs(v), o) for v, o in lays], part, kind)
     scale = materialized_core(magnitudes[0], [np.abs(u) for u in factors])
+    # Gradual underflow adds an absolute error the relative term cannot
+    # see: up to 2**-1074 per rounding of each product term (one per
+    # factor, one for the mean), times the factors applied after it.
+    growth = np.prod([max(1.0, np.abs(u).max()) for u in factors])
+    underflow = (len(factors) + 1) * joined.size * growth * 2.0**-1074
     assert core.shape == reference.shape
-    assert np.all(np.abs(core - reference) <= 1e-12 * scale.max())
+    assert np.all(np.abs(core - reference) <= 1e-12 * scale.max() + underflow)
     assert nnz == want_nnz
 
 
@@ -170,8 +175,30 @@ def random_factors(rng, part, rank=2):
     return [rng.standard_normal((part.shape[m], rank)) for m in part.join_modes]
 
 
+def subnormal_case():
+    """A complete m = 2 join whose only nonzero value is subnormal: the
+    two routes differ there by one subnormal ulp, 5e-324."""
+    part = MWPartition((2, 1, 1), (0,), ((1,), (2,)))
+    values = [[0.0, 0.0], [0.0, float.fromhex("0x0.0000a7c5ac472p-1022")]]
+    subs = [
+        SparseTensor(shape, np.argwhere(np.ones(shape, dtype=bool)),
+                     np.array(v))
+        for shape, v in zip(part.sub_shapes, values)
+    ]
+    factors = [
+        np.array([[float.fromhex(h)] for h in row])
+        for row in (
+            ["0x1.405f9a8b5208ap-1", "0x1.15089d054d75fp+1"],
+            ["0x1.e93c9cb33302fp-1"],
+            ["-0x1.148a1cb0f83e4p+0"],
+        )
+    ]
+    return part, subs, factors, "join"
+
+
 class TestJoinCore:
     @given(case=join_cases())
+    @example(case=subnormal_case())
     @settings(max_examples=200, deadline=None)
     def test_matches_materialized_join(self, case):
         part, subs, factors, kind = case

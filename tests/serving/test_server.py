@@ -321,6 +321,27 @@ class TestErrors:
 
         assert len(asyncio.run(serve())) == 2
 
+    @pytest.mark.parametrize("half", [{"mode": 1}, {"index": 0}])
+    def test_half_specified_topk_restriction_is_a_query_error(
+        self, catalog, half
+    ):
+        """``mode`` without ``index`` (or the reverse) is refused, never
+        answered with the whole tensor's top-k."""
+        async def serve():
+            async with ServingServer(catalog) as server:
+                client = ServingClient(server, study="alpha")
+                with pytest.raises(QueryError, match="both mode and index"):
+                    await client.topk(3, **half)
+                assert len(await client.topk(3)) == 3
+                return server.stats
+
+        assert asyncio.run(serve()).served == 1
+        engine = catalog.engine("alpha")
+        with pytest.raises(QueryError, match="both mode and index"):
+            engine.topk_anomalies(None, "ensemble", 3, **half)
+        with pytest.raises(QueryError, match="both mode and index"):
+            engine.ranking.take(3, **half)
+
     def test_not_started(self, catalog):
         server = ServingServer(catalog)
 

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import RankError
+from repro.observability import Tracer, use_metrics, use_tracer
 from repro.tensor import (
     deterministic_signs,
     leading_left_singular_vectors,
     truncated_svd,
+    truncated_svds,
 )
 from repro.tensor.svd import gram_left_singular_vectors
 
@@ -76,6 +80,95 @@ class TestTruncatedSvd:
             truncated_svd(matrix, 0)
         with pytest.raises(RankError):
             truncated_svd(matrix, 4)
+
+
+@st.composite
+def svd_batches(draw):
+    """1-8 matrices with repeated and mixed shapes (rows 1-12, columns
+    1-80), some all zero or with zero columns, and a rank each in
+    ``1..min(shape)``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = []
+    matrices, ranks = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        if shapes and draw(st.booleans()):
+            shape = draw(st.sampled_from(shapes))
+        else:
+            shape = (draw(st.integers(1, 12)), draw(st.integers(1, 80)))
+            shapes.append(shape)
+        fill = draw(st.sampled_from(["normal", "zero", "zero-columns"]))
+        matrix = np.zeros(shape)
+        if fill != "zero":
+            matrix = rng.standard_normal(shape)
+        if fill == "zero-columns":
+            matrix[:, rng.random(shape[1]) < 0.5] = 0.0
+        matrices.append(matrix)
+        ranks.append(draw(st.integers(1, min(shape))))
+    return matrices, ranks
+
+
+class TestTruncatedSvds:
+    @given(batch=svd_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_call_per_matrix(self, batch):
+        """Bit for bit on U, s and Vt: one stacked LAPACK call per
+        shape is each matrix's own SVD, signs normalized per matrix."""
+        matrices, ranks = batch
+        with use_metrics() as registry:
+            batched = truncated_svds(matrices, ranks)
+            assert registry.counter("svd.calls").value == len(matrices)
+            rank = registry.histogram("svd.rank")
+            assert (rank.count, rank.total) == (len(ranks), sum(ranks))
+        assert len(batched) == len(matrices)
+        for matrix, r, got in zip(matrices, ranks, batched):
+            single = truncated_svd(matrix, r)
+            u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+            # the sign rule column by column, independent of the kernel
+            sign = np.array([
+                -1.0 if col[np.abs(col).argmax()] < 0 else 1.0
+                for col in u[:, :r].T
+            ])
+            plain = (u[:, :r] * sign, s[:r], vt[:r] * sign[:, None])
+            for want, alone, have in zip(plain, single, got):
+                assert have.shape == want.shape
+                assert np.array_equal(have, alone)
+                assert np.array_equal(have, want)
+
+    def test_one_span_per_shape(self, rng):
+        """A truncated-svd span per distinct shape, ``batch`` matrices
+        each, dense, in first-seen order of the shapes."""
+        shapes = [(8, 64), (8, 128), (8, 64), (3, 5), (8, 64)]
+        matrices = [rng.standard_normal(shape) for shape in shapes]
+        with use_tracer(Tracer()) as tracer:
+            truncated_svds(matrices, [2, 3, 1, 3, 2])
+        spans = [
+            s for s in tracer.iter_spans() if s.name == "truncated-svd"
+        ]
+        assert [
+            (s.category, s.attrs["shape"], s.attrs["batch"],
+             s.attrs["ranks"], s.attrs["sparse"])
+            for s in spans
+        ] == [
+            ("decompose", (8, 64), 3, (2, 1, 2), False),
+            ("decompose", (8, 128), 1, (3,), False),
+            ("decompose", (3, 5), 1, (3,), False),
+        ]
+
+    def test_sparse_inputs_densified_in_their_own_call(self, rng):
+        dense = rng.standard_normal((6, 5))
+        with use_metrics() as registry:
+            got = truncated_svds([dense, sps.csr_matrix(dense)], [2, 2])
+            assert registry.counter("tensor.dense_unfolds").value == 1
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+
+    def test_validation(self, rng):
+        matrix = rng.standard_normal((4, 3))
+        assert truncated_svds([], []) == []
+        with pytest.raises(RankError, match="one rank per matrix"):
+            truncated_svds([matrix, matrix], [1])
+        with pytest.raises(RankError):
+            truncated_svds([matrix, matrix], [1, 4])
 
 
 class TestGramLeftSingularVectors:
