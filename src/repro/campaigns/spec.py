@@ -178,7 +178,7 @@ class CampaignSpec:
                      minimum=1)
         _require_int("probe_factor", self.probe_factor, minimum=1)
         _require_int("max_rounds", self.max_rounds, minimum=1)
-        _require_int("seed", self.seed)
+        _require_int("seed", self.seed, minimum=0)
         if not isinstance(self.name, str):
             raise CampaignSpecError(
                 "name", f"must be a string, got {self.name!r}"

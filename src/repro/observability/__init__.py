@@ -30,7 +30,7 @@ simulate        integrator batches and ground-truth construction
 stitch          join / zero-join tensor assembly
 decompose       SVDs, HOSVD/HOOI sweeps, M2TD core recovery
 stitch-factor   combining pivot factor matrices (AVG/CONCAT/SELECT)
-tensor-op       low-level unfold/fold/TTM/matricize primitives
+tensor-op       low-level unfold/TTM/matricize primitives
 mapreduce       map/reduce tasks of the local engine
 storage         block-store put/get/slice I/O
 experiment      one CLI experiment run end to end

@@ -18,9 +18,11 @@ Three query shapes:
 ``slice``
     The dense hyperplanes ``mode = index`` for B indices: project the
     core through every *other* factor once,
-    ``P_m = G ×_{k≠m} U^(k)`` (``r_m × prod_{k≠m} I_k``, one
-    ``tensordot`` per other mode), then compute each *distinct*
-    index's hyperplane as one row of ``U^(m)[distinct] @ P_m`` — the
+    ``P_m = G ×_{k≠m} U^(k)`` (``r_m × prod_{k≠m} I_k``, the tensor
+    layer's :func:`~repro.tensor.ttm.multi_ttm` on the core with mode
+    ``m`` moved first and left out: one GEMM per other mode), then
+    compute each *distinct* index's hyperplane as one row of
+    ``U^(m)[distinct] @ P_m`` — the
     partial-reconstruction pattern of Austin/Ballard/Kolda.
     :meth:`FactorEngine.slice_planes` returns those planes read-only
     with the index→plane map, so the server's per-mode grouping of a
@@ -47,6 +49,7 @@ import numpy as np
 
 from ..exceptions import QueryError
 from ..observability import get_metrics, span as _span
+from ..tensor.ttm import multi_ttm
 from ..tensor.tucker import TuckerTensor
 
 
@@ -316,7 +319,9 @@ class FactorEngine:
         hyperplane once, in ascending index order, and
         ``planes[which[j]]`` is the hyperplane of ``indices[j]``.  The
         core is projected through every other factor once,
-        ``P_m = G ×_{k≠m} U^(k)`` shaped ``r_m × prod_{k≠m} I_k``; the
+        ``P_m = G ×_{k≠m} U^(k)`` shaped ``r_m × prod_{k≠m} I_k`` (one
+        :func:`~repro.tensor.ttm.multi_ttm` of the core with mode ``m``
+        moved first and left out); the
         D planes are then ``U^(m)[distinct] @ P_m``, at most ``I_m``
         rows however often an index repeats, each row bit-identical to
         the one a lone :meth:`slice` of that index computes.
@@ -330,14 +335,14 @@ class FactorEngine:
             "serving-slice", "serving", study=self.study, mode=mode,
             batch=rows.shape[0], planes=distinct.shape[0],
         ):
-            # Each step contracts the next other mode's rank (axis 1)
-            # and appends that mode's size: (r_m, I_k for k != m).
-            projected = np.moveaxis(t.core, mode, 0)
-            for m, factor in enumerate(t.factors):
-                if m != mode:
-                    projected = np.tensordot(
-                        projected, factor, axes=([1], [1])
-                    )
+            # P_m, the tensor layer's contraction with this mode left
+            # out.  The core is moved so its rank r_m leads, so the
+            # result is already (r_m, I_k for k != m) in C order; moving
+            # the product instead would copy all of it.
+            projected = multi_ttm(
+                np.moveaxis(t.core, mode, 0),
+                [None] + [f for m, f in enumerate(t.factors) if m != mode],
+            )
             # A stack of one-row products, not one many-row GEMM: BLAS
             # rounds the two differently, and a plane must not depend
             # on which other hyperplanes its drain asked for.

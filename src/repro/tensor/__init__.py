@@ -24,7 +24,7 @@ from .tucker import (
     st_hosvd,
     validate_ranks,
 )
-from .unfold import fold, unfold
+from .unfold import unfold
 
 __all__ = [
     "CompletionResult",
@@ -47,6 +47,5 @@ __all__ = [
     "hosvd",
     "st_hosvd",
     "validate_ranks",
-    "fold",
     "unfold",
 ]

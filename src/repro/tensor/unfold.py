@@ -1,17 +1,18 @@
-"""Tensor matricization (unfolding) and its inverse (folding).
+"""Tensor matricization (unfolding).
 
 The mode-``n`` unfolding of an ``N``-mode tensor arranges the mode-``n``
 fibers as the columns of a matrix.  We follow the Kolda & Bader
 convention (also the one the paper's HOSVD pseudocode assumes): the
 mode-``n`` unfolding of a tensor of shape ``(I_1, ..., I_N)`` has shape
-``(I_n, prod_{m != n} I_m)`` and the remaining modes vary with mode
-``n+1`` fastest excluded... concretely, column index ``j`` maps to the
+``(I_n, prod_{m != n} I_m)``: column index ``j`` maps to the
 multi-index obtained by iterating the non-``n`` modes in order
 ``(1, ..., n-1, n+1, ..., N)`` with the *first* of those varying
 fastest (Fortran-style), matching ``numpy.moveaxis + reshape(order='F')``.
 
-Only the pair of functions here needs to agree internally; every
-consumer in the library unfolds and folds through this module.
+Every consumer in the library unfolds through this module.  Nothing
+folds a matrix back: the n-mode products
+(:mod:`~repro.tensor.ttm`) contract the tensor's natural layout
+instead of an unfolding.
 """
 
 from __future__ import annotations
@@ -60,42 +61,4 @@ def unfold(tensor: np.ndarray, mode: int) -> np.ndarray:
     with _span("unfold", "tensor-op", shape=tensor.shape, mode=mode):
         return np.moveaxis(tensor, mode, 0).reshape(
             (tensor.shape[mode], -1), order="F"
-        )
-
-
-def fold(matrix: np.ndarray, mode: int, shape: tuple) -> np.ndarray:
-    """Inverse of :func:`unfold`.
-
-    Parameters
-    ----------
-    matrix:
-        A matrix produced by (or shaped like the output of)
-        ``unfold(tensor, mode)`` for a tensor of shape ``shape``.
-    mode:
-        The mode that was unfolded.
-    shape:
-        The shape of the original tensor.
-
-    Returns
-    -------
-    numpy.ndarray
-        The re-folded tensor of shape ``shape``.
-    """
-    matrix = np.asarray(matrix)
-    shape = tuple(int(s) for s in shape)
-    if matrix.ndim != 2:
-        raise ShapeError(f"fold expects a matrix, got ndim={matrix.ndim}")
-    mode = check_mode(len(shape), mode)
-    expected = (shape[mode], int(np.prod(shape)) // shape[mode] if shape[mode] else 0)
-    if matrix.shape != expected:
-        raise ShapeError(
-            f"matrix shape {matrix.shape} does not match mode-{mode} "
-            f"unfolding {expected} of tensor shape {shape}"
-        )
-    moved_shape = (shape[mode],) + tuple(
-        s for i, s in enumerate(shape) if i != mode
-    )
-    with _span("fold", "tensor-op", shape=shape, mode=mode):
-        return np.moveaxis(
-            matrix.reshape(moved_shape, order="F"), 0, mode
         )

@@ -67,6 +67,13 @@ class TestEndToEnd:
             assert new == r.probe_cost + r.alloc_cells
             previous = r.spent_after
 
+    @pytest.mark.parametrize("seed", [0, 2**40])
+    def test_any_non_negative_seed_runs(self, epidemic_study, seed):
+        outcome = run_campaign(
+            spec_with(seed=seed, max_rounds=1), epidemic_study
+        )
+        assert outcome.rounds and outcome.cells_simulated > 0
+
     def test_max_rounds_stop(self, epidemic_study):
         outcome = run_campaign(
             spec_with(max_rounds=2, budget=432), epidemic_study

@@ -125,6 +125,17 @@ class TestFieldValidation:
             make(explore_fraction=fraction)
         assert excinfo.value.field == "explore_fraction"
 
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed(self, seed):
+        # numpy's generator rejects a negative seed only once the first
+        # round draws, with an untyped ValueError.
+        with pytest.raises(CampaignSpecError) as excinfo:
+            make(seed=seed)
+        assert excinfo.value.field == "seed"
+        with pytest.raises(CampaignSpecError) as excinfo:
+            CampaignSpec(**dict(GOOD, seed=seed))
+        assert excinfo.value.field == "seed"
+
     def test_empty_pivot(self):
         with pytest.raises(CampaignSpecError) as excinfo:
             make(pivot="")

@@ -95,3 +95,23 @@ def materialized_core(
     paper's ``G = J x_1 U^(1)T ... x_N U^(N)T``, the reference for
     :func:`~repro.core.join_tensor.join_core`."""
     return multi_ttm(join_dense, list(factors), transpose=True)
+
+
+def kolda_unfolding_of_arange(shape: Sequence[int], mode: int) -> np.ndarray:
+    """The mode-``mode`` unfolding of ``np.arange(size).reshape(shape)``
+    written from Kolda & Bader's definition, one cell at a time: cell
+    ``(i_1, ..., i_N)`` lands in row ``i_mode`` and column
+    ``sum_{k != mode} i_k * prod_{m < k, m != mode} I_m`` (the first
+    remaining mode varies fastest).  Each entry is the cell's C-order
+    linear index, so the reference for an index-shuffling check."""
+    shape = tuple(int(s) for s in shape)
+    columns = int(np.prod(shape)) // shape[mode] if shape[mode] else 0
+    expected = np.full((shape[mode], columns), -1, dtype=np.int64)
+    for linear, cell in enumerate(np.ndindex(*shape)):
+        column, stride = 0, 1
+        for k, (index, size) in enumerate(zip(cell, shape)):
+            if k != mode:
+                column += index * stride
+                stride *= size
+        expected[cell[mode], column] = linear
+    return expected

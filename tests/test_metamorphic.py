@@ -8,9 +8,10 @@ Three families from the paper's arithmetic:
 * zero-join stitching degenerates to plain join stitching when every
   pivot configuration is fully matched on both sides (no one-sided
   observations exist to pad);
-* unfold/fold is an exact bijection (pure index shuffling, so equality
-  is bit-for-bit, not approximate) — and stays one with a live tracer
-  installed, i.e. instrumentation cannot perturb numerics.
+* unfold is an exact bijection (pure index shuffling: each cell lands
+  once, in the Kolda column order, so equality is bit-for-bit, not
+  approximate) — and is unchanged with a live tracer installed, i.e.
+  instrumentation cannot perturb numerics.
 """
 
 import numpy as np
@@ -22,7 +23,9 @@ from hypothesis.extra import numpy as hnp
 from repro.core import join_tensor, zero_join_tensor
 from repro.observability import Tracer, use_tracer
 from repro.sampling import PFPartition
-from repro.tensor import SparseTensor, fold, hosvd, unfold
+from repro.tensor import SparseTensor, hosvd, unfold
+
+from .generators import kolda_unfolding_of_arange
 
 shapes3 = st.tuples(
     st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)
@@ -114,33 +117,28 @@ class TestZeroJoinDegeneratesToJoin:
         assert zero.nnz >= plain.nnz
 
 
-class TestUnfoldFoldBijection:
-    @given(tensor=dense_tensors(), data=st.data())
+class TestUnfoldBijection:
+    @given(shape=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_round_trip_is_exact(self, tensor, data):
-        mode = data.draw(st.integers(0, tensor.ndim - 1))
-        # Pure index shuffling: bit-for-bit equality, not allclose.
-        assert np.array_equal(
-            fold(unfold(tensor, mode), mode, tensor.shape), tensor
-        )
+    def test_arange_lands_once_each_in_kolda_order(self, shape, data):
+        mode = data.draw(st.integers(0, len(shape) - 1))
+        tensor = np.arange(np.prod(shape)).reshape(shape)
+        matrix = unfold(tensor, mode)
+        # Pure index shuffling: every cell exactly once, where the
+        # definition puts it.
+        assert np.array_equal(np.sort(matrix, axis=None), tensor.ravel())
+        assert np.array_equal(matrix, kolda_unfolding_of_arange(shape, mode))
 
     @given(tensor=dense_tensors(), data=st.data())
     @settings(max_examples=10, deadline=None)
-    def test_round_trip_unchanged_by_active_tracer(self, tensor, data):
+    def test_unfold_unchanged_by_active_tracer(self, tensor, data):
         mode = data.draw(st.integers(0, tensor.ndim - 1))
-        untraced = fold(unfold(tensor, mode), mode, tensor.shape)
+        untraced = unfold(tensor, mode)
         with use_tracer(Tracer()) as tracer:
-            traced = fold(unfold(tensor, mode), mode, tensor.shape)
+            traced = unfold(tensor, mode)
         assert np.array_equal(traced, untraced)
-        assert {s.name for s in tracer.iter_spans()} == {"unfold", "fold"}
-
-    def test_matrix_side_round_trip(self, rng):
-        tensor = rng.standard_normal((3, 4, 5))
-        for mode in range(3):
-            matrix = unfold(tensor, mode)
-            assert np.array_equal(
-                unfold(fold(matrix, mode, tensor.shape), mode), matrix
-            )
+        assert {s.name for s in tracer.iter_spans()} == {"unfold"}
 
 
 class TestTracingIsInert:
